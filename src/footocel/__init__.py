@@ -32,7 +32,7 @@ from .possession import (
     CONTROL_TYPES,
     PossessionSpan,
     match_prefix,
-    possession_at,
+    possession_lookup,
     segment_possessions,
 )
 from .derive import (
@@ -43,7 +43,6 @@ from .derive import (
     detect_movement_events,
     enrich,
     load_activity_mapping,
-    merge_streams,
 )
 from .ocel import (
     IdentityScope,
@@ -99,7 +98,7 @@ __all__ = [
     "CONTROL_TYPES",
     "PossessionSpan",
     "match_prefix",
-    "possession_at",
+    "possession_lookup",
     "segment_possessions",
     "ActivityEvent",
     "MappingEntry",
@@ -108,7 +107,6 @@ __all__ = [
     "detect_movement_events",
     "enrich",
     "load_activity_mapping",
-    "merge_streams",
     "IdentityScope",
     "OcelEvent",
     "OcelLog",

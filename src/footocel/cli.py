@@ -59,7 +59,6 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
                    help="reject unmapped event types (default) or pass them through")
     g.add_argument("--control-types", metavar="CSV",
                    help="comma-separated event types that establish possession")
-    g.add_argument("--jobs", type=int, metavar="N", help="matches converted in parallel")
 
 
 def _add_match_options(parser: argparse.ArgumentParser) -> None:
@@ -96,7 +95,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         activity_map_path=args.activity_map,
         unknown_events=args.unknown_events,
         control_types=control,
-        jobs=args.jobs,
     )
 
 

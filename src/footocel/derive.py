@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .errors import ConsistencyError, ParseError
 from .ingest import RawEventRecord, TrackingFrame, qualify_player
-from .possession import PossessionSpan, goal_marked, possession_at
+from .possession import PossessionSpan, goal_marked, possession_lookup
 from .spatial import GridCell, GridSpec, Point, cell_label, cell_of, metric_distance
 
 GAME_BASED = "game_based"
@@ -59,7 +59,7 @@ class MappingEntry:
 
 @dataclass(frozen=True)
 class ActivityEvent:
-    """One event of the unified stream (pre- or post-merge)."""
+    """One event of the unified stream (before or after enrichment)."""
 
     activity: str
     event_class: str
@@ -71,7 +71,6 @@ class ActivityEvent:
     position: Optional[Point]
     cell: Optional[GridCell]
     attrs: dict
-    event_id: Optional[str] = None     # assigned by merge_streams
 
 
 def default_activity_mapping() -> dict[str, MappingEntry]:
@@ -328,49 +327,34 @@ def detect_movement_events(
     return events
 
 
-def merge_streams(
-    game_stream: Sequence[ActivityEvent], movement_stream: Sequence[ActivityEvent]
+def enrich(
+    game_stream: Sequence[ActivityEvent],
+    movement_stream: Sequence[ActivityEvent],
+    spans: Sequence[PossessionSpan],
 ) -> list[ActivityEvent]:
-    """Merge the decomposed and movement streams and assign event ids.
+    """Merge the decomposed and movement streams into one time-ordered stream
+    and attach possession ids, running score and movement-event teams.
 
     Order: (period, time); ties put game/ball events before position-based
-    ones, then sort by first player label, then keep input order.  Ids are
-    a zero-padded global sequence, so reruns over identical input produce
-    identical ids.
+    ones, then sort by first player label, then keep input order.  The score
+    attributes count goals strictly before each event, so a "Goal" event
+    itself still carries the pre-goal score.  Movement events inherit the
+    side their player label is qualified with.
     """
-    combined = list(game_stream) + list(movement_stream)
-
-    def sort_key(e: ActivityEvent):
-        return (
-            e.period,
-            e.time_s,
-            1 if e.event_class == POSITION_BASED else 0,
-            e.players[0] if e.players else "",
-        )
-
-    combined.sort(key=sort_key)
-    width = max(6, len(str(len(combined))))
-    return [
-        replace(e, event_id=f"e{i + 1:0{width}d}") for i, e in enumerate(combined)
-    ]
-
-
-def enrich(
-    events: Sequence[ActivityEvent], spans: Sequence[PossessionSpan]
-) -> list[ActivityEvent]:
-    """Attach possession ids, running score and movement-event teams.
-
-    The score attributes count goals strictly before each event, so a
-    "Goal" event itself still carries the pre-goal score.  Movement events
-    inherit the side their player label is qualified with.
-    """
+    combined = sorted([*game_stream, *movement_stream], key=lambda e: (
+        e.period,
+        e.time_s,
+        1 if e.event_class == POSITION_BASED else 0,
+        e.players[0] if e.players else "",
+    ))
+    span_at = possession_lookup(spans)
     score = {"Home": 0, "Away": 0}
     out: list[ActivityEvent] = []
-    for e in events:
+    for e in combined:
         attrs = dict(e.attrs)
         attrs["score_home"] = score["Home"]
         attrs["score_away"] = score["Away"]
-        span = possession_at(e.time_s, e.period, spans)
+        span = span_at(e.time_s, e.period)
         if span is not None:
             attrs["possession_id"] = span.span_id
         team = e.team

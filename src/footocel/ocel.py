@@ -180,12 +180,11 @@ def events_to_ocel(
 
     Every event relates to its match; team, players (with their role
     qualifier), possession and grid cell(s) follow when known; ball-class
-    events additionally relate to the ball object.
+    events additionally relate to the ball object.  The events keep their
+    input order and come out unnamed (empty eid): concat_logs names them.
     """
     out: list[OcelEvent] = []
     for e in events:
-        if e.event_id is None:
-            raise ConsistencyError("events must pass merge_streams before OCEL wiring")
         if e.event_class not in EVENT_CLASSES:
             raise ConsistencyError(f"unknown event class {e.event_class!r}")
         rels: list[tuple[str, str]] = [(match_id, "match")]
@@ -213,7 +212,7 @@ def events_to_ocel(
             attrs["x"] = e.position.x
             attrs["y"] = e.position.y
         out.append(OcelEvent(
-            eid=e.event_id,
+            eid="",
             etype=e.activity,
             time=event_time(epoch, e.time_s),
             attrs=attrs,
@@ -223,18 +222,19 @@ def events_to_ocel(
 
 
 def concat_logs(objects: list[OcelObject], event_groups: Sequence[list[OcelEvent]]) -> OcelLog:
-    """Assemble the final log: concatenated events get fresh global ids.
+    """Assemble the final log: concatenated events get their global ids.
 
-    Event ids appear nowhere else (relations point at objects), so
-    renumbering is safe; relative order within and across groups is kept.
+    This is the one place events are named.  Ids are a zero-padded global
+    sequence in order within and across groups, so reruns over identical
+    input produce identical ids; any id an input event carries is replaced.
     """
     events = [e for group in event_groups for e in group]
     width = max(6, len(str(len(events))))
-    renumbered = [
+    named = [
         OcelEvent(f"e{i + 1:0{width}d}", e.etype, e.time, e.attrs, e.relations)
         for i, e in enumerate(events)
     ]
-    log = OcelLog(objects=objects, events=renumbered)
+    log = OcelLog(objects=objects, events=named)
     validate_log(log)
     return log
 
@@ -382,6 +382,8 @@ def _read_type_section(data, key: str) -> dict[str, dict[str, str]]:
             if not isinstance(attr, dict):
                 raise ParseError(f"{apath}: expected an object")
             _expect_keys(attr, {"name", "type"}, apath)
+            if not isinstance(attr["name"], str):
+                raise ParseError(f"{apath}.name: expected a string")
             if attr["type"] not in ("string", "integer", "float", "boolean"):
                 raise ParseError(f"{apath}.type: unsupported type {attr['type']!r}")
             attrs[attr["name"]] = attr["type"]
@@ -399,6 +401,8 @@ def _read_attributes(entries, schema: dict[str, str], path: str) -> dict:
             raise ParseError(f"{apath}: expected an object")
         _expect_keys(attr, {"name", "value"}, apath)
         name, value = attr["name"], attr["value"]
+        if not isinstance(name, str):
+            raise ParseError(f"{apath}.name: expected a string")
         if name not in schema:
             raise ParseError(f"{apath}.name: undeclared attribute {name!r}")
         declared = schema[name]
@@ -438,6 +442,8 @@ def read_ocel_json(path) -> OcelLog:
             raise ParseError(f"{path}.id: expected a non-empty string")
         if oid in oids:
             raise ParseError(f"{path}.id: duplicate object id {oid!r}")
+        if not isinstance(otype, str):
+            raise ParseError(f"{path}.type: expected a string")
         if otype not in object_schema:
             raise ParseError(f"{path}.type: undeclared object type {otype!r}")
         attrs = _read_attributes(entry["attributes"], object_schema[otype], f"{path}.attributes")
@@ -459,6 +465,8 @@ def read_ocel_json(path) -> OcelLog:
             raise ParseError(f"{path}.id: expected a non-empty string")
         if eid in eids:
             raise ParseError(f"{path}.id: duplicate event id {eid!r}")
+        if not isinstance(etype, str):
+            raise ParseError(f"{path}.type: expected a string")
         if etype not in event_schema:
             raise ParseError(f"{path}.type: undeclared event type {etype!r}")
         time = parse_time(entry["time"], f"{path}.time") if isinstance(entry["time"], str) \
@@ -474,11 +482,16 @@ def read_ocel_json(path) -> OcelLog:
             if not isinstance(rel, dict):
                 raise ParseError(f"{rpath}: expected an object")
             _expect_keys(rel, {"objectId", "qualifier"}, rpath)
-            if rel["objectId"] not in oids:
-                raise ParseError(f"{rpath}.objectId: unknown object {rel['objectId']!r}")
-            if rel["qualifier"] not in QUALIFIERS:
-                raise ParseError(f"{rpath}.qualifier: unknown qualifier {rel['qualifier']!r}")
-            rels.append((rel["objectId"], rel["qualifier"]))
+            oid, qualifier = rel["objectId"], rel["qualifier"]
+            if not isinstance(oid, str):
+                raise ParseError(f"{rpath}.objectId: expected a string")
+            if oid not in oids:
+                raise ParseError(f"{rpath}.objectId: unknown object {oid!r}")
+            if not isinstance(qualifier, str):
+                raise ParseError(f"{rpath}.qualifier: expected a string")
+            if qualifier not in QUALIFIERS:
+                raise ParseError(f"{rpath}.qualifier: unknown qualifier {qualifier!r}")
+            rels.append((oid, qualifier))
         key = (time, eid)
         if prev_key is not None and key < prev_key:
             raise ParseError(f"{path}: events not sorted by (time, id)")

@@ -3,14 +3,13 @@
 Per match: load + merge the three CSVs, optionally normalize attack
 direction, segment possessions, decompose events, derive movement events
 from tracking, merge and enrich the streams, and wire everything to
-objects.  Matches convert independently (optionally in a thread pool) and
-concatenate into one log with globally unique ids.
+objects.  Matches convert independently and concatenate into one log with
+globally unique ids.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
@@ -23,7 +22,6 @@ from .derive import (
     detect_movement_events,
     enrich,
     load_activity_mapping,
-    merge_streams,
 )
 from .errors import ParseError
 from .ocel import (
@@ -58,7 +56,6 @@ class RunConfig:
     activity_map_path: Optional[str] = None
     unknown_events: str = UNKNOWN_REJECT
     control_types: tuple[str, ...] = tuple(sorted(CONTROL_TYPES))
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.sample_rate <= 0:
@@ -67,15 +64,13 @@ class RunConfig:
             raise ValueError("min_dwell_s must be >= 0")
         if self.unknown_events not in (UNKNOWN_REJECT, UNKNOWN_PASS):
             raise ValueError("unknown_events must be 'reject' or 'pass'")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         if not self.control_types:
             raise ValueError("control_types must not be empty")
 
 
 _CONFIG_KEYS = {
     "grid", "sample_rate", "scope", "min_dwell_s", "normalize_direction",
-    "activity_map_path", "unknown_events", "control_types", "jobs",
+    "activity_map_path", "unknown_events", "control_types",
 }
 
 
@@ -101,7 +96,7 @@ def config_from_dict(data: dict, source: str = "<config>") -> RunConfig:
     if "control_types" in data:
         kwargs["control_types"] = tuple(data["control_types"])
     for key in ("sample_rate", "min_dwell_s", "normalize_direction",
-                "activity_map_path", "unknown_events", "jobs"):
+                "activity_map_path", "unknown_events"):
         if key in data:
             kwargs[key] = data[key]
     return RunConfig(**kwargs)
@@ -154,8 +149,7 @@ def convert_one(paths: MatchPaths, match_index: int, config: RunConfig) -> Match
     )
     game_stream = decompose_events(events, config.grid, mapping, config.unknown_events)
     movement_stream = detect_movement_events(frames, config.grid, config.min_dwell_s)
-    merged = merge_streams(game_stream, movement_stream)
-    enriched = enrich(merged, spans)
+    enriched = enrich(game_stream, movement_stream, spans)
     ocel_events = events_to_ocel(
         enriched, paths.match_id, match_epoch(match_index), config.scope,
     )
@@ -173,13 +167,7 @@ def convert_matches(
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate match ids: {ids}")
 
-    if config.jobs > 1 and len(matches) > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            artifacts = list(pool.map(
-                lambda pair: convert_one(pair[1], pair[0], config), enumerate(matches),
-            ))
-    else:
-        artifacts = [convert_one(m, i, config) for i, m in enumerate(matches)]
+    artifacts = [convert_one(m, i, config) for i, m in enumerate(matches)]
 
     spans_by_match = {a.match_id: a.spans for a in artifacts}
     objects = build_objects(

@@ -9,9 +9,9 @@ timeline from the first controlling event of each period onward.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .ingest import RawEventRecord
 
@@ -70,19 +70,24 @@ def segment_possessions(
 ) -> list[PossessionSpan]:
     """Cut the event timeline into alternating possession spans.
 
-    Events must be time-ordered.  Events before the first controlling event
-    of a period belong to no span.  Outcome precedence: goal > shot >
-    period_end (final span of its period) > out_then_lost (the span's last
-    ball-out is not followed by another controlling event) > lost.
+    Events must be ordered by start time, as parse_events returns them:
+    each span's members are bisected out of its period's events.  Events
+    before the first controlling event of a period belong to no span.
+    Outcome precedence: goal > shot > period_end (final span of its period)
+    > out_then_lost (the span's last ball-out is not followed by another
+    controlling event) > lost.
     """
     if not events:
         return []
 
     period_end_time: dict[int, float] = {}
     period_end_frame: dict[int, int] = {}
+    by_period: dict[int, list[RawEventRecord]] = {}
     for e in events:
         period_end_time[e.period] = max(period_end_time.get(e.period, e.end_time_s), e.end_time_s)
         period_end_frame[e.period] = max(period_end_frame.get(e.period, e.end_frame), e.end_frame)
+        by_period.setdefault(e.period, []).append(e)
+    starts = {p: [e.start_time_s for e in members] for p, members in by_period.items()}
 
     # span boundaries: (opening event, its index)
     openers: list[RawEventRecord] = []
@@ -104,12 +109,14 @@ def segment_possessions(
             end_time = nxt.start_time_s
             end_frame = nxt.start_frame
 
-        members = [
-            e for e in events
-            if e.period == opener.period
-            and opener.start_time_s <= e.start_time_s
-            and (e.start_time_s < end_time or last_of_period and e.start_time_s <= end_time)
-        ]
+        # [start, end) within the period; the period's last span also owns its end instant
+        period_starts = starts[opener.period]
+        lo = bisect_left(period_starts, opener.start_time_s)
+        if last_of_period:
+            hi = bisect_right(period_starts, end_time)
+        else:
+            hi = bisect_left(period_starts, end_time)
+        members = by_period[opener.period][lo:hi]
         outcome = "lost"
         if any(e.event_type == SHOT_TYPE and goal_marked(e.subtype) for e in members):
             outcome = "goal"
@@ -142,25 +149,30 @@ def segment_possessions(
     return spans
 
 
-def possession_at(
-    time_s: float, period: int, spans: Sequence[PossessionSpan]
-) -> Optional[PossessionSpan]:
-    """The span owning a point in time, or None (before the period's first span).
+def possession_lookup(
+    spans: Sequence[PossessionSpan],
+) -> Callable[[float, int], Optional[PossessionSpan]]:
+    """A function mapping (time_s, period) to the span owning that instant, or
+    None (before the period's first span).  Spans must be in segment order.
 
     Containment is half-open: a span's end instant belongs to its successor.
     The final span of a period additionally owns its closed end instant, so
     events stamped exactly at the period end are not orphaned.
     """
     keys = [(s.period, s.start_time_s) for s in spans]
-    idx = bisect_right(keys, (period, time_s)) - 1
-    if idx < 0:
+
+    def at(time_s: float, period: int) -> Optional[PossessionSpan]:
+        idx = bisect_right(keys, (period, time_s)) - 1
+        if idx < 0:
+            return None
+        span = spans[idx]
+        if span.period != period:
+            return None
+        if time_s < span.end_time_s:
+            return span
+        is_last_of_period = idx + 1 >= len(spans) or spans[idx + 1].period != span.period
+        if is_last_of_period and time_s == span.end_time_s:
+            return span
         return None
-    span = spans[idx]
-    if span.period != period:
-        return None
-    if time_s < span.end_time_s:
-        return span
-    is_last_of_period = idx + 1 >= len(spans) or spans[idx + 1].period != span.period
-    if is_last_of_period and time_s == span.end_time_s:
-        return span
-    return None
+
+    return at

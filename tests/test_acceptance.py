@@ -7,10 +7,11 @@ six Metrica CSVs under data/metrica/ (or $METRICA_DATA_DIR, see
 scripts/fetch_metrica.py for the expected layout).  The numbers they check
 cannot be reproduced from synthetic data.  Without the files those tests
 are skipped with the BLOCKED reason, which `-rs` in pyproject.toml prints
-in every run's summary, so a missing dataset never goes unseen.  Setting
-$METRICA_DATA_DIR asks for the real-data checks: if it lacks any of the
-six files, the tests fail and name the missing ones.  Everything else runs
-on a deterministic synthetic match.
+in every run's summary, so a missing dataset never goes unseen.  Criteria
+6 and 8 run on the synthetic match and add the reference matches when
+present.  Setting $METRICA_DATA_DIR asks for the real-data checks: if it
+lacks any of the six files, all four of these tests fail and name the
+missing ones.  Everything else runs on a deterministic synthetic match.
 """
 
 import itertools
@@ -89,6 +90,14 @@ def required_reference_matches():
         pytest.fail(f"${DATA_ENV} lacks {len(missing)} of the six reference "
                     "files: " + ", ".join(missing))
     return reference_matches()
+
+
+def optional_reference_matches():
+    """The two sample matches when present, else None for a synthetic-only
+    run; fails like required_reference_matches() when $METRICA_DATA_DIR is set."""
+    if os.environ.get(DATA_ENV):
+        return required_reference_matches()
+    return reference_match_paths()
 
 
 BLOCKED = (
@@ -293,7 +302,7 @@ def test_criterion_5_dfg_oracle_equivalence():
 
 def test_criterion_6_qualitative_graph_structure(log):
     """Report-only: expected graph shapes, warned about rather than enforced."""
-    games = reference_match_paths()
+    games = optional_reference_matches()
     if games is not None:
         log, _ = convert_matches(games, RunConfig())
 
@@ -409,7 +418,7 @@ def movement_checks(frames, spec):
 
 def test_criterion_8_movement_chain_property(bundle):
     movement_checks(bundle.frames, GridSpec())
-    games = reference_match_paths()
+    games = optional_reference_matches()
     if games is not None:
         real = load_match(games[0].home_tracking, games[0].away_tracking,
                           games[0].events, match_id="game1")

@@ -15,11 +15,11 @@ from footocel.derive import (
     detect_movement_events,
     enrich,
     load_activity_mapping,
-    merge_streams,
     snap_to_pitch,
 )
 from footocel.errors import ConsistencyError, ParseError
 from footocel.ingest import RawEventRecord, TrackingFrame
+from footocel.ocel import EPOCH_BASE, build_objects, concat_logs, events_to_ocel
 from footocel.possession import segment_possessions
 from footocel.spatial import GridSpec, Point, cell_label, cell_of, metric_distance
 
@@ -308,19 +308,23 @@ def test_merge_orders_and_numbers_events():
                          start_frame=24), SPEC)
     assert moved_first[0].time_s == 1.0
 
-    merged = merge_streams(game, moved_first)
+    merged = enrich(game, moved_first, [])
     # tie at t=1.0: ball events precede position-based ones
     assert [e.activity for e in merged] == [
         "Pass", "Pass received", MOVEMENT_ACTIVITY,
     ]
-    assert [e.event_id for e in merged] == ["e000001", "e000002", "e000003"]
+    wired = events_to_ocel(merged, "m1", EPOCH_BASE)
+    log = concat_logs(build_objects([("m1", {"Home": ("HomePlayer1", "HomePlayer2")})],
+                                    {}, SPEC), [wired])
+    assert [e.etype for e in log.events] == [e.activity for e in merged]
+    assert [e.eid for e in log.events] == ["e000001", "e000002", "e000003"]
 
 
 def test_merge_tie_breaks_by_player_label():
     walk_a = frames_from_walk([Point(0.1, 0.5), Point(0.2, 0.5)], label="AwayPlayer9")
     walk_b = frames_from_walk([Point(0.1, 0.5), Point(0.2, 0.5)], label="HomePlayer2")
-    merged = merge_streams([], detect_movement_events(walk_a, SPEC)
-                           + detect_movement_events(walk_b, SPEC))
+    merged = enrich([], detect_movement_events(walk_a, SPEC)
+                    + detect_movement_events(walk_b, SPEC), [])
     assert [e.players[0] for e in merged] == ["AwayPlayer9", "HomePlayer2"]
 
 
@@ -333,8 +337,7 @@ def test_enrich_scores_count_goals_strictly_before():
             from_player="Player21"),
     ]
     spans = segment_possessions(records)
-    merged = merge_streams(decompose_events(records, SPEC), [])
-    enriched = enrich(merged, spans)
+    enriched = enrich(decompose_events(records, SPEC), [], spans)
     by_activity = {e.activity: e for e in enriched if e.team == "Home"}
     assert by_activity["Set piece"].attrs["score_home"] == 0
     assert by_activity["Shot"].attrs["score_home"] == 0
@@ -353,7 +356,7 @@ def test_enrich_attaches_possessions_and_movement_teams():
     movement = detect_movement_events(
         frames_from_walk([Point(0.1, 0.5), Point(0.2, 0.5)], start_frame=25,
                          label="AwayPlayer9"), SPEC)
-    enriched = enrich(merge_streams(decompose_events(records, SPEC), movement), spans)
+    enriched = enrich(decompose_events(records, SPEC), movement, spans)
     for e in enriched:
         assert e.attrs["possession_id"] == spans[0].span_id
     mover = [e for e in enriched if e.activity == MOVEMENT_ACTIVITY][0]

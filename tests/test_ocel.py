@@ -7,7 +7,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from footocel.derive import ActivityEvent
+from footocel.cli import main
 from footocel.errors import ConsistencyError, ParseError
 from footocel.ocel import (
     EPOCH_BASE,
@@ -18,7 +18,6 @@ from footocel.ocel import (
     build_objects,
     concat_logs,
     event_time,
-    events_to_ocel,
     format_time,
     match_epoch,
     ocel_to_dict,
@@ -176,15 +175,6 @@ def test_possession_relation_follows_the_attribute(log):
     assert related > 0
 
 
-def test_events_to_ocel_requires_merged_ids():
-    unmerged = ActivityEvent(
-        activity="Pass", event_class="ball", time_s=0.0, period=1,
-        team="Home", players=(), roles=(), position=None, cell=None, attrs={},
-    )
-    with pytest.raises(ConsistencyError, match="merge_streams"):
-        events_to_ocel([unmerged], "m1", EPOCH_BASE)
-
-
 # --- serialization ---
 
 def test_log_round_trips_byte_and_structure(log, tmp_path):
@@ -261,12 +251,25 @@ def write_mutated(tmp_path, mutate):
     (lambda d: d["events"][0]["attributes"][0].update(value="one"), "expected"),
     (lambda d: d["eventTypes"][0].update(attributes={}), "expected an array"),
     (lambda d: d["events"][0].pop("relationships"), "missing key"),
+    # JSON arrays and objects where the reader looks a string up in a dict or set
+    (lambda d: d["objectTypes"][0]["attributes"][0].update(name=["kickoff"]),
+     "$.objectTypes[0].attributes[0].name: expected a string"),
+    (lambda d: d["objects"][0].update(type=["team"]), "$.objects[0].type: expected a string"),
+    (lambda d: d["objects"][0]["attributes"][0].update(name={"side": 1}),
+     "$.objects[0].attributes[0].name: expected a string"),
+    (lambda d: d["events"][0].update(type=["Pass"]), "$.events[0].type: expected a string"),
+    (lambda d: d["events"][0]["relationships"][0].update(objectId=["m1"]),
+     "$.events[0].relationships[0].objectId: expected a string"),
+    (lambda d: d["events"][0]["relationships"][0].update(qualifier={"q": "match"}),
+     "$.events[0].relationships[0].qualifier: expected a string"),
 ])
-def test_reader_rejects_malformed_logs(tmp_path, mutate, fragment):
+def test_reader_rejects_malformed_logs(tmp_path, capsys, mutate, fragment):
     path = write_mutated(tmp_path, mutate)
     with pytest.raises(ParseError) as err:
         read_ocel_json(path)
     assert fragment in str(err.value)
+    assert main(["stats", "--ocel", str(path)]) == 1
+    assert fragment in capsys.readouterr().err
 
 
 def test_reader_allows_integers_under_float_attributes(tmp_path):

@@ -1,5 +1,8 @@
 """Possession segmentation: hand-checked fixtures, a reference
-implementation cross-check, and the interval-lookup oracle."""
+implementation cross-check, the span-membership oracle and the
+interval-lookup oracle."""
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +12,7 @@ from footocel.possession import (
     CONTROL_TYPES,
     goal_marked,
     match_prefix,
-    possession_at,
+    possession_lookup,
     segment_possessions,
 )
 
@@ -78,13 +81,14 @@ def test_events_before_first_control_belong_to_no_span():
     ]
     spans = segment_possessions(events)
     assert spans[0].start_time_s == 5.0
-    assert possession_at(0.0, 1, spans) is None
-    assert possession_at(4.999, 1, spans) is None
+    span_at = possession_lookup(spans)
+    assert span_at(0.0, 1) is None
+    assert span_at(4.999, 1) is None
 
 
 def test_empty_timeline():
     assert segment_possessions([]) == []
-    assert possession_at(1.0, 1, []) is None
+    assert possession_lookup([])(1.0, 1) is None
 
 
 def test_custom_control_types():
@@ -151,22 +155,36 @@ def reference_spans(events, control_types=CONTROL_TYPES):
             end = max(e.end_time_s for e in events if e.period == s["period"])
         else:
             end = nxt["start"]
-        if any(e.event_type == "SHOT" and ref_goal(e.subtype) for e in s["members"]):
-            outcome = "goal"
-        elif any(e.event_type == "SHOT" for e in s["members"]):
-            outcome = "shot"
-        elif last:
-            outcome = "period_end"
-        else:
-            tail = None
-            for e in s["members"]:
-                if e.event_type == "BALL OUT":
-                    tail = "out"
-                elif e.event_type in control_types:
-                    tail = "control"
-            outcome = "out_then_lost" if tail == "out" else "lost"
+        outcome = ref_outcome(s["members"], last, control_types)
         out.append((s["team"], s["period"], s["start"], end, outcome))
     return out
+
+
+def ref_outcome(members, last, control_types=CONTROL_TYPES):
+    if any(e.event_type == "SHOT" and ref_goal(e.subtype) for e in members):
+        return "goal"
+    if any(e.event_type == "SHOT" for e in members):
+        return "shot"
+    if last:
+        return "period_end"
+    tail = None
+    for e in members:
+        if e.event_type == "BALL OUT":
+            tail = "out"
+        elif e.event_type in control_types:
+            tail = "control"
+    return "out_then_lost" if tail == "out" else "lost"
+
+
+def scan_members(events, span, last):
+    """Span membership by scanning every event: [start, end) within the
+    period, the period's last span also owning its end instant."""
+    return [
+        e for e in events
+        if e.period == span.period
+        and span.start_time_s <= e.start_time_s
+        and (e.start_time_s < span.end_time_s or last and e.start_time_s <= span.end_time_s)
+    ]
 
 
 TYPES = ("PASS", "SHOT", "RECOVERY", "SET PIECE", "CARRY",
@@ -203,6 +221,17 @@ def test_segmentation_matches_reference(events):
     assert got == reference_spans(events)
 
 
+@settings(max_examples=300, deadline=None)
+@given(timelines())
+def test_bisected_members_match_scan_oracle(events):
+    spans = segment_possessions(events)
+    expected = []
+    for i, s in enumerate(spans):
+        last = i + 1 >= len(spans) or spans[i + 1].period != s.period
+        expected.append(replace(s, outcome=ref_outcome(scan_members(events, s, last), last)))
+    assert spans == expected
+
+
 @settings(max_examples=200, deadline=None)
 @given(timelines())
 def test_spans_alternate_and_tile(events):
@@ -216,9 +245,10 @@ def test_spans_alternate_and_tile(events):
     # every controlling event falls inside exactly one span; strictly
     # interior ones can only belong to their own team's run (an opposing
     # controlling event would itself have opened a span boundary there)
+    span_at = possession_lookup(spans)
     for e in events:
         if e.event_type in CONTROL_TYPES:
-            span = possession_at(e.start_time_s, e.period, spans)
+            span = span_at(e.start_time_s, e.period)
             assert span is not None
             if span.start_time_s < e.start_time_s < span.end_time_s:
                 assert span.team == e.team
@@ -226,7 +256,7 @@ def test_spans_alternate_and_tile(events):
 
 @settings(max_examples=200, deadline=None)
 @given(timelines(), st.floats(0, 130), st.integers(1, 2))
-def test_possession_at_matches_linear_scan(events, time_s, period):
+def test_possession_lookup_matches_linear_scan(events, time_s, period):
     spans = segment_possessions(events)
     hits = []
     for i, s in enumerate(spans):
@@ -236,7 +266,7 @@ def test_possession_at_matches_linear_scan(events, time_s, period):
         if s.start_time_s <= time_s < s.end_time_s or (last and time_s == s.end_time_s):
             hits.append(s)
     assert len(hits) <= 1
-    assert possession_at(time_s, period, spans) == (hits[0] if hits else None)
+    assert possession_lookup(spans)(time_s, period) == (hits[0] if hits else None)
 
 
 def test_goal_span_count_equals_goal_marked_shots(bundle, spans):
