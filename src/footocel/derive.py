@@ -327,30 +327,38 @@ def detect_movement_events(
     return events
 
 
-def enrich(
-    game_stream: Sequence[ActivityEvent],
-    movement_stream: Sequence[ActivityEvent],
-    spans: Sequence[PossessionSpan],
+def merge_streams(
+    game_stream: Sequence[ActivityEvent], movement_stream: Sequence[ActivityEvent]
 ) -> list[ActivityEvent]:
-    """Merge the decomposed and movement streams into one time-ordered stream
-    and attach possession ids, running score and movement-event teams.
+    """Merge the decomposed and movement streams into one time-ordered stream.
 
     Order: (period, time); ties put game/ball events before position-based
-    ones, then sort by first player label, then keep input order.  The score
-    attributes count goals strictly before each event, so a "Goal" event
-    itself still carries the pre-goal score.  Movement events inherit the
-    side their player label is qualified with.
+    ones, then sort by first player label, then keep input order.
     """
-    combined = sorted([*game_stream, *movement_stream], key=lambda e: (
+    return sorted([*game_stream, *movement_stream], key=lambda e: (
         e.period,
         e.time_s,
         1 if e.event_class == POSITION_BASED else 0,
         e.players[0] if e.players else "",
     ))
+
+
+def enrich(
+    game_stream: Sequence[ActivityEvent],
+    movement_stream: Sequence[ActivityEvent],
+    spans: Sequence[PossessionSpan],
+) -> list[ActivityEvent]:
+    """Merge the two streams (merge_streams) and, in one pass over the
+    result, attach possession ids, running score and movement-event teams.
+
+    The score attributes count goals strictly before each event, so a
+    "Goal" event itself still carries the pre-goal score.  Movement events
+    inherit the side their player label is qualified with.
+    """
     span_at = possession_lookup(spans)
     score = {"Home": 0, "Away": 0}
     out: list[ActivityEvent] = []
-    for e in combined:
+    for e in merge_streams(game_stream, movement_stream):
         attrs = dict(e.attrs)
         attrs["score_home"] = score["Home"]
         attrs["score_away"] = score["Away"]

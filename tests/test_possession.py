@@ -1,8 +1,5 @@
 """Possession segmentation: hand-checked fixtures, a reference
-implementation cross-check, the span-membership oracle and the
-interval-lookup oracle."""
-
-from dataclasses import replace
+implementation cross-check, and the interval-lookup oracle."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,7 +125,8 @@ def test_span_ids_use_prefix_and_padding():
 
 
 # --- reference implementation (independent structure: owner-state walk,
-# per-event span assignment, then an order-tracking outcome ladder) ---
+# span membership by scanning every event, then an order-tracking outcome
+# ladder) ---
 
 def ref_goal(subtype):
     return "GOAL" in [t.strip() for t in (subtype or "").split("-")]
@@ -139,14 +137,8 @@ def reference_spans(events, control_types=CONTROL_TYPES):
     owner = None
     for e in events:
         if e.event_type in control_types and owner != (e.team, e.period):
-            spans.append({"team": e.team, "period": e.period,
-                          "start": e.start_time_s, "members": []})
+            spans.append({"team": e.team, "period": e.period, "start": e.start_time_s})
             owner = (e.team, e.period)
-    for e in events:
-        hits = [s for s in spans
-                if s["period"] == e.period and s["start"] <= e.start_time_s]
-        if hits:
-            hits[-1]["members"].append(e)
     out = []
     for i, s in enumerate(spans):
         nxt = spans[i + 1] if i + 1 < len(spans) else None
@@ -155,36 +147,29 @@ def reference_spans(events, control_types=CONTROL_TYPES):
             end = max(e.end_time_s for e in events if e.period == s["period"])
         else:
             end = nxt["start"]
-        outcome = ref_outcome(s["members"], last, control_types)
+        # [start, end) within the period; the period's last span also owns its end instant
+        members = [
+            e for e in events
+            if e.period == s["period"]
+            and s["start"] <= e.start_time_s
+            and (e.start_time_s < end or last and e.start_time_s <= end)
+        ]
+        if any(e.event_type == "SHOT" and ref_goal(e.subtype) for e in members):
+            outcome = "goal"
+        elif any(e.event_type == "SHOT" for e in members):
+            outcome = "shot"
+        elif last:
+            outcome = "period_end"
+        else:
+            tail = None
+            for e in members:
+                if e.event_type == "BALL OUT":
+                    tail = "out"
+                elif e.event_type in control_types:
+                    tail = "control"
+            outcome = "out_then_lost" if tail == "out" else "lost"
         out.append((s["team"], s["period"], s["start"], end, outcome))
     return out
-
-
-def ref_outcome(members, last, control_types=CONTROL_TYPES):
-    if any(e.event_type == "SHOT" and ref_goal(e.subtype) for e in members):
-        return "goal"
-    if any(e.event_type == "SHOT" for e in members):
-        return "shot"
-    if last:
-        return "period_end"
-    tail = None
-    for e in members:
-        if e.event_type == "BALL OUT":
-            tail = "out"
-        elif e.event_type in control_types:
-            tail = "control"
-    return "out_then_lost" if tail == "out" else "lost"
-
-
-def scan_members(events, span, last):
-    """Span membership by scanning every event: [start, end) within the
-    period, the period's last span also owning its end instant."""
-    return [
-        e for e in events
-        if e.period == span.period
-        and span.start_time_s <= e.start_time_s
-        and (e.start_time_s < span.end_time_s or last and e.start_time_s <= span.end_time_s)
-    ]
 
 
 TYPES = ("PASS", "SHOT", "RECOVERY", "SET PIECE", "CARRY",
@@ -219,17 +204,6 @@ def test_segmentation_matches_reference(events):
     got = [(s.team, s.period, s.start_time_s, s.end_time_s, s.outcome)
            for s in segment_possessions(events)]
     assert got == reference_spans(events)
-
-
-@settings(max_examples=300, deadline=None)
-@given(timelines())
-def test_bisected_members_match_scan_oracle(events):
-    spans = segment_possessions(events)
-    expected = []
-    for i, s in enumerate(spans):
-        last = i + 1 >= len(spans) or spans[i + 1].period != s.period
-        expected.append(replace(s, outcome=ref_outcome(scan_members(events, s, last), last)))
-    assert spans == expected
 
 
 @settings(max_examples=200, deadline=None)
