@@ -401,9 +401,7 @@ def _read_attributes(entries, schema: dict[str, str], path: str) -> dict:
             raise ParseError(f"{apath}: expected an object")
         _expect_keys(attr, {"name", "value"}, apath)
         name, value = attr["name"], attr["value"]
-        if not isinstance(name, str):
-            raise ParseError(f"{apath}.name: expected a string")
-        if name not in schema:
+        if not isinstance(name, str) or name not in schema:
             raise ParseError(f"{apath}.name: undeclared attribute {name!r}")
         declared = schema[name]
         actual = _json_type(value) if isinstance(value, (bool, int, float, str)) else None
@@ -442,9 +440,7 @@ def read_ocel_json(path) -> OcelLog:
             raise ParseError(f"{path}.id: expected a non-empty string")
         if oid in oids:
             raise ParseError(f"{path}.id: duplicate object id {oid!r}")
-        if not isinstance(otype, str):
-            raise ParseError(f"{path}.type: expected a string")
-        if otype not in object_schema:
+        if not isinstance(otype, str) or otype not in object_schema:
             raise ParseError(f"{path}.type: undeclared object type {otype!r}")
         attrs = _read_attributes(entry["attributes"], object_schema[otype], f"{path}.attributes")
         objects.append(OcelObject(oid, otype, attrs))
@@ -465,9 +461,7 @@ def read_ocel_json(path) -> OcelLog:
             raise ParseError(f"{path}.id: expected a non-empty string")
         if eid in eids:
             raise ParseError(f"{path}.id: duplicate event id {eid!r}")
-        if not isinstance(etype, str):
-            raise ParseError(f"{path}.type: expected a string")
-        if etype not in event_schema:
+        if not isinstance(etype, str) or etype not in event_schema:
             raise ParseError(f"{path}.type: undeclared event type {etype!r}")
         time = parse_time(entry["time"], f"{path}.time") if isinstance(entry["time"], str) \
             else None
@@ -483,13 +477,9 @@ def read_ocel_json(path) -> OcelLog:
                 raise ParseError(f"{rpath}: expected an object")
             _expect_keys(rel, {"objectId", "qualifier"}, rpath)
             oid, qualifier = rel["objectId"], rel["qualifier"]
-            if not isinstance(oid, str):
-                raise ParseError(f"{rpath}.objectId: expected a string")
-            if oid not in oids:
+            if not isinstance(oid, str) or oid not in oids:
                 raise ParseError(f"{rpath}.objectId: unknown object {oid!r}")
-            if not isinstance(qualifier, str):
-                raise ParseError(f"{rpath}.qualifier: expected a string")
-            if qualifier not in QUALIFIERS:
+            if not isinstance(qualifier, str) or qualifier not in QUALIFIERS:
                 raise ParseError(f"{rpath}.qualifier: unknown qualifier {qualifier!r}")
             rels.append((oid, qualifier))
         key = (time, eid)

@@ -112,10 +112,7 @@ def segment_possessions(
         # [start, end) within the period; the period's last span also owns its end instant
         period_starts = starts[opener.period]
         lo = bisect_left(period_starts, opener.start_time_s)
-        if last_of_period:
-            hi = bisect_right(period_starts, end_time)
-        else:
-            hi = bisect_left(period_starts, end_time)
+        hi = (bisect_right if last_of_period else bisect_left)(period_starts, end_time)
         members = by_period[opener.period][lo:hi]
         outcome = "lost"
         if any(e.event_type == SHOT_TYPE and goal_marked(e.subtype) for e in members):

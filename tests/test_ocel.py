@@ -254,14 +254,14 @@ def write_mutated(tmp_path, mutate):
     # JSON arrays and objects where the reader looks a string up in a dict or set
     (lambda d: d["objectTypes"][0]["attributes"][0].update(name=["kickoff"]),
      "$.objectTypes[0].attributes[0].name: expected a string"),
-    (lambda d: d["objects"][0].update(type=["team"]), "$.objects[0].type: expected a string"),
+    (lambda d: d["objects"][0].update(type=["team"]), "$.objects[0].type: undeclared object type"),
     (lambda d: d["objects"][0]["attributes"][0].update(name={"side": 1}),
-     "$.objects[0].attributes[0].name: expected a string"),
-    (lambda d: d["events"][0].update(type=["Pass"]), "$.events[0].type: expected a string"),
+     "$.objects[0].attributes[0].name: undeclared attribute"),
+    (lambda d: d["events"][0].update(type=["Pass"]), "$.events[0].type: undeclared event type"),
     (lambda d: d["events"][0]["relationships"][0].update(objectId=["m1"]),
-     "$.events[0].relationships[0].objectId: expected a string"),
+     "$.events[0].relationships[0].objectId: unknown object"),
     (lambda d: d["events"][0]["relationships"][0].update(qualifier={"q": "match"}),
-     "$.events[0].relationships[0].qualifier: expected a string"),
+     "$.events[0].relationships[0].qualifier: unknown qualifier"),
 ])
 def test_reader_rejects_malformed_logs(tmp_path, capsys, mutate, fragment):
     path = write_mutated(tmp_path, mutate)
