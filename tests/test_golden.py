@@ -1,0 +1,44 @@
+"""Golden hashes: `convert` output stays byte-identical across refactors.
+
+Each hash pins the `log.json` of one small synthetic conversion.  A change
+that moves a hash changed the log; it must be a change the log is meant to
+get, and the new hash is then recorded here with the reason.
+"""
+
+import hashlib
+
+import pytest
+
+from footocel.cli import main
+from footocel.synth import write_synth_match
+
+
+@pytest.fixture(scope="module")
+def second_match(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("second")
+    return [str(p) for p in write_synth_match(directory, prefix="second", seed=11, period_s=60.0)]
+
+
+def _first(synth_paths):
+    return [synth_paths.home_tracking, synth_paths.away_tracking, synth_paths.events]
+
+
+def _sha256_of_convert(tmp_path, args):
+    out = tmp_path / "log.json"
+    assert main(["convert", *args, "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_default_conversion_hash(synth_paths, tmp_path):
+    digest = _sha256_of_convert(tmp_path, ["--match", *_first(synth_paths)])
+    assert digest == "14548361a8a8e94dbbc85df081c04610f1998d7cb556cff951077bf1cd9c269e"
+
+
+def test_two_match_normalized_debounced_hash(synth_paths, second_match, tmp_path):
+    digest = _sha256_of_convert(tmp_path, [
+        "--match", *_first(synth_paths),
+        "--match", *second_match,
+        "--match-ids", "game1,game2",
+        "--normalize-direction", "--min-dwell", "1.0",
+    ])
+    assert digest == "d66c7d0c88fcb483d422e90606c47ca5b6e5174223f018c67c7023fc395a6b63"
