@@ -11,6 +11,7 @@ from .errors import ConsistencyError, ParseError, QueryError
 from .ingest import (
     MatchBundle,
     RawEventRecord,
+    Tracking,
     TrackingFrame,
     load_match,
     normalize_direction,
@@ -81,6 +82,7 @@ __all__ = [
     "QueryError",
     "MatchBundle",
     "RawEventRecord",
+    "Tracking",
     "TrackingFrame",
     "load_match",
     "normalize_direction",

@@ -18,12 +18,13 @@ crossed the line.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError, ParseError
-from .ingest import RawEventRecord, TrackingFrame, qualify_player
+from .ingest import RawEventRecord, Tracking, qualify_player
 from .possession import PossessionSpan, goal_marked, possession_lookup
 from .spatial import GridCell, GridSpec, Point, cell_label, cell_of, metric_distance
 
@@ -235,7 +236,7 @@ def decompose_events(
 
 
 def detect_movement_events(
-    frames: Sequence[TrackingFrame],
+    tracking: Tracking,
     spec: GridSpec,
     min_dwell_s: float = 0.0,
 ) -> list[ActivityEvent]:
@@ -251,76 +252,83 @@ def detect_movement_events(
     min_dwell_s > 0 debounces border jitter: a crossing only counts once
     the player has stayed out of the old cell, inside one new cell, for at
     least that long; the event keeps the first-frame-in-new-cell timestamp.
+
+    Cells are computed as snap_to_pitch + cell_of would, as the integer
+    col * rows + row, and path lengths as metric_distance would, so the
+    results equal a per-frame evaluation of those functions bit for bit.
     """
     if min_dwell_s < 0:
         raise ValueError("min_dwell_s must be >= 0")
 
-    labels = sorted({label for f in frames for label in f.positions})
+    cols, rows = spec.cols, spec.rows
+    length_m, width_m = spec.pitch_length_m, spec.pitch_width_m
+    cell_labels = [cell_label(cell) for cell in spec.all_cells()]  # by col * rows + row
+    hypot = math.hypot
     events: list[ActivityEvent] = []
 
-    for label in labels:
-        confirmed: Optional[GridCell] = None
+    for label in sorted(tracking.players):
+        xs, ys = tracking.players[label]
+        confirmed = -1                 # cell index; -1 = none yet this period
         entry_time = 0.0
         acc = 0.0                      # path length since entering `confirmed`
-        last_point: Optional[Point] = None
+        last_x = last_y = 0.0
         prev_present = False
-        last_period: Optional[int] = None
-        tentative: Optional[tuple[GridCell, float, float]] = None  # cell, t0, acc snapshot
+        last_period = None
+        tentative = -1                 # candidate new cell while debouncing
+        t0 = dist = 0.0                # its first frame time and acc snapshot
 
-        for f in frames:
-            if f.period != last_period:
-                confirmed = None
-                tentative = None
-                last_point = None
+        for period, time_s, x, y in zip(tracking.period, tracking.time_s, xs, ys):
+            if period != last_period:
+                confirmed = tentative = -1
                 prev_present = False
                 acc = 0.0
-                last_period = f.period
-            p = f.positions.get(label)
-            if p is None:
+                last_period = period
+            if x != x:  # not tracked
                 prev_present = False
                 continue
-            cell = _cell(p, spec)
+            col = int((0.0 if x < 0.0 else 1.0 if x > 1.0 else x) * cols)
+            row = int((1.0 - (0.0 if y < 0.0 else 1.0 if y > 1.0 else y)) * rows)
+            cell = (col if col < cols else cols - 1) * rows + (row if row < rows else rows - 1)
 
-            if confirmed is None:
-                confirmed, entry_time, acc, tentative = cell, f.time_s, 0.0, None
+            if confirmed < 0:
+                confirmed, entry_time, acc, tentative = cell, time_s, 0.0, -1
             elif not prev_present:
                 # back after a gap: same cell continues the residence,
                 # anywhere else silently resets the memory
-                tentative = None
+                tentative = -1
                 if cell == confirmed:
-                    acc += metric_distance(last_point, p, spec)
+                    acc += hypot((x - last_x) * length_m, (y - last_y) * width_m)
                 else:
-                    confirmed, entry_time, acc = cell, f.time_s, 0.0
+                    confirmed, entry_time, acc = cell, time_s, 0.0
             else:
-                acc += metric_distance(last_point, p, spec)
+                acc += hypot((x - last_x) * length_m, (y - last_y) * width_m)
                 if cell == confirmed:
-                    tentative = None
+                    tentative = -1
                 else:
-                    if tentative is None or cell != tentative[0]:
-                        tentative = (cell, f.time_s, acc)
-                    if f.time_s - tentative[1] >= min_dwell_s:
-                        new_cell, t0, dist = tentative
+                    if cell != tentative:
+                        tentative, t0, dist = cell, time_s, acc
+                    if time_s - t0 >= min_dwell_s:
                         events.append(ActivityEvent(
                             activity=MOVEMENT_ACTIVITY,
                             event_class=POSITION_BASED,
                             time_s=t0,
-                            period=f.period,
+                            period=period,
                             team=None,
                             players=(label,),
                             roles=(EXECUTING,),
                             position=None,
                             cell=None,
                             attrs={
-                                "from_cell": cell_label(confirmed),
-                                "to_cell": cell_label(new_cell),
+                                "from_cell": cell_labels[confirmed],
+                                "to_cell": cell_labels[tentative],
                                 "duration_s": t0 - entry_time,
                                 "distance_m": dist,
                             },
                         ))
-                        confirmed, entry_time = new_cell, t0
+                        confirmed, entry_time = tentative, t0
                         acc -= dist
-                        tentative = None
-            last_point = p
+                        tentative = -1
+            last_x, last_y = x, y
             prev_present = True
 
     events.sort(key=lambda e: (e.period, e.time_s, e.players[0]))

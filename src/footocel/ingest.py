@@ -16,8 +16,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Optional
+from itertools import groupby
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import ConsistencyError, ParseError
 from .spatial import Point
@@ -47,6 +49,41 @@ class TrackingFrame:
     ball: Optional[Point]
 
 
+def _point(x: float, y: float) -> Optional[Point]:
+    return None if x != x else Point(x, y)
+
+
+@dataclass(eq=False)
+class Tracking:
+    """Tracking data as columns, one entry per frame in every array.
+
+    period, frame and time_s are shared by all objects.  Each player label
+    maps to its (x, y) float columns, and ball holds the ball's; NaN in both
+    columns of a pair means "not tracked" (a pair is never half-present).
+    Indexing and iteration yield TrackingFrame rows built on demand.
+    """
+
+    period: array
+    frame: array
+    time_s: array
+    players: dict[str, tuple[array, array]]
+    ball: tuple[array, array]
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def __getitem__(self, i: int) -> TrackingFrame:
+        bx, by = self.ball
+        return TrackingFrame(
+            self.period[i], self.frame[i], self.time_s[i],
+            {label: _point(x[i], y[i]) for label, (x, y) in self.players.items()},
+            _point(bx[i], by[i]),
+        )
+
+    def __iter__(self) -> Iterator[TrackingFrame]:
+        return map(self.__getitem__, range(len(self)))
+
+
 @dataclass(frozen=True)
 class RawEventRecord:
     """One provider event row, values preserved verbatim (players unqualified)."""
@@ -70,7 +107,7 @@ class MatchBundle:
     """Everything known about one match after loading and merging."""
 
     match_id: str
-    frames: list[TrackingFrame]
+    frames: Tracking
     events: list[RawEventRecord]
     rosters: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
@@ -131,8 +168,8 @@ def parse_tracking(
     side: str,
     sample_rate: float = 25.0,
     source: str = "<tracking>",
-) -> list[TrackingFrame]:
-    """Parse one side's tracking file into frame fragments.
+) -> Tracking:
+    """Parse one side's tracking file into a columnar fragment.
 
     Fragments hold only this side's players (labels already qualified) plus
     the ball; merge_tracking joins the two sides.  The header is validated
@@ -171,7 +208,8 @@ def parse_tracking(
             raise ParseError("unnamed player coordinate pair", source=source, line=3)
     labels = [qualify_player(side, token) for token in pair_tokens[:-1]]
 
-    frames: list[TrackingFrame] = []
+    periods, frames, times = array("q"), array("q"), array("d")
+    coords = array("d")  # row-major: x, y of each player, then of the ball
     width = len(titles)
     prev_frame: Optional[int] = None
     for row in reader:
@@ -198,50 +236,84 @@ def parse_tracking(
                 f"time {time_s} inconsistent with frame {frame} at {sample_rate} Hz",
                 source=source, line=line,
             )
-        positions: dict[str, Optional[Point]] = {}
-        for k, label in enumerate(labels):
-            positions[label] = _opt_pair(
-                row[3 + 2 * k], row[4 + 2 * k], source=source, line=line, what=label,
-            )
-        ball = _opt_pair(row[width - 2], row[width - 1], source=source, line=line, what="ball")
-        frames.append(TrackingFrame(period, frame, time_s, positions, ball))
-    return frames
+        # blank and NaN tokens both read as NaN; a row that holds any other
+        # non-number, an infinity or a half-present pair is converted again
+        # pair by pair, which raises the located error for its first bad pair
+        try:
+            values = [float(token or "nan") for token in row[3:]]
+        except ValueError:
+            values = None
+        if (values is None or math.inf in values or -math.inf in values
+                or list(map(math.isnan, values[0::2])) != list(map(math.isnan, values[1::2]))):
+            values = _checked_coords(row, labels, source, line)
+        try:
+            periods.append(period)
+            frames.append(frame)
+        except OverflowError:
+            raise ParseError(
+                f"period {period} or frame {frame} out of range", source=source, line=line,
+            ) from None
+        times.append(time_s)
+        coords.extend(values)
+    n = width - 3
+    players = {
+        label: (coords[2 * k::n], coords[2 * k + 1::n]) for k, label in enumerate(labels)
+    }
+    return Tracking(periods, frames, times, players, (coords[n - 2::n], coords[n - 1::n]))
 
 
-def merge_tracking(home: list[TrackingFrame], away: list[TrackingFrame]) -> list[TrackingFrame]:
+def _checked_coords(row: list[str], labels: list[str], source: str, line: int) -> list[float]:
+    """One row's coordinates, validated pair by pair; NaN marks an absent pair."""
+    values: list[float] = []
+    for k, what in enumerate([*labels, "ball"]):
+        p = _opt_pair(row[3 + 2 * k], row[4 + 2 * k], source=source, line=line, what=what)
+        values += (math.nan, math.nan) if p is None else p
+    return values
+
+
+def _check_alignment(home: Tracking, away: Tracking) -> None:
+    """Raise on the first frame where the two sides' fragments disagree."""
+    overlap = home.players.keys() & away.players.keys()
+    (hx, hy), (ax, ay) = home.ball, away.ball
+    for i in range(max(len(home), len(away))):
+        if i >= len(home):
+            raise ConsistencyError(f"frame {away.frame[i]} missing from home tracking")
+        if i >= len(away):
+            raise ConsistencyError(f"frame {home.frame[i]} missing from away tracking")
+        frame = home.frame[i]
+        if frame != away.frame[i]:
+            raise ConsistencyError(f"frame mismatch: home has {frame}, away has {away.frame[i]}")
+        if home.period[i] != away.period[i]:
+            raise ConsistencyError(f"period mismatch at frame {frame}")
+        if abs(home.time_s[i] - away.time_s[i]) > FLOAT_TOLERANCE:
+            raise ConsistencyError(f"time mismatch at frame {frame}")
+        if overlap:
+            raise ConsistencyError(f"duplicate player labels across sides: {sorted(overlap)}")
+        if (hx[i] == hx[i] and ax[i] == ax[i]
+                and (abs(hx[i] - ax[i]) > FLOAT_TOLERANCE or abs(hy[i] - ay[i]) > FLOAT_TOLERANCE)):
+            raise ConsistencyError(f"ball position disagreement at frame {frame}")
+
+
+def merge_tracking(home: Tracking, away: Tracking) -> Tracking:
     """Join the two sides' fragments into full frames.
 
     Both files must describe exactly the same frame sequence; the first
     diverging frame is reported.  Ball positions may come from either file
-    and must agree where both report one.
+    and must agree where both report one.  The merged value shares the
+    home fragment's frame columns.
     """
-    merged: list[TrackingFrame] = []
-    for i in range(max(len(home), len(away))):
-        if i >= len(home):
-            raise ConsistencyError(f"frame {away[i].frame} missing from home tracking")
-        if i >= len(away):
-            raise ConsistencyError(f"frame {home[i].frame} missing from away tracking")
-        h, a = home[i], away[i]
-        if h.frame != a.frame:
-            raise ConsistencyError(f"frame mismatch: home has {h.frame}, away has {a.frame}")
-        if h.period != a.period:
-            raise ConsistencyError(f"period mismatch at frame {h.frame}")
-        if abs(h.time_s - a.time_s) > FLOAT_TOLERANCE:
-            raise ConsistencyError(f"time mismatch at frame {h.frame}")
-        overlap = h.positions.keys() & a.positions.keys()
-        if overlap:
-            raise ConsistencyError(f"duplicate player labels across sides: {sorted(overlap)}")
-        ball = h.ball
-        if h.ball is not None and a.ball is not None:
-            if (abs(h.ball.x - a.ball.x) > FLOAT_TOLERANCE
-                    or abs(h.ball.y - a.ball.y) > FLOAT_TOLERANCE):
-                raise ConsistencyError(f"ball position disagreement at frame {h.frame}")
-        elif h.ball is None:
-            ball = a.ball
-        positions = dict(h.positions)
-        positions.update(a.positions)
-        merged.append(TrackingFrame(h.period, h.frame, h.time_s, positions, ball))
-    return merged
+    (hx, hy), (ax, ay) = home.ball, away.ball
+    same_ball = hx.tobytes() == ax.tobytes() and hy.tobytes() == ay.tobytes()
+    if not (home.frame == away.frame and home.period == away.period
+            and home.time_s.tobytes() == away.time_s.tobytes() and same_ball
+            and (not len(home) or home.players.keys().isdisjoint(away.players))):
+        _check_alignment(home, away)
+    ball = home.ball
+    if not same_ball:  # take the away file's ball where the home file has none
+        ball = (array("d", [a if h != h else h for h, a in zip(hx, ax)]),
+                array("d", [a if h != h else y for h, y, a in zip(hx, hy, ay)]))
+    return Tracking(home.period, home.frame, home.time_s,
+                    {**home.players, **away.players}, ball)
 
 
 def parse_events(lines: Iterable[str], source: str = "<events>") -> list[RawEventRecord]:
@@ -347,10 +419,10 @@ def load_match(
         events = parse_events(fh, source=str(events_path))
 
     rosters: dict[str, set[str]] = {side: set() for side in SIDES}
-    if home:
-        rosters["Home"].update(home[0].positions.keys())
-    if away:
-        rosters["Away"].update(away[0].positions.keys())
+    if len(home):
+        rosters["Home"].update(home.players)
+    if len(away):
+        rosters["Away"].update(away.players)
     for record in events:
         for token in (record.from_player, record.to_player):
             if token is not None:
@@ -364,31 +436,45 @@ def load_match(
 
 
 def normalize_direction(
-    frames: list[TrackingFrame], events: list[RawEventRecord]
-) -> tuple[list[TrackingFrame], list[RawEventRecord]]:
+    tracking: Tracking, events: list[RawEventRecord]
+) -> tuple[Tracking, list[RawEventRecord]]:
     """Flip every period-2 position (x,y) -> (1-x, 1-y).
 
     Sides swap ends at half time while raw coordinates stay absolute; the
     flip applies to all objects at once so each team attacks a constant
-    direction and relative geometry is preserved.
+    direction and relative geometry is preserved.  Coordinate columns come
+    back as copies with their period-2 slices flipped; frame columns are
+    shared.
     """
+    runs: list[tuple[int, int]] = []
+    start = 0
+    for second_half, group in groupby(tracking.period, key=(2).__le__):
+        stop = start + sum(1 for _ in group)
+        if second_half:
+            runs.append((start, stop))
+        start = stop
+
+    def flip_column(column: array) -> array:
+        out = array("d", column)
+        for start, stop in runs:
+            out[start:stop] = array("d", [1.0 - v for v in column[start:stop]])
+        return out
+
+    def flip_pair(xy: tuple[array, array]) -> tuple[array, array]:
+        return flip_column(xy[0]), flip_column(xy[1])
+
     def flip(p: Optional[Point]) -> Optional[Point]:
         return None if p is None else Point(1.0 - p.x, 1.0 - p.y)
 
-    out_frames = []
-    for f in frames:
-        if f.period < 2:
-            out_frames.append(f)
-        else:
-            out_frames.append(TrackingFrame(
-                f.period, f.frame, f.time_s,
-                {label: flip(p) for label, p in f.positions.items()},
-                flip(f.ball),
-            ))
+    out_tracking = Tracking(
+        tracking.period, tracking.frame, tracking.time_s,
+        {label: flip_pair(xy) for label, xy in tracking.players.items()},
+        flip_pair(tracking.ball),
+    )
     out_events = []
     for e in events:
         if e.period < 2:
             out_events.append(e)
         else:
             out_events.append(replace(e, start_pos=flip(e.start_pos), end_pos=flip(e.end_pos)))
-    return out_frames, out_events
+    return out_tracking, out_events

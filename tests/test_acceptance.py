@@ -381,9 +381,10 @@ def test_criterion_7_narrated_ball_trace():
     )
 
 
-def movement_checks(frames, spec):
+def movement_checks(tracking, spec):
     """Chain continuity (no gap between the pair) and the distance bound."""
-    moves = detect_movement_events(frames, spec)
+    moves = detect_movement_events(tracking, spec)
+    frames = list(tracking)
     by_player = {}
     for e in moves:
         by_player.setdefault(e.players[0], []).append(e)

@@ -1,12 +1,16 @@
 """Event decomposition, movement detection, stream merging and enrichment."""
 
 import json
+import math
 import random
+from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from footocel.derive import (
     BALL,
+    ActivityEvent,
     GAME_BASED,
     POSITION_BASED,
     MOVEMENT_ACTIVITY,
@@ -18,7 +22,7 @@ from footocel.derive import (
     snap_to_pitch,
 )
 from footocel.errors import ConsistencyError, ParseError
-from footocel.ingest import RawEventRecord, TrackingFrame
+from footocel.ingest import RawEventRecord, Tracking, TrackingFrame, normalize_direction
 from footocel.ocel import EPOCH_BASE, build_objects, concat_logs, events_to_ocel
 from footocel.possession import segment_possessions
 from footocel.spatial import GridSpec, Point, cell_label, cell_of, metric_distance
@@ -154,12 +158,31 @@ def test_decomposition_is_time_ordered():
     assert [e.time_s for e in events] == [5.0, 6.0, 9.0]
 
 
+def tracking_of(rows):
+    """The columnar Tracking of TrackingFrame rows; a label a row lacks is untracked there."""
+    labels = sorted({label for row in rows for label in row.positions})
+
+    def column(points, axis):
+        return array("d", [math.nan if p is None else p[axis] for p in points])
+
+    def pair(points):
+        return column(points, 0), column(points, 1)
+
+    return Tracking(
+        array("q", [row.period for row in rows]),
+        array("q", [row.frame for row in rows]),
+        array("d", [row.time_s for row in rows]),
+        {label: pair([row.positions.get(label) for row in rows]) for label in labels},
+        pair([row.ball for row in rows]),
+    )
+
+
 def frames_from_walk(points, period=1, label="HomePlayer1", start_frame=1, rate=25.0):
-    return [
+    return tracking_of([
         TrackingFrame(period, start_frame + i, (start_frame + i) / rate,
                       {label: p}, None)
         for i, p in enumerate(points)
-    ]
+    ])
 
 
 def test_first_observation_emits_nothing():
@@ -205,9 +228,10 @@ def test_gap_reappearing_elsewhere_resets_silently():
 
 
 def test_period_boundary_resets_state():
-    frames = (frames_from_walk([Point(0.1, 0.5)], period=1, start_frame=1)
-              + frames_from_walk([Point(0.9, 0.5), Point(0.9, 0.45)],
-                                 period=2, start_frame=100))
+    frames = tracking_of(
+        list(frames_from_walk([Point(0.1, 0.5)], period=1, start_frame=1))
+        + list(frames_from_walk([Point(0.9, 0.5), Point(0.9, 0.45)],
+                                period=2, start_frame=100)))
     assert detect_movement_events(frames, SPEC) == []
 
 
@@ -272,6 +296,122 @@ def test_movement_matches_reference_on_random_walks():
             for e in detect_movement_events(frames_from_walk(pts), SPEC)
         ]
         assert got == reference_movement_nogaps(pts, SPEC)
+
+
+def reference_movement_events(frames, spec, min_dwell_s=0.0):
+    """Row-by-row movement detection over TrackingFrame dicts, as footocel
+    did before tracking became columnar: the oracle the columnar detector
+    must equal exactly."""
+    labels = sorted({label for f in frames for label in f.positions})
+    events = []
+
+    for label in labels:
+        confirmed = None
+        entry_time = 0.0
+        acc = 0.0
+        last_point = None
+        prev_present = False
+        last_period = None
+        tentative = None  # cell, t0, acc snapshot
+
+        for f in frames:
+            if f.period != last_period:
+                confirmed = None
+                tentative = None
+                last_point = None
+                prev_present = False
+                acc = 0.0
+                last_period = f.period
+            p = f.positions.get(label)
+            if p is None:
+                prev_present = False
+                continue
+            cell = cell_of(snap_to_pitch(p), spec)
+
+            if confirmed is None:
+                confirmed, entry_time, acc, tentative = cell, f.time_s, 0.0, None
+            elif not prev_present:
+                tentative = None
+                if cell == confirmed:
+                    acc += metric_distance(last_point, p, spec)
+                else:
+                    confirmed, entry_time, acc = cell, f.time_s, 0.0
+            else:
+                acc += metric_distance(last_point, p, spec)
+                if cell == confirmed:
+                    tentative = None
+                else:
+                    if tentative is None or cell != tentative[0]:
+                        tentative = (cell, f.time_s, acc)
+                    if f.time_s - tentative[1] >= min_dwell_s:
+                        new_cell, t0, dist = tentative
+                        events.append(ActivityEvent(
+                            activity=MOVEMENT_ACTIVITY,
+                            event_class=POSITION_BASED,
+                            time_s=t0,
+                            period=f.period,
+                            team=None,
+                            players=(label,),
+                            roles=("executing_player",),
+                            position=None,
+                            cell=None,
+                            attrs={
+                                "from_cell": cell_label(confirmed),
+                                "to_cell": cell_label(new_cell),
+                                "duration_s": t0 - entry_time,
+                                "distance_m": dist,
+                            },
+                        ))
+                        confirmed, entry_time = new_cell, t0
+                        acc -= dist
+                        tentative = None
+            last_point = p
+            prev_present = True
+
+    events.sort(key=lambda e: (e.period, e.time_s, e.players[0]))
+    return events
+
+
+@st.composite
+def multi_player_walks(draw):
+    """Rows of 1-3 players walking in small steps, on and off the pitch,
+    with tracking gaps, labels absent from some rows and period changes."""
+    n = draw(st.integers(1, 80))
+    labels = draw(st.lists(st.sampled_from(["AwayPlayer9", "HomePlayer1", "HomePlayer2"]),
+                           min_size=1, max_size=3, unique=True))
+    step = st.floats(-0.06, 0.06, allow_nan=False)
+    tracks = {}
+    for label in labels:
+        x, y = draw(st.floats(-0.2, 1.2)), draw(st.floats(-0.2, 1.2))
+        points = []
+        for _ in range(n):
+            x, y = x + draw(step), y + draw(step)
+            points.append(None if draw(st.integers(0, 9)) == 0 else Point(x, y))
+        tracks[label] = points
+    period, frame, rows = 1, 0, []
+    for i in range(n):
+        if draw(st.integers(0, 29)) == 0:
+            period += draw(st.sampled_from([-1, 1])) if period > 1 else 1
+        frame += draw(st.integers(1, 3))
+        positions = {label: points[i] for label, points in tracks.items()
+                     if points[i] is not None or draw(st.booleans())}
+        rows.append(TrackingFrame(period, frame, frame / 25.0, positions, None))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(multi_player_walks(), st.sampled_from([0.0, 0.5, 1.0]))
+def test_movement_equals_row_reference_on_walks(rows, min_dwell_s):
+    got = detect_movement_events(tracking_of(rows), SPEC, min_dwell_s)
+    assert got == reference_movement_events(rows, SPEC, min_dwell_s)
+
+
+@pytest.mark.parametrize("min_dwell_s", [0.0, 0.5, 1.0])
+def test_movement_equals_row_reference_on_synthetic_match(bundle, min_dwell_s):
+    tracking, _ = normalize_direction(bundle.frames, [])
+    for t in (bundle.frames, tracking):
+        got = detect_movement_events(t, SPEC, min_dwell_s)
+        assert got and got == reference_movement_events(list(t), SPEC, min_dwell_s)
 
 
 def test_movement_chains_are_continuous_and_distance_bounded(bundle):

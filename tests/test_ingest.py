@@ -1,14 +1,24 @@
 """Raw CSV readers: tracking headers, event rows, merging and round-trips."""
 
+import csv
 import io
+import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from footocel.errors import ConsistencyError, ParseError
 from footocel.ingest import (
     EVENTS_HEADER,
+    FLOAT_TOLERANCE,
+    SIDES,
+    TRACKING_TITLE_PREFIX,
     RawEventRecord,
+    Tracking,
+    TrackingFrame,
+    _opt_pair,
+    _req_float,
+    _req_int,
     events_to_csv,
     load_match,
     merge_tracking,
@@ -52,6 +62,10 @@ def test_parse_tracking_happy_path():
     assert frames[1].positions["HomePlayer2"] is None  # blank pair = untracked
     assert frames[0].ball == Point(0.5, 0.5)
     assert frames[2].ball is None
+    # columnar layout: NaN in both columns marks the untracked sample
+    assert isinstance(frames, Tracking) and len(frames) == 3
+    x, y = frames.players["HomePlayer2"]
+    assert list(x[:1]) == [0.6] and math.isnan(x[1]) and math.isnan(y[1])
 
 
 def test_parse_tracking_skips_blank_lines():
@@ -85,6 +99,8 @@ def test_parse_tracking_header_errors(mutate, message):
     ("1,1,0.2,0.4,0.5,0.6,0.5,0.5,0.5", "inconsistent with frame"),
     ("1,1,0.04,0.4,,0.6,0.5,0.5,0.5", "half-present coordinate pair"),
     ("1,1,0.04,0.4,0.5,0.6,0.5,inf,0.5", "non-finite"),
+    # a frame number a 64-bit frame column cannot hold, with a matching time
+    ("1,9223372036854775808,3.6893488147419104e+17,0.4,0.5,0.6,0.5,0.5,0.5", "out of range"),
 ])
 def test_parse_tracking_row_errors(row, message):
     with pytest.raises(ParseError, match=message):
@@ -112,6 +128,116 @@ def test_parse_tracking_obeys_sample_rate():
         parse_tracking(tracking_lines(tokens=("P1",), rows=rows), "Home", sample_rate=25.0)
 
 
+def reference_parse_tracking(lines, side, sample_rate=25.0, source="<tracking>"):
+    """Row-by-row parser building one TrackingFrame per row, as footocel did
+    before tracking became columnar: the oracle parse_tracking must equal,
+    rows and error messages alike."""
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+    reader = csv.reader(lines)
+    header = []
+    for row in reader:
+        header.append(row)
+        if len(header) == 3:
+            break
+    if len(header) < 3:
+        raise ParseError("truncated header: expected 3 header lines", source=source,
+                         line=len(header))
+    titles = [t.strip() for t in header[2]]
+    if tuple(titles[:3]) != TRACKING_TITLE_PREFIX:
+        raise ParseError(
+            f"column-title row must start with {','.join(TRACKING_TITLE_PREFIX)}",
+            source=source, line=3,
+        )
+    if (len(titles) - 3) % 2 != 0:
+        raise ParseError("odd coordinate column count", source=source, line=3)
+    n_pairs = (len(titles) - 3) // 2
+    if n_pairs < 1:
+        raise ParseError("no coordinate columns (not even a ball pair)", source=source, line=3)
+    pair_tokens = [titles[3 + 2 * k] for k in range(n_pairs)]
+    if pair_tokens[-1].lower() != "ball":
+        raise ParseError(
+            f"last coordinate pair must be titled Ball, got {pair_tokens[-1]!r}",
+            source=source, line=3,
+        )
+    for token in pair_tokens[:-1]:
+        if not token:
+            raise ParseError("unnamed player coordinate pair", source=source, line=3)
+    labels = [qualify_player(side, token) for token in pair_tokens[:-1]]
+
+    frames = []
+    width = len(titles)
+    prev_frame = None
+    for row in reader:
+        line = reader.line_num
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != width:
+            raise ParseError(f"expected {width} fields, got {len(row)}", source=source, line=line)
+        period = _req_int(row[0], source=source, line=line, what="period")
+        if period < 1:
+            raise ParseError(f"period must be >= 1, got {period}", source=source, line=line)
+        frame = _req_int(row[1], source=source, line=line, what="frame")
+        time_s = _req_float(row[2], source=source, line=line, what="time")
+        if prev_frame is not None and frame <= prev_frame:
+            raise ParseError(
+                f"frame {frame} not greater than previous frame {prev_frame}",
+                source=source, line=line,
+            )
+        prev_frame = frame
+        if abs(time_s - frame / sample_rate) > FLOAT_TOLERANCE:
+            raise ParseError(
+                f"time {time_s} inconsistent with frame {frame} at {sample_rate} Hz",
+                source=source, line=line,
+            )
+        positions = {}
+        for k, label in enumerate(labels):
+            positions[label] = _opt_pair(
+                row[3 + 2 * k], row[4 + 2 * k], source=source, line=line, what=label,
+            )
+        ball = _opt_pair(row[width - 2], row[width - 1], source=source, line=line, what="ball")
+        frames.append(TrackingFrame(period, frame, time_s, positions, ball))
+    return frames
+
+
+_number = st.floats(-2, 3, allow_nan=False).map(repr) | st.just(" 0.5 ")
+_absent = st.sampled_from(["", "  ", "nan", "NaN"])
+_clean_pair = st.tuples(_number, _number) | st.tuples(_absent, _absent)
+_any_token = _number | _absent | st.sampled_from(["inf", "-inf", "1e999", "x"])
+_any_pair = st.tuples(_any_token, _any_token) | st.tuples(_number, _absent)
+
+
+@st.composite
+def _tracking_rows(draw):
+    """Rows for tracking_lines' two players plus the ball: present and absent
+    pairs in every spelling, and in some rows one pair that may be
+    half-present, non-finite or not a number."""
+    rows = []
+    frame = 0
+    for _ in range(draw(st.integers(0, 6))):
+        frame += draw(st.integers(1, 3))
+        period = 1 if frame < 8 else 2
+        pairs = [draw(_clean_pair) for _ in range(3)]
+        if draw(st.integers(0, 3)) == 0:
+            pairs[draw(st.integers(0, 2))] = draw(_any_pair)
+        rows.append(",".join([str(period), str(frame), repr(frame / 25.0),
+                              *(token for pair in pairs for token in pair)]))
+    return rows
+
+
+def _outcome(parse, rows):
+    try:
+        return list(parse(tracking_lines(rows=rows), "Home", source="h.csv"))
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tracking_rows())
+def test_parse_tracking_equals_row_reference(rows):
+    assert _outcome(parse_tracking, rows) == _outcome(reference_parse_tracking, rows)
+
+
 def _side_frames(side, rows, tokens=("Player1",)):
     return parse_tracking(tracking_lines(side=side, tokens=tokens, rows=rows), side)
 
@@ -133,12 +259,34 @@ def test_merge_tracking_ball_from_away_only():
     assert merge_tracking(home, away)[0].ball == Point(0.52, 0.5)
 
 
+_AGREED = ["1,1,0.04,0.4,0.5,0.5,0.5", "1,2,0.08,0.4,0.5,0.5,0.5"]
+
+
 @pytest.mark.parametrize("home_rows, away_rows, message", [
     (["1,1,0.04,0.4,0.5,,"], ["1,2,0.08,0.7,0.6,,"], "frame mismatch"),
     (["1,1,0.04,0.4,0.5,,"], ["2,1,0.04,0.7,0.6,,"], "period mismatch"),
+    (["1,1,0.0399991,0.4,0.5,,"], ["1,1,0.0400009,0.7,0.6,,"], "time mismatch at frame 1$"),
     (["1,1,0.04,0.4,0.5,,"], [], "missing from away"),
     ([], ["1,1,0.04,0.7,0.6,,"], "missing from home"),
     (["1,1,0.04,0.4,0.5,0.5,0.5"], ["1,1,0.04,0.7,0.6,0.9,0.5"], "ball position disagreement"),
+    # divergence after agreed frames: the first diverging frame is named
+    (_AGREED + ["1,3,0.12,0.4,0.5,,"], _AGREED + ["1,4,0.16,0.7,0.6,,"],
+     "frame mismatch: home has 3, away has 4$"),
+    (_AGREED + ["1,3,0.12,0.4,0.5,,"], _AGREED + ["2,3,0.12,0.7,0.6,,"],
+     "period mismatch at frame 3$"),
+    (_AGREED + ["1,3,0.1199991,0.4,0.5,,"], _AGREED + ["1,3,0.1200009,0.7,0.6,,"],
+     "time mismatch at frame 3$"),
+    (_AGREED + ["1,3,0.12,0.4,0.5,,"], _AGREED, "frame 3 missing from away"),
+    (_AGREED, _AGREED + ["1,3,0.12,0.7,0.6,,"], "frame 3 missing from home"),
+    (_AGREED + ["1,3,0.12,0.4,0.5,0.5,0.5"], _AGREED + ["1,3,0.12,0.7,0.6,0.5,0.9"],
+     "ball position disagreement at frame 3$"),
+    # an earlier ball disagreement wins over a later frame mismatch ...
+    (["1,1,0.04,0.4,0.5,0.5,0.5", "1,2,0.08,0.4,0.5,,"],
+     ["1,1,0.04,0.4,0.5,0.1,0.5", "1,3,0.12,0.4,0.5,,"],
+     "ball position disagreement at frame 1$"),
+    # ... and within one frame the frame check comes before the ball check
+    (_AGREED[:1] + ["1,2,0.08,0.4,0.5,0.5,0.5"], _AGREED[:1] + ["1,3,0.12,0.4,0.5,0.1,0.5"],
+     "frame mismatch: home has 2, away has 3$"),
 ])
 def test_merge_tracking_mismatches(home_rows, away_rows, message):
     with pytest.raises(ConsistencyError, match=message):
