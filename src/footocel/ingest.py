@@ -231,6 +231,13 @@ def parse_tracking(
                 source=source, line=line,
             )
         prev_frame = frame
+        try:
+            periods.append(period)
+            frames.append(frame)
+        except OverflowError:  # beyond 64 bits; frame / sample_rate may not even be a float
+            raise ParseError(
+                f"period {period} or frame {frame} out of range", source=source, line=line,
+            ) from None
         if abs(time_s - frame / sample_rate) > FLOAT_TOLERANCE:
             raise ParseError(
                 f"time {time_s} inconsistent with frame {frame} at {sample_rate} Hz",
@@ -246,13 +253,6 @@ def parse_tracking(
         if (values is None or math.inf in values or -math.inf in values
                 or list(map(math.isnan, values[0::2])) != list(map(math.isnan, values[1::2]))):
             values = _checked_coords(row, labels, source, line)
-        try:
-            periods.append(period)
-            frames.append(frame)
-        except OverflowError:
-            raise ParseError(
-                f"period {period} or frame {frame} out of range", source=source, line=line,
-            ) from None
         times.append(time_s)
         coords.extend(values)
     n = width - 3

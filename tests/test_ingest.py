@@ -99,8 +99,10 @@ def test_parse_tracking_header_errors(mutate, message):
     ("1,1,0.2,0.4,0.5,0.6,0.5,0.5,0.5", "inconsistent with frame"),
     ("1,1,0.04,0.4,,0.6,0.5,0.5,0.5", "half-present coordinate pair"),
     ("1,1,0.04,0.4,0.5,0.6,0.5,inf,0.5", "non-finite"),
-    # a frame number a 64-bit frame column cannot hold, with a matching time
+    # frame numbers a 64-bit frame column cannot hold, one with a matching
+    # time and one too large to divide into a float time
     ("1,9223372036854775808,3.6893488147419104e+17,0.4,0.5,0.6,0.5,0.5,0.5", "out of range"),
+    ("1,1" + "0" * 400 + ",0.04,0.4,0.5,0.6,0.5,0.5,0.5", "out of range"),
 ])
 def test_parse_tracking_row_errors(row, message):
     with pytest.raises(ParseError, match=message):
