@@ -75,63 +75,3 @@ from .pipeline import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConsistencyError",
-    "ParseError",
-    "QueryError",
-    "MatchBundle",
-    "RawEventRecord",
-    "Tracking",
-    "TrackingFrame",
-    "load_match",
-    "normalize_direction",
-    "parse_events",
-    "parse_tracking",
-    "GridCell",
-    "GridSpec",
-    "Point",
-    "cell_center",
-    "cell_label",
-    "cell_of",
-    "metric_distance",
-    "parse_cell_label",
-    "path_length",
-    "CONTROL_TYPES",
-    "PossessionSpan",
-    "match_prefix",
-    "possession_lookup",
-    "segment_possessions",
-    "ActivityEvent",
-    "MappingEntry",
-    "decompose_events",
-    "default_activity_mapping",
-    "detect_movement_events",
-    "enrich",
-    "load_activity_mapping",
-    "IdentityScope",
-    "OcelEvent",
-    "OcelLog",
-    "OcelObject",
-    "concat_logs",
-    "read_ocel_json",
-    "stats",
-    "validate_log",
-    "write_ocel_json",
-    "DirectlyFollows",
-    "LogFilter",
-    "dfg_metrics",
-    "discover_ocdfg",
-    "filter_log",
-    "RenderOptions",
-    "dfg_to_dot",
-    "spatial_instance_svg",
-    "MatchPaths",
-    "RunConfig",
-    "config_from_dict",
-    "convert_matches",
-    "convert_one",
-    "load_config_file",
-    "merge_config",
-    "__version__",
-]

@@ -1,13 +1,15 @@
 """Command line interface.
 
 Subcommands: convert (files -> OCEL JSON), stats (summarize a log),
-possessions (print segmented spans), dfg (discover + render a
+possessions (print the log's possession spans), dfg (discover + render a
 directly-follows graph), spatial (render one possession's traces as SVG).
 
-Option precedence everywhere: explicit flags beat the --config JSON file,
-which beats built-in defaults.  Exit codes: 0 success, 1 unreadable or
-unresolvable input (parse errors, unknown ids/attributes), 2 violated
-invariants (inconsistent files, bad configuration).
+Only convert reads match files and pipeline configuration; every other
+subcommand reads the log convert wrote (--ocel).  For convert, explicit
+flags beat the --config JSON file, which beats built-in defaults.  Exit
+codes: 0 success, 1 unreadable or unresolvable input (parse errors,
+unknown ids/attributes), 2 violated invariants (inconsistent files, bad
+configuration).
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError, ParseError, QueryError
-from .ingest import load_match
 from .mining import LogFilter, discover_ocdfg, filter_log
 from .ocel import (
     OBJECT_TYPE_GRID,
+    OBJECT_TYPE_POSSESSION,
     IdentityScope,
     OcelLog,
     read_ocel_json,
@@ -34,7 +36,6 @@ from .pipeline import (
     load_config_file,
     merge_config,
 )
-from .possession import match_prefix, segment_possessions
 from .render import RenderOptions, dfg_to_dot, spatial_instance_svg
 from .spatial import GridSpec
 
@@ -124,29 +125,19 @@ def _parse_where(clauses: Sequence[str], parser: argparse.ArgumentParser) -> lis
     return out
 
 
-def _load_or_convert(args: argparse.Namespace, parser: argparse.ArgumentParser) -> OcelLog:
-    if args.ocel and args.match:
-        parser.error("give either --ocel or --match inputs, not both")
-    if args.ocel:
-        return read_ocel_json(args.ocel)
-    if args.match:
-        log, _ = convert_matches(_resolve_matches(args, parser), _resolve_config(args))
-        return log
-    parser.error("an --ocel file or --match inputs are required")
-
-
-def _grid_from_log(log: OcelLog, fallback: GridSpec) -> GridSpec:
-    """Recover grid dimensions from the log's grid objects."""
+def _grid_from_log(log: OcelLog) -> GridSpec:
+    """Recover grid dimensions from the log's grid objects (default grid if none)."""
     cols = rows = 0
     for o in log.objects:
         if o.otype == OBJECT_TYPE_GRID:
-            cols = max(cols, ord(str(o.attrs.get("column", "A"))[0]) - ord("A") + 1)
-            rows = max(rows, int(o.attrs.get("row", 1)))
-    if cols and rows:
-        return GridSpec(cols=cols, rows=rows,
-                        pitch_length_m=fallback.pitch_length_m,
-                        pitch_width_m=fallback.pitch_width_m)
-    return fallback
+            column, row = o.attrs.get("column", "A"), o.attrs.get("row", 1)
+            if not (isinstance(column, str) and len(column) == 1 and "A" <= column <= "Z"
+                    and type(row) is int and row >= 1):
+                raise QueryError(f"grid object {o.oid!r} has no grid address "
+                                 f"(column {column!r}, row {row!r})")
+            cols = max(cols, ord(column) - ord("A") + 1)
+            rows = max(rows, row)
+    return GridSpec(cols=cols, rows=rows) if cols and rows else GridSpec()
 
 
 def _write_text(text: str, out: Optional[str]) -> None:
@@ -172,16 +163,17 @@ def cmd_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+_SPAN_COLUMNS = ("team", "start_time_s", "end_time_s", "outcome")
+
+
 def cmd_possessions(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    config = _resolve_config(args)
-    matches = _resolve_matches(args, parser)
-    for index, m in enumerate(matches):
-        bundle = load_match(m.home_tracking, m.away_tracking, m.events,
-                            match_id=m.match_id, sample_rate=config.sample_rate)
-        spans = segment_possessions(
-            bundle.events, match_prefix(index), frozenset(config.control_types))
-        for s in spans:
-            print(f"{s.span_id}\t{s.team}\t{s.start_time_s}\t{s.end_time_s}\t{s.outcome}")
+    for o in read_ocel_json(args.ocel).objects:
+        if o.otype != OBJECT_TYPE_POSSESSION:
+            continue
+        missing = [k for k in _SPAN_COLUMNS if k not in o.attrs]
+        if missing:
+            raise QueryError(f"possession {o.oid!r} lacks {', '.join(missing)}")
+        print("\t".join([o.oid, *(str(o.attrs[k]) for k in _SPAN_COLUMNS)]))
     return 0
 
 
@@ -193,7 +185,7 @@ def _render_options(args: argparse.Namespace) -> RenderOptions:
 
 
 def cmd_dfg(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    log = _load_or_convert(args, parser)
+    log = read_ocel_json(args.ocel)
     by_type: dict[str, list[tuple[str, str]]] = {}
     for otype, attr, value in _parse_where(args.where or [], parser):
         by_type.setdefault(otype, []).append((attr, value))
@@ -208,12 +200,11 @@ def cmd_dfg(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_spatial(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    log = _load_or_convert(args, parser)
+    log = read_ocel_json(args.ocel)
     types = [t.strip() for t in args.types.split(",") if t.strip()]
     if not types:
         parser.error("--types must name at least one object type")
-    grid = _grid_from_log(log, _resolve_config(args).grid)
-    svg = spatial_instance_svg(log, args.possession, types, grid)
+    svg = spatial_instance_svg(log, args.possession, types, _grid_from_log(log))
     _write_text(svg, args.out)
     return 0
 
@@ -237,15 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ocel", required=True, metavar="JSON")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("possessions", help="segment and print possession spans")
-    _add_match_options(p)
-    _add_config_options(p)
+    p = sub.add_parser("possessions", help="print a log's possession spans as TSV")
+    p.add_argument("--ocel", required=True, metavar="JSON")
     p.set_defaults(func=cmd_possessions)
 
     p = sub.add_parser("dfg", help="discover a directly-follows graph, emit DOT")
-    p.add_argument("--ocel", metavar="JSON", help="an existing log (or give --match inputs)")
-    _add_match_options(p)
-    _add_config_options(p)
+    p.add_argument("--ocel", required=True, metavar="JSON")
     p.add_argument("--types", default="ball", metavar="CSV",
                    help="object types to discover graphs for (default: ball)")
     p.add_argument("--where", action="append", metavar="TYPE.ATTR=VALUE",
@@ -258,9 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dfg)
 
     p = sub.add_parser("spatial", help="render one possession's traces as SVG")
-    p.add_argument("--ocel", metavar="JSON", help="an existing log (or give --match inputs)")
-    _add_match_options(p)
-    _add_config_options(p)
+    p.add_argument("--ocel", required=True, metavar="JSON")
     p.add_argument("--possession", required=True, metavar="ID", help="possession object id")
     p.add_argument("--types", default="ball,player", metavar="CSV",
                    help="object types to draw (default: ball,player)")

@@ -174,17 +174,24 @@ def events_to_ocel(
     events: Sequence[ActivityEvent],
     match_id: str,
     epoch: datetime,
-    scope: IdentityScope = IdentityScope.GLOBAL,
+    scope: IdentityScope,
+    *,
+    first: int,
+    total: int,
 ) -> list[OcelEvent]:
-    """Wire enriched activity events to their objects.
+    """Wire enriched activity events to their objects and name them.
 
     Every event relates to its match; team, players (with their role
     qualifier), possession and grid cell(s) follow when known; ball-class
     events additionally relate to the ball object.  The events keep their
-    input order and come out unnamed (empty eid): concat_logs names them.
+    input order.  This is the one place events are named: the log's events
+    form one zero-padded sequence, so this group's ids start after the
+    `first` events before it and pad to the width of the log's `total`
+    events; reruns over identical input produce identical ids.
     """
+    width = max(6, len(str(total)))
     out: list[OcelEvent] = []
-    for e in events:
+    for seq, e in enumerate(events, start=first + 1):
         if e.event_class not in EVENT_CLASSES:
             raise ConsistencyError(f"unknown event class {e.event_class!r}")
         rels: list[tuple[str, str]] = [(match_id, "match")]
@@ -212,7 +219,7 @@ def events_to_ocel(
             attrs["x"] = e.position.x
             attrs["y"] = e.position.y
         out.append(OcelEvent(
-            eid="",
+            eid=f"e{seq:0{width}d}",
             etype=e.activity,
             time=event_time(epoch, e.time_s),
             attrs=attrs,
@@ -222,19 +229,8 @@ def events_to_ocel(
 
 
 def concat_logs(objects: list[OcelObject], event_groups: Sequence[list[OcelEvent]]) -> OcelLog:
-    """Assemble the final log: concatenated events get their global ids.
-
-    This is the one place events are named.  Ids are a zero-padded global
-    sequence in order within and across groups, so reruns over identical
-    input produce identical ids; any id an input event carries is replaced.
-    """
-    events = [e for group in event_groups for e in group]
-    width = max(6, len(str(len(events))))
-    named = [
-        OcelEvent(f"e{i + 1:0{width}d}", e.etype, e.time, e.attrs, e.relations)
-        for i, e in enumerate(events)
-    ]
-    log = OcelLog(objects=objects, events=named)
+    """Assemble the final log from the objects and the named event groups, in order."""
+    log = OcelLog(objects=objects, events=[e for group in event_groups for e in group])
     validate_log(log)
     return log
 

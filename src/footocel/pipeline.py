@@ -2,9 +2,9 @@
 
 Per match: load + merge the three CSVs, optionally normalize attack
 direction, segment possessions, decompose events, derive movement events
-from tracking, merge and enrich the streams, and wire everything to
-objects.  Matches convert independently and concatenate into one log with
-globally unique ids.
+from tracking, and merge and enrich the streams.  Once every match is
+enriched, each match's events are wired to objects and given their global
+ids, and the matches concatenate into one log.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from . import ingest
 from .derive import (
     UNKNOWN_PASS,
     UNKNOWN_REJECT,
+    ActivityEvent,
     decompose_events,
     default_activity_mapping,
     detect_movement_events,
@@ -26,6 +27,7 @@ from .derive import (
 from .errors import ParseError
 from .ocel import (
     IdentityScope,
+    OcelEvent,
     OcelLog,
     build_objects,
     concat_logs,
@@ -128,7 +130,7 @@ class MatchArtifacts:
     match_id: str
     rosters: dict[str, tuple[str, ...]]
     spans: list[PossessionSpan]
-    ocel_events: list
+    events: list[ActivityEvent]  # enriched, not yet wired
 
 
 def convert_one(paths: MatchPaths, match_index: int, config: RunConfig) -> MatchArtifacts:
@@ -150,10 +152,7 @@ def convert_one(paths: MatchPaths, match_index: int, config: RunConfig) -> Match
     game_stream = decompose_events(events, config.grid, mapping, config.unknown_events)
     movement_stream = detect_movement_events(frames, config.grid, config.min_dwell_s)
     enriched = enrich(game_stream, movement_stream, spans)
-    ocel_events = events_to_ocel(
-        enriched, paths.match_id, match_epoch(match_index), config.scope,
-    )
-    return MatchArtifacts(paths.match_id, dict(bundle.rosters), spans, ocel_events)
+    return MatchArtifacts(paths.match_id, dict(bundle.rosters), spans, enriched)
 
 
 def convert_matches(
@@ -174,5 +173,13 @@ def convert_matches(
         [(a.match_id, a.rosters) for a in artifacts],
         spans_by_match, config.grid, config.scope,
     )
-    log = concat_logs(objects, [a.ocel_events for a in artifacts])
+    # event ids pad to the width of the log's total, so wiring waits for every match
+    total = sum(len(a.events) for a in artifacts)
+    groups: list[list[OcelEvent]] = []
+    first = 0
+    for index, a in enumerate(artifacts):
+        groups.append(events_to_ocel(a.events, a.match_id, match_epoch(index), config.scope,
+                                     first=first, total=total))
+        first += len(a.events)
+    log = concat_logs(objects, groups)
     return log, spans_by_match

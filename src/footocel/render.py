@@ -18,7 +18,7 @@ from xml.sax.saxutils import escape, quoteattr
 from .derive import snap_to_pitch
 from .errors import QueryError
 from .mining import OcDfg
-from .ocel import OBJECT_TYPE_BALL, OcelLog
+from .ocel import OBJECT_TYPE_BALL, OcelEvent, OcelLog
 from .spatial import GridSpec, Point, cell_center, cell_label, parse_cell_label
 
 DEFAULT_TYPE_COLORS = {
@@ -91,13 +91,17 @@ def dfg_to_dot(dfg: OcDfg, opts: Optional[RenderOptions] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _event_point(event_attrs: dict, spec: GridSpec) -> Optional[Point]:
+def _event_point(event: OcelEvent, spec: GridSpec) -> Optional[Point]:
     """Where to plot an event: exact coordinates, else its cell's center."""
-    if "x" in event_attrs and "y" in event_attrs:
-        return snap_to_pitch(Point(float(event_attrs["x"]), float(event_attrs["y"])))
-    for key in ("to_cell", "cell"):
-        if key in event_attrs:
-            return cell_center(parse_cell_label(event_attrs[key], spec), spec)
+    attrs = event.attrs
+    try:
+        if "x" in attrs and "y" in attrs:
+            return snap_to_pitch(Point(float(attrs["x"]), float(attrs["y"])))
+        for key in ("to_cell", "cell"):
+            if key in attrs:
+                return cell_center(parse_cell_label(attrs[key], spec), spec)
+    except ValueError as exc:
+        raise QueryError(f"event {event.eid!r}: {exc}") from None
     return None
 
 
@@ -128,7 +132,7 @@ def spatial_instance_svg(
         oids = [oid for oid, _ in e.relations]
         if possession_id not in oids:
             continue
-        point = _event_point(e.attrs, spec)
+        point = _event_point(e, spec)
         if point is None:
             continue
         for oid in dict.fromkeys(oids):

@@ -79,7 +79,8 @@ def cell_label(cell: GridCell) -> str:
 
 def parse_cell_label(label: str, spec: GridSpec) -> GridCell:
     """Inverse of cell_label; rejects addresses outside the grid."""
-    if len(label) < 2 or not label[0].isalpha() or not label[1:].isdigit():
+    if (not isinstance(label, str) or len(label) < 2
+            or not label[0].isalpha() or not label[1:].isdigit()):
         raise ValueError(f"malformed cell label {label!r}")
     col = ord(label[0].upper()) - ord("A")
     row = int(label[1:]) - 1

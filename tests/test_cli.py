@@ -142,23 +142,71 @@ def test_stats_subcommand(synth_paths, tmp_path, capsys):
     assert main(["stats", "--ocel", str(tmp_path / "missing.json")]) == 1
 
 
-def test_possessions_tsv(synth_paths, capsys):
-    rc = main([
-        "possessions",
-        "--match", synth_paths.home_tracking, synth_paths.away_tracking, synth_paths.events,
-    ])
-    assert rc == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+@pytest.fixture(scope="module")
+def log_file(synth_paths, tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli") / "log.json"
+    assert main(convert_args(synth_paths, out)) == 0
+    return out
+
+
+def mutated(log_path, tmp_path, mutate):
+    """A copy of a written log after mutate(data) edits its JSON in place."""
+    data = json.loads(log_path.read_text())
+    mutate(data)
+    out = tmp_path / "mutated.json"
+    out.write_text(json.dumps(data))
+    return out
+
+
+def span_row(span, prefix):
+    return "\t".join([prefix + span.span_id[2:], span.team, str(span.start_time_s),
+                      str(span.end_time_s), span.outcome])
+
+
+def test_possessions_tsv(log_file, spans, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["possessions", "--ocel", str(log_file)]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert len(lines) > 5
-    ids = []
-    for line in lines:
-        span_id, team, start, end, outcome = line.split("\t")
-        ids.append(span_id)
-        assert span_id.startswith("AA")
-        assert team in ("Home", "Away")
-        assert float(end) >= float(start)
-        assert outcome in ("goal", "shot", "period_end", "out_then_lost", "lost")
-    assert len(set(ids)) == len(ids)
+    assert lines == [span_row(s, "AA") for s in spans]
+
+    def drop_outcome(data):
+        first = next(o for o in data["objects"] if o["type"] == "possession")
+        first["attributes"] = [a for a in first["attributes"] if a["name"] != "outcome"]
+    bad = mutated(log_file, tmp_path, drop_outcome)
+    assert main(["possessions", "--ocel", str(bad)]) == 1
+    assert "possession 'AA001' lacks outcome" in capsys.readouterr().err
+
+
+def test_possessions_tsv_of_two_match_log(synth_paths, spans, tmp_path, capsys):
+    log_path = tmp_path / "two.json"
+    match = ["--match", synth_paths.home_tracking, synth_paths.away_tracking, synth_paths.events]
+    assert main(["convert", *match, *match, "--match-ids", "game1,game2",
+                 "--out", str(log_path)]) == 0
+    capsys.readouterr()
+    assert main(["possessions", "--ocel", str(log_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [span_row(s, "AA") for s in spans] + [span_row(s, "AB") for s in spans]
+
+
+@pytest.mark.parametrize("command", [["possessions"], ["dfg"], ["spatial", "--possession", "AA001"]])
+@pytest.mark.parametrize("option", [["--match", "h.csv", "a.csv", "e.csv"],
+                                    ["--config", "cfg.json"], ["--min-dwell", "1"]])
+def test_log_commands_reject_convert_options(log_file, command, option, capsys):
+    """Only convert reads match files and pipeline configuration."""
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--ocel", str(log_file), *option])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["stats"], ["possessions"], ["dfg"],
+                                     ["spatial", "--possession", "AA001"]])
+def test_log_commands_require_ocel(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command)
+    assert exc.value.code == 2
+    assert "--ocel" in capsys.readouterr().err
 
 
 def test_dfg_stdout_and_file_agree(synth_paths, tmp_path, capsys):
@@ -192,11 +240,7 @@ def test_dfg_where_filters_events(synth_paths, tmp_path, capsys):
         main(["dfg", "--ocel", str(log_path), "--where", "not-a-clause"])
     with pytest.raises(SystemExit):
         main(["dfg", "--ocel", str(log_path), "--types", ","])
-    with pytest.raises(SystemExit):
-        main(["dfg", "--ocel", str(log_path),
-              "--match", "a", "b", "c"])  # both input kinds at once
-    with pytest.raises(SystemExit):
-        main(["dfg"])  # neither input kind
+    assert main(["dfg", "--ocel", str(tmp_path / "missing.json")]) == 1
 
 
 def test_dfg_label_flags(synth_paths, tmp_path, capsys):
@@ -239,3 +283,31 @@ def test_spatial_recovers_grid_from_log(synth_paths, tmp_path, capsys):
     svg = capsys.readouterr().out
     assert ">H1<" in svg and ">H2<" in svg
     assert ">A3<" not in svg
+
+
+def test_spatial_rejects_grid_object_without_column(log_file, tmp_path, capsys):
+    def blank_column(data):
+        cell = next(o for o in data["objects"] if o["id"] == "B2")
+        next(a for a in cell["attributes"] if a["name"] == "column")["value"] = ""
+    bad = mutated(log_file, tmp_path, blank_column)
+    capsys.readouterr()
+    assert main(["spatial", "--ocel", str(bad), "--possession", "AA001"]) == 1
+    assert "grid object 'B2' has no grid address" in capsys.readouterr().err
+
+
+def test_spatial_rejects_integer_cell_label(log_file, tmp_path, capsys):
+    moved = "Player changes position"
+
+    def integer_to_cell(data):
+        etype = next(t for t in data["eventTypes"] if t["name"] == moved)
+        next(a for a in etype["attributes"] if a["name"] == "to_cell")["type"] = "integer"
+        for e in data["events"]:
+            if e["type"] == moved:
+                next(a for a in e["attributes"] if a["name"] == "to_cell")["value"] = 5
+    bad = mutated(log_file, tmp_path, integer_to_cell)
+    log = read_ocel_json(str(bad))  # the reader accepts the integer label
+    eid = next(e.eid for e in log.events
+               if e.etype == moved and ("AA001", "possession") in e.relations)
+    capsys.readouterr()
+    assert main(["spatial", "--ocel", str(bad), "--possession", "AA001"]) == 1
+    assert f"event {eid!r}: malformed cell label 5" in capsys.readouterr().err

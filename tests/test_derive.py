@@ -23,7 +23,7 @@ from footocel.derive import (
 )
 from footocel.errors import ConsistencyError, ParseError
 from footocel.ingest import RawEventRecord, Tracking, TrackingFrame, normalize_direction
-from footocel.ocel import EPOCH_BASE, build_objects, concat_logs, events_to_ocel
+from footocel.ocel import EPOCH_BASE, IdentityScope, build_objects, concat_logs, events_to_ocel
 from footocel.possession import segment_possessions
 from footocel.spatial import GridSpec, Point, cell_label, cell_of, metric_distance
 
@@ -453,7 +453,8 @@ def test_merge_orders_and_numbers_events():
     assert [e.activity for e in merged] == [
         "Pass", "Pass received", MOVEMENT_ACTIVITY,
     ]
-    wired = events_to_ocel(merged, "m1", EPOCH_BASE)
+    wired = events_to_ocel(merged, "m1", EPOCH_BASE, IdentityScope.GLOBAL,
+                           first=0, total=len(merged))
     log = concat_logs(build_objects([("m1", {"Home": ("HomePlayer1", "HomePlayer2")})],
                                     {}, SPEC), [wired])
     assert [e.etype for e in log.events] == [e.activity for e in merged]

@@ -3,11 +3,14 @@
 import json
 import re
 from collections import Counter
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
+import footocel.ocel as ocel_module
 from footocel.cli import main
+from footocel.derive import BALL, ActivityEvent
 from footocel.errors import ConsistencyError, ParseError
 from footocel.ocel import (
     EPOCH_BASE,
@@ -18,6 +21,7 @@ from footocel.ocel import (
     build_objects,
     concat_logs,
     event_time,
+    events_to_ocel,
     format_time,
     match_epoch,
     ocel_to_dict,
@@ -28,6 +32,7 @@ from footocel.ocel import (
     validate_log,
     write_ocel_json,
 )
+from footocel.pipeline import convert_matches
 from footocel.possession import PossessionSpan
 from footocel.spatial import GridSpec
 
@@ -345,13 +350,38 @@ def test_validate_log_violations():
 
 
 def test_concat_logs_renumbers_globally():
-    t0 = datetime(2020, 7, 1, 15, 0, 0, tzinfo=UTC)
-    objects = [OcelObject("m1", "match", {}), OcelObject("m2", "match", {})]
-    group1 = [OcelEvent("e1", "Pass", t0, {}, (("m1", "match"),))]
-    group2 = [OcelEvent("e1", "Shot", t0 + timedelta(days=1), {}, (("m2", "match"),))]
+    """Ids are one sequence across groups, padded to the log's total; concat only joins."""
+    def shot(time_s):
+        return ActivityEvent("Shot", BALL, time_s, 1, None, (), (), None, None, {})
+
+    objects = [OcelObject("m1", "match", {}), OcelObject("m2", "match", {}),
+               OcelObject("ball", "ball", {})]
+    group1 = events_to_ocel([shot(1.0), shot(2.0)], "m1", match_epoch(0),
+                            IdentityScope.GLOBAL, first=0, total=3)
+    group2 = events_to_ocel([shot(1.0)], "m2", match_epoch(1),
+                            IdentityScope.GLOBAL, first=2, total=3)
     log = concat_logs(objects, [group1, group2])
-    assert [e.eid for e in log.events] == ["e000001", "e000002"]
-    assert [e.etype for e in log.events] == ["Pass", "Shot"]
+    assert [e.eid for e in log.events] == ["e000001", "e000002", "e000003"]
+    assert log.events == group1 + group2
+    wide = events_to_ocel([shot(1.0)], "m1", match_epoch(0), IdentityScope.GLOBAL,
+                          first=0, total=1_000_000)
+    assert [e.eid for e in wide] == ["e0000001"]
+    with pytest.raises(ConsistencyError, match="duplicate event id"):
+        concat_logs(objects, [group1, group1])
+
+
+def test_convert_builds_each_event_once(synth_paths, monkeypatch):
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(OcelEvent(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(ocel_module, "OcelEvent", counting)
+    log, _ = convert_matches([synth_paths, replace(synth_paths, match_id="game2")])
+    assert len(built) == len(log.events)
+    assert all(a is b for a, b in zip(built, log.events))
+    assert all(e.eid for e in built)
 
 
 # --- summary statistics ---
