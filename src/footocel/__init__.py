@@ -27,7 +27,6 @@ from .spatial import (
     cell_of,
     metric_distance,
     parse_cell_label,
-    path_length,
 )
 from .possession import (
     CONTROL_TYPES,
@@ -59,7 +58,6 @@ from .ocel import (
 from .mining import (
     DirectlyFollows,
     LogFilter,
-    dfg_metrics,
     discover_ocdfg,
     filter_log,
 )

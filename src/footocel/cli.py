@@ -125,6 +125,18 @@ def _parse_where(clauses: Sequence[str], parser: argparse.ArgumentParser) -> lis
     return out
 
 
+def _object_types(arg: str, log: OcelLog, parser: argparse.ArgumentParser) -> list[str]:
+    """The --types list; every type named must have objects in the log."""
+    types = [t.strip() for t in arg.split(",") if t.strip()]
+    if not types:
+        parser.error("--types must name at least one object type")
+    present = {o.otype for o in log.objects}
+    unknown = [t for t in types if t not in present]
+    if unknown:
+        raise QueryError(f"no objects of type {', '.join(map(repr, unknown))} in the log")
+    return types
+
+
 def _grid_from_log(log: OcelLog) -> GridSpec:
     """Recover grid dimensions from the log's grid objects (default grid if none)."""
     cols = rows = 0
@@ -177,33 +189,22 @@ def cmd_possessions(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     return 0
 
 
-def _render_options(args: argparse.Namespace) -> RenderOptions:
-    return RenderOptions(
-        node_labels=not args.no_node_labels,
-        edge_labels=not args.no_edge_labels,
-    )
-
-
 def cmd_dfg(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     log = read_ocel_json(args.ocel)
+    types = _object_types(args.types, log, parser)  # before --where may drop every object
     by_type: dict[str, list[tuple[str, str]]] = {}
     for otype, attr, value in _parse_where(args.where or [], parser):
         by_type.setdefault(otype, []).append((attr, value))
     for otype, conditions in by_type.items():
         log = filter_log(log, LogFilter(object_type=otype, where=tuple(conditions)))
-    types = [t.strip() for t in args.types.split(",") if t.strip()]
-    if not types:
-        parser.error("--types must name at least one object type")
-    dfg = discover_ocdfg(log, types)
-    _write_text(dfg_to_dot(dfg, _render_options(args)), args.out)
+    opts = RenderOptions(node_labels=not args.no_node_labels, edge_labels=not args.no_edge_labels)
+    _write_text(dfg_to_dot(discover_ocdfg(log, types), opts), args.out)
     return 0
 
 
 def cmd_spatial(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     log = read_ocel_json(args.ocel)
-    types = [t.strip() for t in args.types.split(",") if t.strip()]
-    if not types:
-        parser.error("--types must name at least one object type")
+    types = _object_types(args.types, log, parser)
     svg = spatial_instance_svg(log, args.possession, types, _grid_from_log(log))
     _write_text(svg, args.out)
     return 0

@@ -14,7 +14,6 @@ qualified with its side ("HomePlayer9") as soon as it leaves the raw record.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from array import array
 from dataclasses import dataclass, field, replace
@@ -110,12 +109,6 @@ class MatchBundle:
     frames: Tracking
     events: list[RawEventRecord]
     rosters: dict[str, tuple[str, ...]] = field(default_factory=dict)
-
-    def roster_side(self, qualified_label: str) -> str:
-        for side, labels in self.rosters.items():
-            if qualified_label in labels:
-                return side
-        raise ConsistencyError(f"player {qualified_label!r} missing from all rosters")
 
 
 def qualify_player(side: str, token: str) -> str:
@@ -321,7 +314,8 @@ def parse_events(lines: Iterable[str], source: str = "<events>") -> list[RawEven
 
     The 14-column header is matched exactly.  Rows come back stably sorted
     by start time (file order preserved among ties); values are kept
-    verbatim so that events_to_csv round-trips.
+    verbatim, so writing the records back in the provider layout
+    reproduces every field.
     """
     reader = csv.reader(lines)
     try:
@@ -370,32 +364,6 @@ def parse_events(lines: Iterable[str], source: str = "<events>") -> list[RawEven
         ))
     records.sort(key=lambda r: r.start_time_s)  # stable: file order breaks ties
     return records
-
-
-def _fmt_opt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def events_to_csv(records: Iterable[RawEventRecord]) -> str:
-    """Serialize records back to the provider layout (field-lossless)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(EVENTS_HEADER)
-    for r in records:
-        writer.writerow([
-            r.team, r.event_type, _fmt_opt(r.subtype), r.period,
-            r.start_frame, _fmt_opt(r.start_time_s), r.end_frame, _fmt_opt(r.end_time_s),
-            _fmt_opt(r.from_player), _fmt_opt(r.to_player),
-            _fmt_opt(r.start_pos.x if r.start_pos else None),
-            _fmt_opt(r.start_pos.y if r.start_pos else None),
-            _fmt_opt(r.end_pos.x if r.end_pos else None),
-            _fmt_opt(r.end_pos.y if r.end_pos else None),
-        ])
-    return buf.getvalue()
 
 
 def load_match(

@@ -1,38 +1,37 @@
 """Object-centric directly-follows discovery and log filtering.
 
+A filter keeps the events related to an object of one type whose
+attributes match, with all their relations, and drops objects no kept
+event references.
+
 Per object type, each object induces a trace: its related events in log
 order, every event counted once per object no matter how many qualifiers
 tie them together.  The directly-follows graph counts consecutive trace
 pairs; start/end counts tally which activity opens/closes each non-empty
 trace, so their totals both equal the number of objects that appear in at
-least one event.
+least one event.  A requested type without objects yields an empty graph.
 """
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import QueryError
 from .ocel import OcelEvent, OcelLog
 
-log_ = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class LogFilter:
-    """Keep events related to a matching object; optionally project relations.
+    """Keep events related to a matching object.
 
     where: attribute equality conditions, all of which one object of
     object_type must satisfy for an event related to it to survive.
-    retain_types: drop relations to any other object type (None keeps all).
     """
 
     object_type: str
     where: tuple[tuple[str, str], ...] = ()
-    retain_types: Optional[tuple[str, ...]] = None
 
 
 def _value_matches(attr_value, query: str) -> bool:
@@ -52,15 +51,9 @@ def filter_log(log: OcelLog, flt: LogFilter) -> OcelLog:
     Unknown object types or attributes raise QueryError; event ids and
     relative order are preserved.
     """
-    types_present = {o.otype for o in log.objects}
-    if flt.object_type not in types_present:
-        raise QueryError(f"no objects of type {flt.object_type!r} in the log")
-    if flt.retain_types is not None:
-        unknown = set(flt.retain_types) - types_present
-        if unknown:
-            raise QueryError(f"cannot retain unknown object type(s) {sorted(unknown)}")
-
     candidates = [o for o in log.objects if o.otype == flt.object_type]
+    if not candidates:
+        raise QueryError(f"no objects of type {flt.object_type!r} in the log")
     for attr, _ in flt.where:
         if not any(attr in o.attrs for o in candidates):
             raise QueryError(
@@ -71,17 +64,13 @@ def filter_log(log: OcelLog, flt: LogFilter) -> OcelLog:
         if all(attr in o.attrs and _value_matches(o.attrs[attr], v) for attr, v in flt.where)
     }
 
-    otype_of = {o.oid: o.otype for o in log.objects}
-    retain = set(flt.retain_types) if flt.retain_types is not None else types_present
-
     events: list[OcelEvent] = []
     referenced: set[str] = set()
     for e in log.events:
         if not any(oid in matching for oid, _ in e.relations):
             continue
-        rels = tuple((oid, q) for oid, q in e.relations if otype_of[oid] in retain)
-        referenced.update(oid for oid, _ in rels)
-        events.append(OcelEvent(e.eid, e.etype, e.time, e.attrs, rels))
+        referenced.update(oid for oid, _ in e.relations)
+        events.append(e)
 
     objects = [o for o in log.objects if o.oid in referenced]
     return OcelLog(objects=objects, events=events)
@@ -104,16 +93,7 @@ class OcDfg:
 
 
 def discover_ocdfg(log: OcelLog, object_types: Sequence[str]) -> OcDfg:
-    """Discover one directly-follows graph per requested object type.
-
-    A type without any objects in the log yields an empty graph and a
-    warning rather than an error, so exploratory queries stay cheap.
-    """
-    types_present = {o.otype for o in log.objects}
-    for t in object_types:
-        if t not in types_present:
-            log_.warning("no objects of type %r in the log; its graph is empty", t)
-
+    """Discover one directly-follows graph per requested object type."""
     wanted = set(object_types)
     otype_of = {o.oid: o.otype for o in log.objects}
     traces: dict[str, list[str]] = {}
@@ -136,24 +116,3 @@ def discover_ocdfg(log: OcelLog, object_types: Sequence[str]) -> OcDfg:
         for a, b in zip(trace, trace[1:]):
             g.edge_counts[(a, b)] += 1
     return result
-
-
-@dataclass(frozen=True)
-class DfgTypeMetrics:
-    n_nodes: int
-    n_edges: int
-    self_loop_total: int
-    max_edge_weight: int
-
-
-def dfg_metrics(dfg: OcDfg) -> dict[str, DfgTypeMetrics]:
-    """Per-type size metrics (zeroes for empty graphs)."""
-    out: dict[str, DfgTypeMetrics] = {}
-    for t, g in dfg.per_type.items():
-        out[t] = DfgTypeMetrics(
-            n_nodes=len(g.activity_counts),
-            n_edges=len(g.edge_counts),
-            self_loop_total=sum(c for (a, b), c in g.edge_counts.items() if a == b),
-            max_edge_weight=max(g.edge_counts.values(), default=0),
-        )
-    return out

@@ -15,11 +15,12 @@ across matches (global scope, the default) or namespaced per match.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .derive import BALL, EVENT_CLASSES, POSITION_BASED, ActivityEvent
 from .errors import ConsistencyError, ParseError
@@ -263,16 +264,18 @@ def validate_log(log: OcelLog) -> None:
                 raise ConsistencyError(f"event {e.eid!r} uses unknown qualifier {qualifier!r}")
 
 
-def _json_type(value) -> str:
+def _json_type(name: str, value) -> str:
     if isinstance(value, bool):
         return "boolean"
     if isinstance(value, int):
         return "integer"
     if isinstance(value, float):
+        if not math.isfinite(value):  # NaN and infinities are not JSON
+            raise ConsistencyError(f"attribute {name!r} has non-finite value {value!r}")
         return "float"
     if isinstance(value, str):
         return "string"
-    raise ConsistencyError(f"unsupported attribute value {value!r}")
+    raise ConsistencyError(f"attribute {name!r} has unsupported value {value!r}")
 
 
 def _attr_schema(rows: Sequence[tuple[str, dict]]) -> dict[str, dict[str, str]]:
@@ -281,7 +284,7 @@ def _attr_schema(rows: Sequence[tuple[str, dict]]) -> dict[str, dict[str, str]]:
     for type_name, attrs in rows:
         bucket = schema.setdefault(type_name, {})
         for name, value in attrs.items():
-            jt = _json_type(value)
+            jt = _json_type(name, value)
             prev = bucket.get(name)
             if prev is None or prev == jt:
                 bucket[name] = jt
@@ -341,8 +344,10 @@ def ocel_to_dict(log: OcelLog) -> dict:
 
 
 def write_ocel_json(log: OcelLog, path) -> None:
+    """Write the log as JSON; a log that cannot be written leaves path untouched."""
+    tree = ocel_to_dict(log)  # raises before the file is opened and truncated
     with open(path, "w") as fh:
-        json.dump(ocel_to_dict(log), fh, indent=2, ensure_ascii=False)
+        json.dump(tree, fh, indent=2, ensure_ascii=False)
         fh.write("\n")
 
 
@@ -400,7 +405,10 @@ def _read_attributes(entries, schema: dict[str, str], path: str) -> dict:
         if not isinstance(name, str) or name not in schema:
             raise ParseError(f"{apath}.name: undeclared attribute {name!r}")
         declared = schema[name]
-        actual = _json_type(value) if isinstance(value, (bool, int, float, str)) else None
+        try:
+            actual = _json_type(name, value) if isinstance(value, (bool, int, float, str)) else None
+        except ConsistencyError:  # a number beyond the float range reads as inf
+            actual = None
         if actual is None or (actual != declared and not (actual == "integer" and declared == "float")):
             raise ParseError(f"{apath}.value: expected {declared}, got {value!r}")
         if name in attrs:
@@ -409,13 +417,23 @@ def _read_attributes(entries, schema: dict[str, str], path: str) -> dict:
     return attrs
 
 
+def _reject_constant(token: str):
+    raise ParseError(f"$: {token} is not a JSON number")
+
+
 def read_ocel_json(path) -> OcelLog:
-    """Load and validate a log; violations carry a JSON path."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"$: invalid JSON: {exc}") from None
+    """Load and validate a log; violations name the file and carry a JSON path."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh, parse_constant=_reject_constant)
+        return _log_from_dict(data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"$: invalid JSON: {exc}", source=str(path)) from None
+    except ParseError as exc:
+        raise ParseError(str(exc), source=str(path)) from None
+
+
+def _log_from_dict(data) -> OcelLog:
     if not isinstance(data, dict):
         raise ParseError("$: expected a top-level object")
     _expect_keys(data, {"objectTypes", "eventTypes", "objects", "events"}, "$")
@@ -520,7 +538,11 @@ class OcelStats:
         return "\n".join(lines)
 
 
-def stats(log: OcelLog, end_activities: Sequence[str] = ("Pass received", "Goal")) -> OcelStats:
+# the activities that close a decomposed provider row (receipts, goals)
+END_ACTIVITIES = frozenset({"Pass received", "Goal"})
+
+
+def stats(log: OcelLog) -> OcelStats:
     """Count events/objects per kind; an empty log yields all zeroes."""
     by_class: Counter = Counter()
     by_activity: Counter = Counter()
@@ -528,7 +550,7 @@ def stats(log: OcelLog, end_activities: Sequence[str] = ("Pass received", "Goal"
     for e in log.events:
         by_activity[e.etype] += 1
         by_class[e.attrs.get("event_class", "unknown")] += 1
-        if e.etype in end_activities:
+        if e.etype in END_ACTIVITIES:
             n_end += 1
     by_type: Counter = Counter(o.otype for o in log.objects)
     return OcelStats(

@@ -23,8 +23,6 @@ CONTROL_TYPES = frozenset({"SET PIECE", "RECOVERY", "PASS", "SHOT", "CARRY"})
 BALL_OUT_TYPE = "BALL OUT"
 SHOT_TYPE = "SHOT"
 
-OUTCOMES = ("goal", "shot", "lost", "out_then_lost", "period_end")
-
 # width of the numeric part of a span id ("AA001"); grows if a match
 # somehow exceeds 999 possessions
 _ID_PAD = 3

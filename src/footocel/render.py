@@ -2,6 +2,8 @@
 
 Both emitters sort everything they iterate over and embed no timestamps or
 randomness, so rendering the same input twice yields byte-identical output.
+The DOT graph colors each object type from one fixed table; its node and
+edge labels can be turned off.  The SVG canvas has one fixed size.
 
 The spatial view draws the grid with cell A1 bottom-left (grid rows count
 up from the bottom while screen y grows downward, so row indices are
@@ -11,7 +13,7 @@ events that only know a cell (movement events) sit at the cell's center.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
@@ -21,7 +23,7 @@ from .mining import OcDfg
 from .ocel import OBJECT_TYPE_BALL, OcelEvent, OcelLog
 from .spatial import GridSpec, Point, cell_center, cell_label, parse_cell_label
 
-DEFAULT_TYPE_COLORS = {
+TYPE_COLORS = {
     "ball": "#111111",
     "grid_position": "#d95f02",
     "match": "#666666",
@@ -35,18 +37,14 @@ TRACE_PALETTE = (
     "#e6ab02", "#a6761d", "#1f78b4", "#b15928", "#6a3d9a",
 )
 
+# SVG canvas size in pixels
+WIDTH, HEIGHT = 880, 500
+
 
 @dataclass(frozen=True)
 class RenderOptions:
-    width: int = 880
-    height: int = 500
     node_labels: bool = True   # annotate DFG nodes with per-type counts
     edge_labels: bool = True   # annotate DFG edges with "<type>:<count>"
-    type_colors: dict = field(default_factory=lambda: dict(DEFAULT_TYPE_COLORS))
-
-    def __post_init__(self) -> None:
-        if self.width < 200 or self.height < 200:
-            raise ValueError("render canvas must be at least 200x200")
 
 
 def _dot_quote(text: str) -> str:
@@ -61,7 +59,7 @@ def dfg_to_dot(dfg: OcDfg, opts: Optional[RenderOptions] = None) -> str:
     """
     opts = opts or RenderOptions()
     types = sorted(dfg.per_type)
-    colors = {t: opts.type_colors.get(t, "#444444") for t in types}
+    colors = {t: TYPE_COLORS.get(t, "#444444") for t in types}
     if len(set(colors.values())) != len(colors):
         raise ValueError(f"object types must render in distinct colors, got {colors}")
 
@@ -114,10 +112,8 @@ def spatial_instance_svg(
     possession_id: str,
     object_types: Sequence[str],
     spec: GridSpec,
-    opts: Optional[RenderOptions] = None,
 ) -> str:
     """Draw one possession's object traces over the pitch grid (SVG 1.1)."""
-    opts = opts or RenderOptions()
     index = log.object_index()
     possession = index.get(possession_id)
     if possession is None or possession.otype != "possession":
@@ -156,8 +152,8 @@ def spatial_instance_svg(
             palette_next += 1
 
     pad_l, pad_t, pad_b, legend_w = 30, 46, 16, 180
-    pw = opts.width - pad_l - legend_w - 10
-    ph = opts.height - pad_t - pad_b
+    pw = WIDTH - pad_l - legend_w - 10
+    ph = HEIGHT - pad_t - pad_b
 
     def sx(x: float) -> float:
         return pad_l + x * pw
@@ -168,8 +164,8 @@ def spatial_instance_svg(
     out: list[str] = []
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{opts.width}" height="{opts.height}" '
-        f'viewBox="0 0 {opts.width} {opts.height}">'
+        f'width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">'
     )
     out.append("<defs>")
     for i, oid in enumerate(ordered):
@@ -180,7 +176,7 @@ def spatial_instance_svg(
             f'<path d="M 0 0 L 10 5 L 0 10 z" fill={quoteattr(color)}/></marker>'
         )
     out.append("</defs>")
-    out.append(f'<rect width="{opts.width}" height="{opts.height}" fill="#ffffff"/>')
+    out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>')
     out.append(
         f'<text x="{pad_l}" y="24" font-family="Helvetica" font-size="15" '
         f'fill="#222222">possession {escape(possession_id)}'

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple
 
 
 class Point(NamedTuple):
@@ -99,21 +99,3 @@ def metric_distance(p: Point, q: Point, spec: GridSpec) -> float:
     dx = (q[0] - p[0]) * spec.pitch_length_m
     dy = (q[1] - p[1]) * spec.pitch_width_m
     return math.hypot(dx, dy)
-
-
-def path_length(points: Iterable[Optional[Point]], spec: GridSpec) -> float:
-    """Metric length of a polyline over an optional-position sequence.
-
-    Absent samples are skipped: a segment bridges the nearest present
-    neighbours, so short tracking gaps do not zero out the travelled
-    distance.  Fewer than two present points yield 0.
-    """
-    total = 0.0
-    prev: Optional[Point] = None
-    for p in points:
-        if p is None:
-            continue
-        if prev is not None:
-            total += metric_distance(prev, p, spec)
-        prev = p
-    return total

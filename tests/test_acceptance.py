@@ -42,7 +42,8 @@ from footocel.ocel import (
 from footocel.pipeline import MatchPaths, RunConfig, convert_matches
 from footocel.possession import CONTROL_TYPES
 from footocel.render import dfg_to_dot, spatial_instance_svg
-from footocel.spatial import GridCell, GridSpec, Point, cell_label, cell_of, path_length
+from footocel.spatial import GridCell, GridSpec, Point, cell_label, cell_of
+from oracles import path_length
 
 DATA_ENV = "METRICA_DATA_DIR"
 

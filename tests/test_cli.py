@@ -2,11 +2,12 @@
 
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from footocel.cli import main
-from footocel.ocel import read_ocel_json
+from footocel.ocel import OBJECT_TYPES, read_ocel_json
 
 
 def convert_args(synth_paths, out, extra=()):
@@ -82,7 +83,7 @@ def test_convert_malformed_events_exit_1(synth_paths, tmp_path, capsys):
 
 
 def test_convert_truncated_tracking_exit_2(synth_paths, tmp_path, capsys):
-    lines = open(synth_paths.away_tracking).read().splitlines(keepends=True)
+    lines = Path(synth_paths.away_tracking).read_text().splitlines(keepends=True)
     clipped = tmp_path / "away_clipped.csv"
     clipped.write_text("".join(lines[:-10]))
     rc = main([
@@ -234,6 +235,10 @@ def test_dfg_where_filters_events(synth_paths, tmp_path, capsys):
           "--where", "possession.team=Home", "--where", "possession.outcome=goal"])
     filtered = capsys.readouterr().out
     assert filtered.count(" -> ") < full.count(" -> ")
+    # --types is checked before --where, so a filter keeping no ball is no error
+    assert main(["dfg", "--ocel", str(log_path), "--types", "ball",
+                 "--where", "possession.outcome=nosuch"]) == 0
+    assert " -> " not in capsys.readouterr().out
 
     assert main(["dfg", "--ocel", str(log_path), "--where", "possession.mood=ok"]) == 1
     with pytest.raises(SystemExit):
@@ -241,6 +246,27 @@ def test_dfg_where_filters_events(synth_paths, tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["dfg", "--ocel", str(log_path), "--types", ","])
     assert main(["dfg", "--ocel", str(tmp_path / "missing.json")]) == 1
+
+
+@pytest.mark.parametrize("command", [["dfg"], ["spatial", "--possession", "AA001"]])
+def test_types_must_exist_in_log(log_file, command, capsys):
+    capsys.readouterr()
+    assert main([*command, "--ocel", str(log_file), "--types", "nosuch"]) == 1
+    assert "no objects of type 'nosuch' in the log" in capsys.readouterr().err
+    assert main([*command, "--ocel", str(log_file), "--types", "ball,nosuch,other"]) == 1
+    assert "'nosuch', 'other'" in capsys.readouterr().err
+    for otype in sorted(OBJECT_TYPES):
+        assert main([*command, "--ocel", str(log_file), "--types", otype]) == 0
+
+
+def test_reader_errors_name_the_file(synth_paths, tmp_path, capsys):
+    assert main(["possessions", "--ocel", synth_paths.events]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {synth_paths.events}: $: invalid JSON" in err
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    assert main(["stats", "--ocel", str(binary)]) == 1
+    assert f"error: {binary}: $: invalid JSON" in capsys.readouterr().err
 
 
 def test_dfg_label_flags(synth_paths, tmp_path, capsys):

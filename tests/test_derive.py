@@ -26,6 +26,7 @@ from footocel.ingest import RawEventRecord, Tracking, TrackingFrame, normalize_d
 from footocel.ocel import EPOCH_BASE, IdentityScope, build_objects, concat_logs, events_to_ocel
 from footocel.possession import segment_possessions
 from footocel.spatial import GridSpec, Point, cell_label, cell_of, metric_distance
+from oracles import path_length
 
 SPEC = GridSpec()
 
@@ -425,7 +426,6 @@ def test_movement_chains_are_continuous_and_distance_bounded(bundle):
             if a.period == b.period:
                 assert a.attrs["to_cell"] == b.attrs["from_cell"]
         total = sum(e.attrs["distance_m"] for e in chain)
-        from footocel.spatial import path_length
         walked = 0.0
         by_period: dict = {}
         for f in bundle.frames:

@@ -8,14 +8,7 @@ from datetime import datetime, timezone
 import pytest
 
 from footocel.errors import QueryError
-from footocel.mining import (
-    DirectlyFollows,
-    LogFilter,
-    OcDfg,
-    dfg_metrics,
-    discover_ocdfg,
-    filter_log,
-)
+from footocel.mining import LogFilter, discover_ocdfg, filter_log
 from footocel.ocel import OcelEvent, OcelLog, OcelObject, validate_log
 
 T0 = datetime(2020, 7, 1, 15, 0, 0, tzinfo=timezone.utc)
@@ -116,11 +109,9 @@ def test_duplicate_qualifiers_count_once():
     assert g.edge_counts == {}
 
 
-def test_absent_type_yields_empty_graph_and_warning(caplog):
+def test_absent_type_yields_empty_graph():
     log = micro_log(("p1",), [("A", ("p1",))])
-    with caplog.at_level("WARNING"):
-        dfg = discover_ocdfg(log, ["team"])
-    assert "no objects of type 'team'" in caplog.text
+    dfg = discover_ocdfg(log, ["team"])
     assert dfg.per_type["team"].n_objects == 0
     assert dfg.per_type["team"].activity_counts == {}
 
@@ -136,26 +127,6 @@ def test_discovery_on_the_converted_log(log):
     assert total == sum(1 for e in log.events if e.attrs["event_class"] == "ball")
 
 
-def test_dfg_metrics():
-    dfg = OcDfg(per_type={
-        "player": DirectlyFollows(
-            activity_counts=Counter({"A": 2, "B": 1}),
-            edge_counts=Counter({("A", "A"): 3, ("A", "B"): 1}),
-            start_counts=Counter({"A": 1}),
-            end_counts=Counter({"B": 1}),
-            n_objects=1,
-        ),
-        "empty": DirectlyFollows(),
-    })
-    metrics = dfg_metrics(dfg)
-    assert metrics["player"].n_nodes == 2
-    assert metrics["player"].n_edges == 2
-    assert metrics["player"].self_loop_total == 3
-    assert metrics["player"].max_edge_weight == 3
-    assert metrics["empty"].n_nodes == 0
-    assert metrics["empty"].max_edge_weight == 0
-
-
 # --- filtering ---
 
 def test_filter_by_possession_team(log):
@@ -167,10 +138,11 @@ def test_filter_by_possession_team(log):
                         if o.otype == "possession" and o.attrs["team"] == "Home"}
     for e in filtered.events:
         assert any(oid in home_possessions for oid, _ in e.relations)
-    # events keep their original ids and relative order
+    # events keep their original ids, relative order and every relation
     original_order = {e.eid: i for i, e in enumerate(log.events)}
     positions = [original_order[e.eid] for e in filtered.events]
     assert positions == sorted(positions)
+    assert [e.relations for e in filtered.events] == [log.events[i].relations for i in positions]
     assert index  # silence linters about the unused variable
 
 
@@ -187,15 +159,6 @@ def test_filter_conditions_combine_conjunctively(log):
     assert set(e.eid for e in both.events) <= set(e.eid for e in team_only.events)
 
 
-def test_filter_projects_retained_types(log):
-    filtered = filter_log(log, LogFilter(
-        "possession", (("team", "Home"),), retain_types=("possession", "ball")))
-    assert {o.otype for o in filtered.objects} <= {"possession", "ball"}
-    for e in filtered.events:
-        assert e.relations, "projection must keep the matching possession"
-    validate_log(filtered)
-
-
 def test_filter_drops_unreferenced_objects(log):
     filtered = filter_log(log, LogFilter("possession", (("outcome", "goal"),)))
     referenced = {oid for e in filtered.events for oid, _ in e.relations}
@@ -207,8 +170,6 @@ def test_filter_error_cases(log):
         filter_log(log, LogFilter("referee"))
     with pytest.raises(QueryError, match="unknown attribute 'mood'"):
         filter_log(log, LogFilter("possession", (("mood", "sunny"),)))
-    with pytest.raises(QueryError, match="cannot retain unknown"):
-        filter_log(log, LogFilter("possession", retain_types=("referee",)))
 
 
 def test_filter_without_conditions_keeps_type_related_events(log):

@@ -1,6 +1,7 @@
 """Object universe, event wiring, serialization and structural validation."""
 
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import replace
@@ -272,6 +273,7 @@ def test_reader_rejects_malformed_logs(tmp_path, capsys, mutate, fragment):
     path = write_mutated(tmp_path, mutate)
     with pytest.raises(ParseError) as err:
         read_ocel_json(path)
+    assert str(err.value).startswith(f"{path}: $")
     assert fragment in str(err.value)
     assert main(["stats", "--ocel", str(path)]) == 1
     assert fragment in capsys.readouterr().err
@@ -314,6 +316,37 @@ def test_incompatible_attribute_types_are_rejected():
     )
     with pytest.raises(ConsistencyError, match="mixes"):
         ocel_to_dict(log)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_attribute_is_refused_and_leaves_the_file(tmp_path, value):
+    log = tiny_log()
+    path = tmp_path / "log.json"
+    write_ocel_json(log, path)
+    before = path.read_bytes()
+    log.events[1] = replace(log.events[1], attrs={"period": 1, "duration_s": value})
+    with pytest.raises(ConsistencyError, match="attribute 'duration_s' has non-finite value"):
+        write_ocel_json(log, path)
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("token, fragment", [
+    ("NaN", "$: NaN is not a JSON number"),
+    ("Infinity", "$: Infinity is not a JSON number"),
+    ("-Infinity", "$: -Infinity is not a JSON number"),
+    ("1e999", "$.events[1].attributes[0].value: expected float, got inf"),
+])
+def test_reader_rejects_non_finite_numbers(tmp_path, capsys, token, fragment):
+    path = tmp_path / "log.json"
+    write_ocel_json(tiny_log(), path)
+    text = path.read_text()
+    assert text.count('"value": 1.0') == 1
+    path.write_text(text.replace('"value": 1.0', f'"value": {token}'))
+    with pytest.raises(ParseError) as err:
+        read_ocel_json(path)
+    assert str(err.value) == f"{path}: {fragment}"
+    assert main(["stats", "--ocel", str(path)]) == 1
+    assert fragment in capsys.readouterr().err
 
 
 # --- invariant checking and concatenation ---

@@ -68,9 +68,10 @@ def test_dot_escapes_special_characters():
 
 
 def test_dot_requires_distinct_colors():
-    opts = RenderOptions(type_colors={"player": "#123456", "ball": "#123456"})
+    """Two types outside the color table would share the fallback color."""
+    dfg = OcDfg(per_type={"referee": DirectlyFollows(), "coach": DirectlyFollows()})
     with pytest.raises(ValueError, match="distinct colors"):
-        dfg_to_dot(small_dfg(), opts)
+        dfg_to_dot(dfg)
 
 
 def test_dot_unknown_type_gets_fallback_color():
@@ -87,13 +88,6 @@ def test_dot_unknown_type_gets_fallback_color():
 def test_dot_byte_stable(log):
     dfg = discover_ocdfg(log, ["ball", "player", "team"])
     assert dfg_to_dot(dfg) == dfg_to_dot(dfg)
-
-
-def test_render_options_validate_size():
-    with pytest.raises(ValueError, match="at least 200x200"):
-        RenderOptions(width=100)
-    with pytest.raises(ValueError, match="at least 200x200"):
-        RenderOptions(height=199)
 
 
 # --- SVG ---

@@ -15,8 +15,8 @@ from footocel.spatial import (
     cell_of,
     metric_distance,
     parse_cell_label,
-    path_length,
 )
+from oracles import path_length
 
 SPEC = GridSpec()
 
