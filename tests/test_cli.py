@@ -2,12 +2,16 @@
 
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import fields
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from footocel.cli import main
-from footocel.ocel import OBJECT_TYPES, read_ocel_json
+from footocel.ocel import OBJECT_TYPES, IdentityScope, read_ocel_json
+from footocel.pipeline import RunConfig, convert_matches
+from footocel.synth import write_synth_match
 
 
 def convert_args(synth_paths, out, extra=()):
@@ -122,6 +126,84 @@ def test_grid_flags_override_config_file(synth_paths, tmp_path):
                              extra=["--config", str(cfg), "--grid-cols", "5"])) == 0
     log = read_ocel_json(str(overridden))
     assert sum(1 for o in log.objects if o.otype == "grid_position") == 5 * 4
+
+
+@pytest.fixture(scope="module")
+def small_match(tmp_path_factory):
+    return write_synth_match(tmp_path_factory.mktemp("small"), period_s=20, players_per_side=3)
+
+
+GRID_FILE = {"cols": 8, "rows": 3, "pitch_length_m": 100.0, "pitch_width_m": 64.0}
+
+# flag argv, config file, RunConfig field path, file value, flag value, and
+# the config file of the flag runs when it is not the first one
+SETTINGS = [
+    (["--grid-cols", "5"], {"grid": GRID_FILE}, ("grid", "cols"), 8, 5, None),
+    (["--grid-rows", "5"], {"grid": GRID_FILE}, ("grid", "rows"), 3, 5, None),
+    (["--pitch-length", "110"], {"grid": GRID_FILE}, ("grid", "pitch_length_m"), 100.0, 110.0,
+     None),
+    (["--pitch-width", "70"], {"grid": GRID_FILE}, ("grid", "pitch_width_m"), 64.0, 70.0, None),
+    (["--sample-rate", "12.5"], {"sample_rate": 50.0}, ("sample_rate",), 50.0, 12.5, None),
+    (["--min-dwell", "0.5"], {"min_dwell_s": 0.2}, ("min_dwell_s",), 0.2, 0.5, None),
+    (["--normalize-direction"], {"normalize_direction": True}, ("normalize_direction",),
+     True, True, {"normalize_direction": False}),
+    (["--scope", "global"], {"scope": "per-match"}, ("scope",),
+     IdentityScope.PER_MATCH, IdentityScope.GLOBAL, None),
+    (["--activity-map", "flag_map.json"], {"activity_map_path": "file_map.json"},
+     ("activity_map_path",), "file_map.json", "flag_map.json", None),
+    (["--unknown-events", "reject"], {"unknown_events": "pass"}, ("unknown_events",),
+     "pass", "reject", None),
+    (["--control-types", "RECOVERY,PASS"], {"control_types": ["PASS", "SHOT"]},
+     ("control_types",), ("PASS", "SHOT"), ("RECOVERY", "PASS"), None),
+]
+
+
+def _setting(config, path):
+    value = config
+    for name in path:
+        value = getattr(value, name)
+    return value
+
+
+@pytest.mark.parametrize("flag, file_cfg, path, file_value, flag_value, flag_cfg", SETTINGS,
+                         ids=[case[0][0] for case in SETTINGS])
+def test_setting_precedence(small_match, tmp_path, monkeypatch,
+                            flag, file_cfg, path, file_value, flag_value, flag_cfg):
+    """Each setting: the config file beats the default and the flag beats the file."""
+    import footocel.cli as cli
+
+    monkeypatch.chdir(tmp_path)
+    mapping = resources.files("footocel").joinpath("data/activity_map.json").read_text()
+    for name in ("file_map.json", "flag_map.json"):
+        Path(name).write_text(mapping)
+    seen = []
+
+    def spy(matches, config=None):
+        seen.append(config)
+        return convert_matches(matches, config)
+    monkeypatch.setattr(cli, "convert_matches", spy)
+
+    def run(cfg=None, *extra):
+        argv = ["convert", "--match", *map(str, small_match), "--out", "log.json", *extra]
+        if cfg is not None:
+            Path("cfg.json").write_text(json.dumps(cfg))
+            argv += ["--config", "cfg.json"]
+        seen.clear()
+        main(argv)
+        [config] = seen
+        return config
+
+    assert _setting(run(), path) == _setting(RunConfig(), path) != file_value
+    assert _setting(run(file_cfg), path) == file_value
+    flag_cfg = flag_cfg or file_cfg
+    under_file, from_flag = run(flag_cfg), run(flag_cfg, *flag)
+    assert _setting(under_file, path) != flag_value
+    assert _setting(from_flag, path) == flag_value
+    # the flag changes its own setting only; grid keys merge one by one
+    for other in [("grid", name) for name in GRID_FILE if ("grid", name) != path]:
+        assert _setting(from_flag, other) == _setting(under_file, other)
+    others = [f.name for f in fields(RunConfig) if f.name != path[0]]
+    assert [getattr(from_flag, n) for n in others] == [getattr(under_file, n) for n in others]
 
 
 def test_unknown_config_key_exit_1(synth_paths, tmp_path, capsys):
