@@ -68,8 +68,6 @@ from .pipeline import (
     config_from_dict,
     convert_matches,
     convert_one,
-    load_config_file,
-    merge_config,
 )
 
 __version__ = "0.1.0"

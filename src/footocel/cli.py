@@ -6,24 +6,26 @@ directly-follows graph), spatial (render one possession's traces as SVG).
 
 Only convert reads match files and pipeline configuration; every other
 subcommand reads the log convert wrote (--ocel).  For convert, explicit
-flags beat the --config JSON file, which beats built-in defaults.  Exit
-codes: 0 success, 1 unreadable or unresolvable input (parse errors,
-unknown ids/attributes), 2 violated invariants (inconsistent files, bad
-configuration).
+flags beat the --config JSON file, which beats built-in defaults.
+
+Exit codes: 0 success; 1 unreadable or unresolvable input (parse errors,
+unknown ids/attributes, and in a config or activity map a wrong key or
+JSON type); 2 violated invariants (inconsistent files, and a setting out
+of range, from a flag or the config file).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import Optional, Sequence
 
-from .errors import ConsistencyError, ParseError, QueryError
+from .errors import ConsistencyError, ParseError, QueryError, read_json
 from .mining import LogFilter, discover_ocdfg, filter_log
 from .ocel import (
     OBJECT_TYPE_GRID,
     OBJECT_TYPE_POSSESSION,
-    IdentityScope,
     OcelLog,
     read_ocel_json,
     stats,
@@ -32,33 +34,36 @@ from .ocel import (
 from .pipeline import (
     MatchPaths,
     RunConfig,
+    config_from_dict,
     convert_matches,
-    load_config_file,
-    merge_config,
 )
 from .render import RenderOptions, dfg_to_dot, spatial_instance_svg
 from .spatial import GridSpec
 
 
 def _add_config_options(parser: argparse.ArgumentParser) -> None:
+    """The setting flags: each dest is the config key it sets, "grid.<key>" in the grid."""
     g = parser.add_argument_group("pipeline configuration")
     g.add_argument("--config", metavar="JSON", help="config file; flags override it")
-    g.add_argument("--grid-cols", type=int, metavar="N")
-    g.add_argument("--grid-rows", type=int, metavar="N")
-    g.add_argument("--pitch-length", type=float, metavar="M", help="pitch length in meters")
-    g.add_argument("--pitch-width", type=float, metavar="M", help="pitch width in meters")
+    g.add_argument("--grid-cols", dest="grid.cols", type=int, metavar="N")
+    g.add_argument("--grid-rows", dest="grid.rows", type=int, metavar="N")
+    g.add_argument("--pitch-length", dest="grid.pitch_length_m", type=float, metavar="M",
+                   help="pitch length in meters")
+    g.add_argument("--pitch-width", dest="grid.pitch_width_m", type=float, metavar="M",
+                   help="pitch width in meters")
     g.add_argument("--sample-rate", type=float, metavar="HZ", help="tracking frames per second")
-    g.add_argument("--min-dwell", type=float, metavar="S",
+    g.add_argument("--min-dwell", dest="min_dwell_s", type=float, metavar="S",
                    help="debounce: min seconds in a new cell before a movement event")
     g.add_argument("--normalize-direction", action="store_const", const=True, default=None,
                    help="flip all period-2 coordinates so attack directions stay constant")
-    g.add_argument("--scope", choices=[s.value for s in IdentityScope],
+    g.add_argument("--scope", metavar="global|per-match",
                    help="share team/player/ball/grid objects across matches or not")
-    g.add_argument("--activity-map", metavar="JSON",
+    g.add_argument("--activity-map", dest="activity_map_path", metavar="JSON",
                    help="replace the built-in provider-type -> activity table")
-    g.add_argument("--unknown-events", choices=["reject", "pass"],
+    g.add_argument("--unknown-events", metavar="reject|pass",
                    help="reject unmapped event types (default) or pass them through")
     g.add_argument("--control-types", metavar="CSV",
+                   type=lambda arg: [t.strip() for t in arg.split(",") if t.strip()],
                    help="comma-separated event types that establish possession")
 
 
@@ -71,32 +76,16 @@ def _add_match_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    base = load_config_file(args.config) if args.config else RunConfig()
-    grid = None
-    grid_flags = (args.grid_cols, args.grid_rows, args.pitch_length, args.pitch_width)
-    if any(v is not None for v in grid_flags):
-        grid = GridSpec(
-            cols=args.grid_cols if args.grid_cols is not None else base.grid.cols,
-            rows=args.grid_rows if args.grid_rows is not None else base.grid.rows,
-            pitch_length_m=args.pitch_length if args.pitch_length is not None
-            else base.grid.pitch_length_m,
-            pitch_width_m=args.pitch_width if args.pitch_width is not None
-            else base.grid.pitch_width_m,
-        )
-    control = None
-    if args.control_types is not None:
-        control = tuple(t.strip() for t in args.control_types.split(",") if t.strip())
-    return merge_config(
-        base,
-        grid=grid,
-        sample_rate=args.sample_rate,
-        min_dwell_s=args.min_dwell,
-        normalize_direction=args.normalize_direction,
-        scope=IdentityScope(args.scope) if args.scope else None,
-        activity_map_path=args.activity_map,
-        unknown_events=args.unknown_events,
-        control_types=control,
-    )
+    """The setting flags given, as config keys, over the --config file."""
+    keys = {f.name for f in fields(RunConfig)}
+    flags: dict = {}
+    for dest, value in vars(args).items():
+        key, _, sub = dest.rpartition(".")  # "grid.cols": cols of the grid object
+        if value is not None and (key or sub) in keys:
+            target = flags.setdefault(key, {}) if key else flags
+            target[sub] = value
+    data = read_json(args.config) if args.config else {}
+    return config_from_dict(data, args.config or "<config>", flags)
 
 
 def _resolve_matches(args: argparse.Namespace, parser: argparse.ArgumentParser) -> list[MatchPaths]:

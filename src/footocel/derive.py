@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional, Sequence
 
-from .errors import ConsistencyError, ParseError
+from .errors import ConsistencyError, ParseError, read_json
 from .ingest import RawEventRecord, Tracking, qualify_player
 from .possession import PossessionSpan, goal_marked, possession_lookup
 from .spatial import GridCell, GridSpec, Point, cell_label, cell_of, metric_distance
@@ -82,12 +82,7 @@ def default_activity_mapping() -> dict[str, MappingEntry]:
 
 def load_activity_mapping(path) -> dict[str, MappingEntry]:
     """Load a user-supplied activity table (same schema as the packaged one)."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", source=str(path)) from None
-    return _mapping_from_dict(data, source=str(path))
+    return _mapping_from_dict(read_json(path), source=str(path))
 
 
 _MAPPING_KEYS = {"activity", "end_activity", "goal_end_activity", "class", "at_end"}
@@ -98,22 +93,25 @@ def _mapping_from_dict(data, source: str) -> dict[str, MappingEntry]:
         raise ParseError("activity map must be a JSON object", source=source)
     mapping: dict[str, MappingEntry] = {}
     for provider_type, raw in data.items():
-        if not isinstance(raw, dict):
-            raise ParseError(f"entry {provider_type!r} must be an object", source=source)
-        unknown = set(raw) - _MAPPING_KEYS
-        if unknown:
-            raise ParseError(
-                f"entry {provider_type!r} has unknown keys {sorted(unknown)}", source=source,
-            )
-        if "activity" not in raw or not isinstance(raw["activity"], str):
-            raise ParseError(f"entry {provider_type!r} needs a string 'activity'", source=source)
         try:
+            if not isinstance(raw, dict):
+                raise ValueError("must be an object")
+            unknown = set(raw) - _MAPPING_KEYS
+            if unknown:
+                raise ValueError(f"has unknown keys {sorted(unknown)}")
+            if not isinstance(raw.get("activity"), str) or not raw["activity"]:
+                raise ValueError("needs a string 'activity', not empty")
+            for key, kind, what in (("end_activity", str, "a string"),
+                                    ("goal_end_activity", str, "a string"),
+                                    ("at_end", bool, "true or false")):
+                if key in raw and not isinstance(raw[key], kind):
+                    raise ValueError(f"{key} must be {what}, got {raw[key]!r}")
             mapping[provider_type] = MappingEntry(
                 activity=raw["activity"],
                 end_activity=raw.get("end_activity"),
                 goal_end_activity=raw.get("goal_end_activity"),
                 event_class=raw.get("class", BALL),
-                at_end=bool(raw.get("at_end", False)),
+                at_end=raw.get("at_end", False),
             )
         except ValueError as exc:
             raise ParseError(f"entry {provider_type!r}: {exc}", source=source) from None
@@ -257,8 +255,8 @@ def detect_movement_events(
     col * rows + row, and path lengths as metric_distance would, so the
     results equal a per-frame evaluation of those functions bit for bit.
     """
-    if min_dwell_s < 0:
-        raise ValueError("min_dwell_s must be >= 0")
+    if not min_dwell_s >= 0:
+        raise ValueError(f"min_dwell_s must be >= 0, got {min_dwell_s!r}")
 
     cols, rows = spec.cols, spec.rows
     length_m, width_m = spec.pitch_length_m, spec.pitch_width_m

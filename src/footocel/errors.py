@@ -1,4 +1,4 @@
-"""Error taxonomy shared across the pipeline.
+"""Error taxonomy shared across the pipeline, and the one JSON-file reader.
 
 Three failure families map onto the CLI exit codes: malformed input files
 (ParseError, exit 1), queries that reference things the data does not contain
@@ -7,6 +7,8 @@ Three failure families map onto the CLI exit codes: malformed input files
 """
 
 from __future__ import annotations
+
+import json
 
 
 class ParseError(ValueError):
@@ -33,3 +35,18 @@ class ConsistencyError(ValueError):
 
 class QueryError(ValueError):
     """A filter or lookup references an id/attribute absent from the data."""
+
+
+def read_json(path):
+    """Parse a JSON file; every error names it.  Non-UTF-8 bytes are invalid
+    JSON, and NaN and Infinity are refused: JSON has no such numbers."""
+    def reject(token: str):
+        raise ParseError(f"$: {token} is not a JSON number", source=str(path))
+
+    try:
+        with open(path) as fh:
+            return json.load(fh, parse_constant=reject)
+    except ParseError:
+        raise
+    except ValueError as exc:  # bad syntax or encoding, or an integer too long to convert
+        raise ParseError(f"$: invalid JSON: {exc}", source=str(path)) from None

@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Sequence
 
 from .derive import BALL, EVENT_CLASSES, POSITION_BASED, ActivityEvent
-from .errors import ConsistencyError, ParseError
+from .errors import ConsistencyError, ParseError, read_json
 from .possession import PossessionSpan
 from .spatial import GridSpec, cell_label
 
@@ -417,18 +417,11 @@ def _read_attributes(entries, schema: dict[str, str], path: str) -> dict:
     return attrs
 
 
-def _reject_constant(token: str):
-    raise ParseError(f"$: {token} is not a JSON number")
-
-
 def read_ocel_json(path) -> OcelLog:
     """Load and validate a log; violations name the file and carry a JSON path."""
+    data = read_json(path)
     try:
-        with open(path) as fh:
-            data = json.load(fh, parse_constant=_reject_constant)
         return _log_from_dict(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"$: invalid JSON: {exc}", source=str(path)) from None
     except ParseError as exc:
         raise ParseError(str(exc), source=str(path)) from None
 

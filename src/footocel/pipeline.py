@@ -9,8 +9,8 @@ ids, and the matches concatenate into one log.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 from . import ingest
@@ -48,7 +48,8 @@ class MatchPaths:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything the pipeline can be told; flags > config file > defaults."""
+    """Everything convert can be told; flags > config file > defaults.  Each
+    field is a config key, read in the JSON form of its annotation."""
 
     grid: GridSpec = field(default_factory=GridSpec)
     sample_rate: float = 25.0
@@ -60,67 +61,69 @@ class RunConfig:
     control_types: tuple[str, ...] = tuple(sorted(CONTROL_TYPES))
 
     def __post_init__(self) -> None:
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-        if self.min_dwell_s < 0:
-            raise ValueError("min_dwell_s must be >= 0")
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError(f"sample_rate must be positive and finite, got {self.sample_rate!r}")
+        if not isinstance(self.scope, IdentityScope):
+            raise ValueError(f"scope must be 'global' or 'per-match', got {self.scope!r}")
+        if not self.min_dwell_s >= 0:
+            raise ValueError(f"min_dwell_s must be >= 0, got {self.min_dwell_s!r}")
         if self.unknown_events not in (UNKNOWN_REJECT, UNKNOWN_PASS):
-            raise ValueError("unknown_events must be 'reject' or 'pass'")
+            raise ValueError(f"unknown_events must be 'reject' or 'pass', got {self.unknown_events!r}")
         if not self.control_types:
             raise ValueError("control_types must not be empty")
 
 
-_CONFIG_KEYS = {
-    "grid", "sample_rate", "scope", "min_dwell_s", "normalize_direction",
-    "activity_map_path", "unknown_events", "control_types",
+def _number(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf if value > 0 else -math.inf
+
+
+# the JSON form of each field annotation of RunConfig and GridSpec: what a
+# value must be, the test for it and its conversion to the field's type
+_JSON_FORMS = {
+    "int": ("an integer", lambda v: type(v) is int, int),
+    "float": ("a number", lambda v: type(v) in (int, float), _number),
+    "bool": ("true or false", lambda v: type(v) is bool, bool),
+    "str": ("a string", lambda v: type(v) is str, str),
+    "Optional[str]": ("a string or null", lambda v: v is None or type(v) is str, lambda v: v),
+    "tuple[str, ...]": ("an array of strings",
+                        lambda v: type(v) is list and all(type(t) is str for t in v), tuple),
+    "IdentityScope": ("a string", lambda v: type(v) is str,  # RunConfig checks the name
+                      lambda v: {s.value: s for s in IdentityScope}.get(v, v)),
 }
 
 
-def config_from_dict(data: dict, source: str = "<config>") -> RunConfig:
-    """Build a RunConfig from a parsed JSON config file."""
+def _checked(cls, data, source: str, prefix: str = ""):
+    """An instance of cls (RunConfig or GridSpec) from data, its fields by name."""
     if not isinstance(data, dict):
-        raise ParseError("config must be a JSON object", source=source)
-    unknown = set(data) - _CONFIG_KEYS
-    if unknown:
-        raise ParseError(f"unknown config key(s) {sorted(unknown)}", source=source)
-    kwargs: dict = {}
-    if "grid" in data:
-        g = data["grid"]
-        if not isinstance(g, dict) or set(g) - {"cols", "rows", "pitch_length_m", "pitch_width_m"}:
-            raise ParseError("grid must be an object with cols/rows/pitch_length_m/pitch_width_m",
-                             source=source)
-        kwargs["grid"] = GridSpec(**g)
-    if "scope" in data:
-        try:
-            kwargs["scope"] = IdentityScope(data["scope"])
-        except ValueError:
-            raise ParseError(f"unknown scope {data['scope']!r}", source=source) from None
-    if "control_types" in data:
-        kwargs["control_types"] = tuple(data["control_types"])
-    for key in ("sample_rate", "min_dwell_s", "normalize_direction",
-                "activity_map_path", "unknown_events"):
-        if key in data:
-            kwargs[key] = data[key]
-    return RunConfig(**kwargs)
+        raise ParseError(f"{prefix.rstrip('.') or 'config'} must be a JSON object", source=source)
+    annotations = {f.name: f.type for f in fields(cls)}
+    values = {}
+    for key, value in data.items():
+        if key not in annotations:
+            raise ParseError(f"unknown config key {prefix + key!r}", source=source)
+        if annotations[key] == "GridSpec":
+            values[key] = _checked(GridSpec, value, source, f"{key}.")
+            continue
+        what, fits, convert = _JSON_FORMS[annotations[key]]
+        if not fits(value):
+            raise ParseError(f"{prefix}{key} must be {what}, got {value!r}", source=source)
+        values[key] = convert(value)
+    return cls(**values)
 
 
-def load_config_file(path) -> RunConfig:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", source=str(path)) from None
-    return config_from_dict(data, source=str(path))
-
-
-def merge_config(base: RunConfig, **overrides) -> RunConfig:
-    """Apply non-None overrides onto a config (flag precedence)."""
-    changes = {k: v for k, v in overrides.items() if v is not None}
-    valid = {f.name for f in fields(RunConfig)}
-    unknown = set(changes) - valid
-    if unknown:
-        raise ValueError(f"unknown config override(s) {sorted(unknown)}")
-    return replace(base, **changes) if changes else base
+def config_from_dict(data, source: str = "<config>", overrides: Optional[dict] = None) -> RunConfig:
+    """A RunConfig from a parsed config file; overrides (e.g. flags, same keys)
+    replace its values, grid's key by key.  A wrong key or JSON type raises
+    ParseError naming the key and source, an out-of-range value ValueError."""
+    if isinstance(data, dict) and overrides:
+        grid = data.get("grid")
+        data = {**data, **overrides}
+        if isinstance(grid, dict) and "grid" in overrides:
+            data["grid"] = {**grid, **overrides["grid"]}
+    return _checked(RunConfig, data, source)
 
 
 @dataclass

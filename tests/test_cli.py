@@ -214,6 +214,76 @@ def test_unknown_config_key_exit_1(synth_paths, tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def convert_small(small_match, tmp_path, *extra):
+    return main(["convert", "--match", *map(str, small_match),
+                 "--out", str(tmp_path / "x.json"), *extra])
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"sample_rate": "25"}, "sample_rate must be a number, got '25'"),
+    ({"min_dwell_s": "x"}, "min_dwell_s must be a number, got 'x'"),
+    ({"grid": {"cols": "6"}}, "grid.cols must be an integer, got '6'"),
+    ({"grid": {"cols": 1.5}}, "grid.cols must be an integer, got 1.5"),
+    ({"grid": {"cols": True}}, "grid.cols must be an integer, got True"),
+    ({"grid": 6}, "grid must be a JSON object"),
+    ({"grid": {"size": 6}}, "unknown config key 'grid.size'"),
+    ({"control_types": 5}, "control_types must be an array of strings, got 5"),
+    ({"control_types": "PASS"}, "control_types must be an array of strings, got 'PASS'"),
+    ({"control_types": [1]}, "control_types must be an array of strings, got [1]"),
+    ({"normalize_direction": "no"}, "normalize_direction must be true or false, got 'no'"),
+    ({"scope": 1}, "scope must be a string, got 1"),
+    ({"activity_map_path": 1}, "activity_map_path must be a string or null, got 1"),
+    ({"unknown_events": False}, "unknown_events must be a string, got False"),
+    ([], "config must be a JSON object"),
+])
+def test_config_value_of_wrong_type_exit_1(small_match, tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert convert_small(small_match, tmp_path, "--config", str(cfg)) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--sample-rate", "nan"], "sample_rate must be positive and finite, got nan"),
+    (["--sample-rate", "inf"], "sample_rate must be positive and finite, got inf"),
+    (["--sample-rate", "0"], "sample_rate must be positive and finite, got 0.0"),
+    (["--min-dwell", "nan"], "min_dwell_s must be >= 0, got nan"),
+    (["--min-dwell", "-1"], "min_dwell_s must be >= 0, got -1.0"),
+    (["--control-types", ","], "control_types must not be empty"),
+    (["--grid-cols", "0"], "grid must have positive dimensions, got 0x4"),
+    (["--scope", "both"], "scope must be 'global' or 'per-match', got 'both'"),
+    (["--unknown-events", "drop"], "unknown_events must be 'reject' or 'pass', got 'drop'"),
+])
+def test_setting_out_of_range_exit_2(small_match, tmp_path, capsys, extra, message):
+    assert convert_small(small_match, tmp_path, *extra) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.json").exists()
+
+
+# a token JSON does not have is unreadable input (exit 1); a value out of range exits 2
+@pytest.mark.parametrize("config, rc, err", [
+    ({"sample_rate": float("inf")}, 1, "error: {cfg}: $: Infinity is not a JSON number"),
+    ({"sample_rate": float("nan")}, 1, "error: {cfg}: $: NaN is not a JSON number"),
+    ({"sample_rate": 10 ** 400}, 2, "error: sample_rate must be positive and finite, got inf"),
+    ({"min_dwell_s": -10 ** 400}, 2, "error: min_dwell_s must be >= 0, got -inf"),
+    ({"scope": "both"}, 2, "error: scope must be 'global' or 'per-match', got 'both'"),
+    ({"unknown_events": "drop"}, 2, "error: unknown_events must be 'reject' or 'pass', got 'drop'"),
+])
+def test_config_non_finite_and_out_of_range(small_match, tmp_path, capsys, config, rc, err):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))  # writes NaN and Infinity tokens
+    assert convert_small(small_match, tmp_path, "--config", str(cfg)) == rc
+    assert capsys.readouterr().err == err.format(cfg=cfg) + "\n"
+
+
+@pytest.mark.parametrize("option", ["--config", "--activity-map"])
+def test_settings_files_that_are_not_utf8_exit_1(small_match, tmp_path, capsys, option):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    assert convert_small(small_match, tmp_path, option, str(binary)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {binary}: $: invalid JSON: ")
+
+
 def test_stats_subcommand(synth_paths, tmp_path, capsys):
     out = tmp_path / "log.json"
     main(convert_args(synth_paths, out))
@@ -349,6 +419,14 @@ def test_reader_errors_name_the_file(synth_paths, tmp_path, capsys):
     binary.write_bytes(b"\xff\xfe{}")
     assert main(["stats", "--ocel", str(binary)]) == 1
     assert f"error: {binary}: $: invalid JSON" in capsys.readouterr().err
+
+
+def test_reader_names_the_file_of_an_overlong_integer(tmp_path, capsys):
+    # beyond the interpreter's integer digit limit, where it has one, json raises a bare ValueError
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"objectTypes": ' + "9" * 5000 + "}")
+    assert main(["stats", "--ocel", str(long_int)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {long_int}: $")
 
 
 def test_dfg_label_flags(synth_paths, tmp_path, capsys):

@@ -60,6 +60,12 @@ def test_default_mapping_covers_the_provider_vocabulary():
     ({"X": {"activity": "A", "bogus": 1}}, "unknown keys"),
     ({"X": {"end_activity": "B"}}, "needs a string 'activity'"),
     ({"X": {"activity": "A", "class": "position_based"}}, "game_based or ball"),
+    ({"X": {"activity": ""}}, "entry 'X': needs a string 'activity', not empty"),
+    ({"X": {"activity": "A", "end_activity": 5}}, "entry 'X': end_activity must be a string"),
+    ({"X": {"activity": "A", "goal_end_activity": None}},
+     "entry 'X': goal_end_activity must be a string"),
+    ({"X": {"activity": "A", "at_end": "no"}}, "entry 'X': at_end must be true or false"),
+    ({"X": {"activity": "A", "at_end": 1}}, "entry 'X': at_end must be true or false"),
 ])
 def test_activity_map_validation(tmp_path, payload, message):
     path = tmp_path / "map.json"
@@ -246,8 +252,9 @@ def test_min_dwell_debounces_border_jitter():
     sustained = [Point(0.16, 0.5)] + [Point(0.2, 0.5)] * 5
     event, = detect_movement_events(frames_from_walk(sustained), SPEC, min_dwell_s=0.1)
     assert event.time_s == pytest.approx(2 / 25)
-    with pytest.raises(ValueError):
-        detect_movement_events([], SPEC, min_dwell_s=-1)
+    for bad in (-1, float("nan")):
+        with pytest.raises(ValueError, match="min_dwell_s must be >= 0"):
+            detect_movement_events([], SPEC, min_dwell_s=bad)
 
 
 def test_dwell_switching_cells_restarts_the_clock():
