@@ -65,19 +65,20 @@ def main(argv=None) -> int:
     print(f"wrote {log_path}")
 
     summary = stats(log)
-    (out / "stats.txt").write_text(summary.to_text() + "\n")
+    (out / "stats.txt").write_text(summary.to_text() + "\n", encoding="utf-8")
     print(summary.to_text())
 
     dfg = discover_ocdfg(log, ["ball", "player", "team", "possession"])
     dot_path = out / "dfg_multi_type.dot"
-    dot_path.write_text(dfg_to_dot(dfg))
+    dot_path.write_text(dfg_to_dot(dfg), encoding="utf-8")
     print(f"wrote {dot_path} (render with: dot -Tsvg {dot_path})")
 
     spans = spans_by_match[match.match_id]
     goal_spans = [s for s in spans if s.outcome == "goal"] or spans
     pid = goal_spans[0].span_id
     svg_path = out / f"possession_{pid}.svg"
-    svg_path.write_text(spatial_instance_svg(log, pid, ["ball", "player"], config.grid))
+    svg_path.write_text(spatial_instance_svg(log, pid, ["ball", "player"], config.grid),
+                        encoding="utf-8")
     print(f"wrote {svg_path} ({goal_spans[0].team} possession, "
           f"outcome {goal_spans[0].outcome})")
 

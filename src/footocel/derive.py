@@ -76,7 +76,8 @@ class ActivityEvent:
 
 def default_activity_mapping() -> dict[str, MappingEntry]:
     """The packaged provider-type -> activity table."""
-    text = resources.files("footocel").joinpath("data/activity_map.json").read_text()
+    packaged = resources.files("footocel").joinpath("data/activity_map.json")
+    text = packaged.read_text(encoding="utf-8")
     return _mapping_from_dict(json.loads(text), source="<packaged activity map>")
 
 

@@ -44,7 +44,7 @@ def read_json(path):
         raise ParseError(f"$: {token} is not a JSON number", source=str(path))
 
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh, parse_constant=reject)
     except ParseError:
         raise

@@ -366,6 +366,17 @@ def parse_events(lines: Iterable[str], source: str = "<events>") -> list[RawEven
     return records
 
 
+def _read_csv(path, parse, *args):
+    """parse(fh, *args, source=path) over the UTF-8 text of a CSV file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return parse(fh, *args, source=str(path))
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})", source=str(path),
+        ) from None
+
+
 def load_match(
     home_tracking_path,
     away_tracking_path,
@@ -378,13 +389,10 @@ def load_match(
     Rosters start from the tracking column titles and are extended by any
     player label an event references (tolerates event-only data slices).
     """
-    with open(home_tracking_path, newline="") as fh:
-        home = parse_tracking(fh, "Home", sample_rate, source=str(home_tracking_path))
-    with open(away_tracking_path, newline="") as fh:
-        away = parse_tracking(fh, "Away", sample_rate, source=str(away_tracking_path))
+    home = _read_csv(home_tracking_path, parse_tracking, "Home", sample_rate)
+    away = _read_csv(away_tracking_path, parse_tracking, "Away", sample_rate)
     frames = merge_tracking(home, away)
-    with open(events_path, newline="") as fh:
-        events = parse_events(fh, source=str(events_path))
+    events = _read_csv(events_path, parse_events)
 
     rosters: dict[str, set[str]] = {side: set() for side in SIDES}
     if len(home):

@@ -6,6 +6,12 @@ carries qualified relationships [{objectId, qualifier}]; timestamps are
 ISO-8601 UTC with millisecond precision.  Reading back a written log
 reproduces the in-memory value exactly.
 
+Logs are read and written as UTF-8.  The writer formats the indent-2 text
+itself, the bytes json.dump(indent=2, ensure_ascii=False) would give, and
+streams it one object or event at a time rather than building a tree of the
+whole log.  Every check of a write runs before the file is opened, so a log
+that cannot be written leaves an existing file as it was.
+
 Object universe per converted match bundle: the match itself, both teams,
 all rostered players, one ball, every grid cell and one object per
 possession span.  Team/player/ball/grid identities are either shared
@@ -297,58 +303,105 @@ def _attr_schema(rows: Sequence[tuple[str, dict]]) -> dict[str, dict[str, str]]:
     return schema
 
 
-def ocel_to_dict(log: OcelLog) -> dict:
-    """The JSON-ready structure (deterministic: everything is sorted)."""
-    object_schema = _attr_schema([(o.otype, o.attrs) for o in log.objects])
-    event_schema = _attr_schema([(e.etype, e.attrs) for e in log.events])
+# the layout json.dump(..., indent=2, ensure_ascii=False) gives the log, written
+# directly.  Every entry of the four top-level arrays sits at depth 2 and every
+# two-key object in an entry's arrays at depth 4, so each indent is a constant:
+_ENTRY = "\n    {\n      "  # opens a top-level array entry, before its first key
+_PAIR = "\n        {\n          "  # opens an attribute, type attribute or relationship
+_PAIR_KEY = ",\n          "  # between the two keys of such an object
+_PAIR_END = "\n        }"
+_encode_str = json.encoder.encode_basestring  # the C escaper ensure_ascii=False uses
 
-    def type_entries(schema: dict[str, dict[str, str]]) -> list[dict]:
-        return [
-            {
-                "name": name,
-                "attributes": [
-                    {"name": a, "type": t} for a, t in sorted(schema[name].items())
-                ],
-            }
-            for name in sorted(schema)
-        ]
 
-    return {
-        "objectTypes": type_entries(object_schema),
-        "eventTypes": type_entries(event_schema),
-        "objects": [
-            {
-                "id": o.oid,
-                "type": o.otype,
-                "attributes": [
-                    {"name": k, "value": v} for k, v in sorted(o.attrs.items())
-                ],
-            }
-            for o in log.objects
-        ],
-        "events": [
-            {
-                "id": e.eid,
-                "type": e.etype,
-                "time": format_time(e.time),
-                "attributes": [
-                    {"name": k, "value": v} for k, v in sorted(e.attrs.items())
-                ],
-                "relationships": [
-                    {"objectId": oid, "qualifier": q} for oid, q in e.relations
-                ],
-            }
-            for e in log.events
-        ],
-    }
+def _value_text(value) -> str:
+    """A checked attribute value (see _json_type) as json.dumps writes it."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return float.__repr__(value)
+
+
+def _array_text(items: list[str]) -> str:
+    """An entry's array of formatted objects; [] when empty, as json.dumps."""
+    return "[" + ",".join(items) + "\n      ]" if items else "[]"
+
+
+def _attrs_text(attrs: dict) -> str:
+    return _array_text([
+        f'{_PAIR}"name": {_encode_str(k)}{_PAIR_KEY}"value": {_value_text(v)}{_PAIR_END}'
+        for k, v in sorted(attrs.items())
+    ])
+
+
+def _type_entries(schema: dict[str, dict[str, str]]):
+    """The entries of the objectTypes or eventTypes array."""
+    for name in sorted(schema):
+        yield f'{_ENTRY}"name": {_encode_str(name)},\n      "attributes": ' + _array_text([
+            f'{_PAIR}"name": {_encode_str(a)}{_PAIR_KEY}"type": "{t}"{_PAIR_END}'
+            for a, t in sorted(schema[name].items())
+        ]) + "\n    }"
+
+
+def _write_array(fh, entries) -> None:
+    """Stream a top-level array, one write per formatted entry."""
+    entries = iter(entries)
+    first = next(entries, None)
+    if first is None:
+        fh.write("[]")
+        return
+    fh.write("[" + first)
+    for entry in entries:
+        fh.write("," + entry)
+    fh.write("\n  ]")
 
 
 def write_ocel_json(log: OcelLog, path) -> None:
-    """Write the log as JSON; a log that cannot be written leaves path untouched."""
-    tree = ocel_to_dict(log)  # raises before the file is opened and truncated
-    with open(path, "w") as fh:
-        json.dump(tree, fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
+    """Write the log as UTF-8 JSON, objects and events streamed one at a time.
+
+    The bytes are those of json.dump(tree, indent=2, ensure_ascii=False) plus
+    a final newline, where the tree is the log's four arrays: type sections
+    sorted by name, attributes sorted by name, objects, events and
+    relationships in log order.  Every check runs before path is opened (the
+    attribute schema with its refusal of NaN, infinities and unsupported
+    values, and each event time's UTC check), so a log that cannot be
+    written leaves path untouched.
+    """
+    object_schema = _attr_schema([(o.otype, o.attrs) for o in log.objects])
+    event_schema = _attr_schema([(e.etype, e.attrs) for e in log.events])
+    times = [format_time(e.time) for e in log.events]
+    objects = (
+        f'{_ENTRY}"id": {_encode_str(o.oid)},\n      "type": {_encode_str(o.otype)},'
+        f'\n      "attributes": {_attrs_text(o.attrs)}\n    }}'
+        for o in log.objects
+    )
+    events = (
+        f'{_ENTRY}"id": {_encode_str(e.eid)},\n      "type": {_encode_str(e.etype)},'
+        f'\n      "time": "{time}",\n      "attributes": {_attrs_text(e.attrs)},'
+        '\n      "relationships": ' + _array_text([
+            f'{_PAIR}"objectId": {_encode_str(oid)}{_PAIR_KEY}"qualifier": {_encode_str(q)}'
+            f'{_PAIR_END}'
+            for oid, q in e.relations
+        ]) + "\n    }"
+        for e, time in zip(log.events, times)
+    )
+    sections = {
+        "objectTypes": _type_entries(object_schema),
+        "eventTypes": _type_entries(event_schema),
+        "objects": objects,
+        "events": events,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        sep = "{"
+        for key, entries in sections.items():
+            fh.write(f'{sep}\n  "{key}": ')
+            _write_array(fh, entries)
+            sep = ","
+        fh.write("\n}\n")
 
 
 def _expect_keys(obj: dict, keys: set[str], path: str) -> None:

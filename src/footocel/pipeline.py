@@ -18,6 +18,7 @@ from .derive import (
     UNKNOWN_PASS,
     UNKNOWN_REJECT,
     ActivityEvent,
+    MappingEntry,
     decompose_events,
     default_activity_mapping,
     detect_movement_events,
@@ -136,7 +137,9 @@ class MatchArtifacts:
     events: list[ActivityEvent]  # enriched, not yet wired
 
 
-def convert_one(paths: MatchPaths, match_index: int, config: RunConfig) -> MatchArtifacts:
+def convert_one(
+    paths: MatchPaths, match_index: int, config: RunConfig, mapping: dict[str, MappingEntry]
+) -> MatchArtifacts:
     bundle = ingest.load_match(
         paths.home_tracking, paths.away_tracking, paths.events,
         match_id=paths.match_id, sample_rate=config.sample_rate,
@@ -147,10 +150,6 @@ def convert_one(paths: MatchPaths, match_index: int, config: RunConfig) -> Match
 
     spans = segment_possessions(
         events, match_prefix(match_index), frozenset(config.control_types),
-    )
-    mapping = (
-        load_activity_mapping(config.activity_map_path)
-        if config.activity_map_path else default_activity_mapping()
     )
     game_stream = decompose_events(events, config.grid, mapping, config.unknown_events)
     movement_stream = detect_movement_events(frames, config.grid, config.min_dwell_s)
@@ -169,7 +168,12 @@ def convert_matches(
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate match ids: {ids}")
 
-    artifacts = [convert_one(m, i, config) for i, m in enumerate(matches)]
+    # one activity map for every match, read before any match file
+    mapping = (
+        default_activity_mapping() if config.activity_map_path is None
+        else load_activity_mapping(config.activity_map_path)
+    )
+    artifacts = [convert_one(m, i, config, mapping) for i, m in enumerate(matches)]
 
     spans_by_match = {a.match_id: a.spans for a in artifacts}
     objects = build_objects(

@@ -305,7 +305,7 @@ def write_synth_match(directory, prefix: str = "synth", **kwargs) -> tuple[Path,
     home = directory / f"{prefix}_tracking_home.csv"
     away = directory / f"{prefix}_tracking_away.csv"
     events = directory / f"{prefix}_events.csv"
-    home.write_text(match.home_csv)
-    away.write_text(match.away_csv)
-    events.write_text(match.events_csv)
+    home.write_text(match.home_csv, encoding="utf-8")
+    away.write_text(match.away_csv, encoding="utf-8")
+    events.write_text(match.events_csv, encoding="utf-8")
     return home, away, events

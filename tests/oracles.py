@@ -2,6 +2,7 @@
 
 from typing import Iterable, Optional
 
+from footocel.ocel import OcelLog, _attr_schema, format_time
 from footocel.spatial import GridSpec, Point, metric_distance
 
 
@@ -21,3 +22,53 @@ def path_length(points: Iterable[Optional[Point]], spec: GridSpec) -> float:
             total += metric_distance(prev, p, spec)
         prev = p
     return total
+
+
+def ocel_to_dict(log: OcelLog) -> dict:
+    """The log as the JSON tree write_ocel_json lays out (everything sorted).
+
+    json.dumps(ocel_to_dict(log), indent=2, ensure_ascii=False) + "\\n" is
+    the writer's text, byte for byte.
+    """
+    object_schema = _attr_schema([(o.otype, o.attrs) for o in log.objects])
+    event_schema = _attr_schema([(e.etype, e.attrs) for e in log.events])
+
+    def type_entries(schema: dict[str, dict[str, str]]) -> list[dict]:
+        return [
+            {
+                "name": name,
+                "attributes": [
+                    {"name": a, "type": t} for a, t in sorted(schema[name].items())
+                ],
+            }
+            for name in sorted(schema)
+        ]
+
+    return {
+        "objectTypes": type_entries(object_schema),
+        "eventTypes": type_entries(event_schema),
+        "objects": [
+            {
+                "id": o.oid,
+                "type": o.otype,
+                "attributes": [
+                    {"name": k, "value": v} for k, v in sorted(o.attrs.items())
+                ],
+            }
+            for o in log.objects
+        ],
+        "events": [
+            {
+                "id": e.eid,
+                "type": e.etype,
+                "time": format_time(e.time),
+                "attributes": [
+                    {"name": k, "value": v} for k, v in sorted(e.attrs.items())
+                ],
+                "relationships": [
+                    {"objectId": oid, "qualifier": q} for oid, q in e.relations
+                ],
+            }
+            for e in log.events
+        ],
+    }

@@ -33,7 +33,6 @@ from footocel.ocel import (
     OcelEvent,
     OcelLog,
     OcelObject,
-    ocel_to_dict,
     read_ocel_json,
     stats,
     validate_log,
@@ -43,7 +42,7 @@ from footocel.pipeline import MatchPaths, RunConfig, convert_matches
 from footocel.possession import CONTROL_TYPES
 from footocel.render import dfg_to_dot, spatial_instance_svg
 from footocel.spatial import GridCell, GridSpec, Point, cell_label, cell_of
-from oracles import path_length
+from oracles import ocel_to_dict, path_length
 
 DATA_ENV = "METRICA_DATA_DIR"
 

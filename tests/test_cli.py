@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: subcommands, exit codes, option precedence."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 from importlib import resources
@@ -8,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+import footocel.ingest as ingest_module
+import footocel.pipeline as pipeline_module
 from footocel.cli import main
 from footocel.ocel import OBJECT_TYPES, IdentityScope, read_ocel_json
 from footocel.pipeline import RunConfig, convert_matches
@@ -282,6 +287,84 @@ def test_settings_files_that_are_not_utf8_exit_1(small_match, tmp_path, capsys, 
     binary.write_bytes(b"\xff\xfe{}")
     assert convert_small(small_match, tmp_path, option, str(binary)) == 1
     assert capsys.readouterr().err.startswith(f"error: {binary}: $: invalid JSON: ")
+
+
+def test_activity_map_is_read_once_per_convert(small_match, tmp_path, monkeypatch):
+    mapping = tmp_path / "map.json"
+    mapping.write_text(resources.files("footocel").joinpath("data/activity_map.json")
+                       .read_text(encoding="utf-8"), encoding="utf-8")
+    calls = []
+
+    def spy(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(pipeline_module, "load_activity_mapping",
+                        spy("map", pipeline_module.load_activity_mapping))
+    monkeypatch.setattr(ingest_module, "load_match", spy("match", ingest_module.load_match))
+    three = [arg for _ in range(3) for arg in ("--match", *map(str, small_match))]
+    assert main(["convert", *three, "--match-ids", "g1,g2,g3", "--activity-map", str(mapping),
+                 "--out", str(tmp_path / "x.json")]) == 0
+    assert calls == ["map", "match", "match", "match"]
+
+
+@pytest.mark.parametrize("content, fragment", [
+    ('{"PASS": 5}', "entry 'PASS': must be an object"),
+    ("{", "$: invalid JSON"),
+])
+def test_malformed_activity_map_exits_1_before_any_match_is_read(
+        small_match, tmp_path, monkeypatch, capsys, content, fragment):
+    mapping = tmp_path / "map.json"
+    mapping.write_text(content, encoding="utf-8")
+    loaded = []
+    monkeypatch.setattr(ingest_module, "load_match", lambda *a, **k: loaded.append(a))
+    assert convert_small(small_match, tmp_path, "--activity-map", str(mapping)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {mapping}") and fragment in err
+    assert loaded == []
+
+
+def test_empty_activity_map_path_exit_1(small_match, tmp_path, capsys):
+    assert convert_small(small_match, tmp_path, "--activity-map", "") == 1
+    assert "No such file or directory: ''" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["home_tracking", "away_tracking", "events"])
+def test_match_csv_that_is_not_utf8_exit_1(small_match, tmp_path, capsys, which):
+    files = [Path(p) for p in small_match]
+    bad = tmp_path / f"bad_{files[which].name}"
+    lines = files[which].read_bytes().splitlines(keepends=True)
+    lines[-1] = lines[-1].replace(b",", b",\xff", 1)  # a byte no UTF-8 text starts with
+    bad.write_bytes(b"".join(lines))
+    files[which] = bad
+    assert main(["convert", "--match", *map(str, files), "--out", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {bad}: not UTF-8 text: byte 0xff (invalid start byte)\n"
+
+
+def test_subcommands_open_text_files_as_utf8_only(small_match, tmp_path):
+    """No open relies on the locale's encoding: each one would warn, here an error."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    log = tmp_path / "log.json"
+
+    def run(*argv):
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "footocel.cli", *argv],
+            env=env, capture_output=True, text=True, encoding="utf-8",
+        )
+        assert done.returncode == 0, done.stderr
+
+    run("convert", "--match", *map(str, small_match), "--out", str(log))
+    run("stats", "--ocel", str(log))
+    run("dfg", "--ocel", str(log), "--out", str(tmp_path / "dfg.dot"))
+    possession = next(o.oid for o in read_ocel_json(log).objects if o.otype == "possession")
+    run("spatial", "--ocel", str(log), "--possession", possession,
+        "--out", str(tmp_path / "possession.svg"))
 
 
 def test_stats_subcommand(synth_paths, tmp_path, capsys):

@@ -8,6 +8,7 @@ from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import footocel.ocel as ocel_module
 from footocel.cli import main
@@ -25,7 +26,6 @@ from footocel.ocel import (
     events_to_ocel,
     format_time,
     match_epoch,
-    ocel_to_dict,
     parse_time,
     read_ocel_json,
     scoped_id,
@@ -36,6 +36,7 @@ from footocel.ocel import (
 from footocel.pipeline import convert_matches
 from footocel.possession import PossessionSpan
 from footocel.spatial import GridSpec
+from oracles import ocel_to_dict
 
 UTC = timezone.utc
 ISO_MS = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}\.\d{3}Z$")
@@ -195,15 +196,21 @@ def test_log_round_trips_byte_and_structure(log, tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_serialized_times_are_iso_milliseconds(log):
-    data = ocel_to_dict(log)
+def written(log, tmp_path) -> dict:
+    path = tmp_path / "written.json"
+    write_ocel_json(log, path)
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_serialized_times_are_iso_milliseconds(log, tmp_path):
+    data = written(log, tmp_path)
     assert data["events"], "log must contain events"
     for entry in data["events"]:
         assert ISO_MS.match(entry["time"]), entry["time"]
 
 
-def test_top_level_shape(log):
-    data = ocel_to_dict(log)
+def test_top_level_shape(log, tmp_path):
+    data = written(log, tmp_path)
     assert set(data) == {"objectTypes", "eventTypes", "objects", "events"}
     assert [t["name"] for t in data["objectTypes"]] == sorted(
         t["name"] for t in data["objectTypes"])
@@ -291,7 +298,7 @@ def test_reader_allows_integers_under_float_attributes(tmp_path):
     assert log.events[0].attrs["duration_s"] == 2
 
 
-def test_mixed_int_float_attribute_promotes_to_float():
+def test_mixed_int_float_attribute_promotes_to_float(tmp_path):
     t0 = datetime(2020, 7, 1, 15, 0, 0, tzinfo=UTC)
     log = OcelLog(
         [OcelObject("m1", "match", {})],
@@ -300,12 +307,12 @@ def test_mixed_int_float_attribute_promotes_to_float():
             OcelEvent("e2", "Pass", t0, {"duration_s": 1.5}, (("m1", "match"),)),
         ],
     )
-    data = ocel_to_dict(log)
+    data = written(log, tmp_path)
     pass_type, = data["eventTypes"]
     assert pass_type["attributes"] == [{"name": "duration_s", "type": "float"}]
 
 
-def test_incompatible_attribute_types_are_rejected():
+def test_incompatible_attribute_types_are_rejected(tmp_path):
     t0 = datetime(2020, 7, 1, 15, 0, 0, tzinfo=UTC)
     log = OcelLog(
         [OcelObject("m1", "match", {})],
@@ -315,7 +322,8 @@ def test_incompatible_attribute_types_are_rejected():
         ],
     )
     with pytest.raises(ConsistencyError, match="mixes"):
-        ocel_to_dict(log)
+        write_ocel_json(log, tmp_path / "log.json")
+    assert not (tmp_path / "log.json").exists()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -324,10 +332,76 @@ def test_non_finite_attribute_is_refused_and_leaves_the_file(tmp_path, value):
     path = tmp_path / "log.json"
     write_ocel_json(log, path)
     before = path.read_bytes()
-    log.events[1] = replace(log.events[1], attrs={"period": 1, "duration_s": value})
+    # on the last event: a writer that formats after opening the file would
+    # already have truncated it and written every event before this one
+    log.events[-1] = replace(log.events[-1], attrs={"period": 1, "duration_s": value})
     with pytest.raises(ConsistencyError, match="attribute 'duration_s' has non-finite value"):
         write_ocel_json(log, path)
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("tzinfo", [None, timezone(timedelta(hours=1))], ids=["naive", "cet"])
+def test_non_utc_time_on_the_last_event_is_refused_and_leaves_the_file(tmp_path, tzinfo):
+    log = tiny_log()
+    path = tmp_path / "log.json"
+    write_ocel_json(log, path)
+    before = path.read_bytes()
+    last = log.events[-1]
+    log.events[-1] = replace(last, time=last.time.replace(tzinfo=tzinfo))
+    with pytest.raises(ConsistencyError, match="event times must be UTC"):
+        write_ocel_json(log, path)
+    assert path.read_bytes() == before
+
+
+# strings that json.dumps escapes or passes through as non-ASCII text
+_TRICKY = st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "⚽", "\u2028", "ß😀"])
+_TEXT = st.lists(st.one_of(st.text(max_size=4), _TRICKY), max_size=3).map("".join)
+_VALUES = {
+    "string": _TEXT,
+    "integer": st.integers(min_value=-10**20, max_value=10**20),
+    # ints in a float-declared attribute are written as ints
+    "float": st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-99, 99)),
+    "boolean": st.booleans(),
+}
+
+
+@st.composite
+def logs(draw) -> OcelLog:
+    """Logs whose attribute kinds are consistent per name, so every log is writable."""
+    kinds = draw(st.dictionaries(_TEXT, st.sampled_from(sorted(_VALUES)), max_size=4))
+
+    def attrs() -> dict:
+        names = draw(st.lists(st.sampled_from(sorted(kinds)), unique=True)) if kinds else []
+        return {name: draw(_VALUES[kinds[name]]) for name in names}
+
+    types = st.one_of(st.sampled_from(["team", "Pass"]), _TEXT)
+    objects = [OcelObject(draw(_TEXT), draw(types), attrs())
+               for _ in range(draw(st.integers(0, 3)))]
+    times = st.datetimes(min_value=datetime(2000, 1, 1), timezones=st.just(UTC))
+    events = [
+        OcelEvent(draw(_TEXT), draw(types), draw(times), attrs(),
+                  tuple(draw(st.lists(st.tuples(_TEXT, _TEXT), max_size=3))))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return OcelLog(objects, events)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log=logs())
+def test_writer_matches_the_json_dumps_oracle(tmp_path_factory, log):
+    path = tmp_path_factory.getbasetemp() / "oracle.json"
+    write_ocel_json(log, path)
+    expected = json.dumps(ocel_to_dict(log), indent=2, ensure_ascii=False) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_the_empty_log_is_written_like_the_oracle(tmp_path):
+    path = tmp_path / "empty.json"
+    write_ocel_json(OcelLog([], []), path)
+    assert path.read_text(encoding="utf-8") == (
+        '{\n  "objectTypes": [],\n  "eventTypes": [],\n  "objects": [],\n  "events": []\n}\n'
+    )
 
 
 @pytest.mark.parametrize("token, fragment", [
