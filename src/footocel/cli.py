@@ -251,10 +251,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (ParseError, QueryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ParseError, QueryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConsistencyError, ValueError) as exc:

@@ -101,7 +101,7 @@ def event_time(epoch: datetime, time_s: float) -> datetime:
 def format_time(dt: datetime) -> str:
     if dt.tzinfo is None or dt.utcoffset() != timedelta(0):
         raise ConsistencyError(f"event times must be UTC, got {dt!r}")
-    return f"{dt:%Y-%m-%dT%H:%M:%S}.{dt.microsecond // 1000:03d}Z"
+    return f"{dt.year:04d}-{dt:%m-%dT%H:%M:%S}.{dt.microsecond // 1000:03d}Z"
 
 
 def parse_time(text: str, path: str) -> datetime:
@@ -112,7 +112,10 @@ def parse_time(text: str, path: str) -> datetime:
         raise ParseError(f"{path}: invalid ISO-8601 time {text!r}") from None
     if dt.tzinfo is None:
         raise ParseError(f"{path}: time {text!r} lacks a UTC offset")
-    return dt.astimezone(timezone.utc)
+    try:
+        return dt.astimezone(timezone.utc)
+    except OverflowError:  # a UTC instant before year 1 or after year 9999
+        raise ParseError(f"{path}: time {text!r} out of range") from None
 
 
 def scoped_id(scope: IdentityScope, match_id: str, base: str) -> str:
@@ -440,6 +443,8 @@ def _read_type_section(data, key: str) -> dict[str, dict[str, str]]:
                 raise ParseError(f"{apath}.name: expected a string")
             if attr["type"] not in ("string", "integer", "float", "boolean"):
                 raise ParseError(f"{apath}.type: unsupported type {attr['type']!r}")
+            if attr["name"] in attrs:
+                raise ParseError(f"{apath}.name: duplicate attribute {attr['name']!r}")
             attrs[attr["name"]] = attr["type"]
         schema[name] = attrs
     return schema

@@ -286,6 +286,43 @@ def test_reader_rejects_malformed_logs(tmp_path, capsys, mutate, fragment):
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "0001-01-01T00:00:00.000+01:00", "9999-12-31T23:59:59.000-01:00",
+])
+def test_reader_rejects_a_time_out_of_range(tmp_path, capsys, text):
+    # a valid ISO-8601 time whose UTC instant falls outside years 1..9999
+    path = write_mutated(tmp_path, lambda d: d["events"][0].update(time=text))
+    message = f"$.events[0].time: time {text!r} out of range"
+    with pytest.raises(ParseError) as err:
+        read_ocel_json(path)
+    assert str(err.value) == f"{path}: {message}"
+    assert main(["stats", "--ocel", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_reader_rejects_a_duplicate_attribute_declaration(tmp_path, capsys):
+    # declared string first; an integer redeclaration must not win
+    path = write_mutated(tmp_path, lambda d: d["objectTypes"][0]["attributes"].append(
+        {"name": "kickoff", "type": "integer"}))
+    message = "$.objectTypes[0].attributes[1].name: duplicate attribute 'kickoff'"
+    with pytest.raises(ParseError) as err:
+        read_ocel_json(path)
+    assert str(err.value) == f"{path}: {message}"
+    assert main(["stats", "--ocel", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("year", [999, 1])
+def test_times_before_year_1000_round_trip(tmp_path, year):
+    t = datetime(year, 1, 1, tzinfo=UTC)
+    log = OcelLog([OcelObject("m1", "match", {})],
+                  [OcelEvent("e1", "Pass", t, {}, (("m1", "match"),))])
+    path = tmp_path / "log.json"
+    write_ocel_json(log, path)
+    assert f'"time": "{year:04d}-01-01T00:00:00.000Z"' in path.read_text(encoding="utf-8")
+    assert read_ocel_json(path) == log
+
+
 def test_reader_allows_integers_under_float_attributes(tmp_path):
     def widen(d):
         # duration_s is declared float; an integer-valued row must still pass
