@@ -12,6 +12,13 @@ streams it one object or event at a time rather than building a tree of the
 whole log.  Every check of a write runs before the file is opened, so a log
 that cannot be written leaves an existing file as it was.
 
+The reader walks the parsed JSON once, in document order.  Every array entry
+must be an object with exactly its layout's keys, ids and type names must be
+non-empty and unique, attribute values must match their declared type (an
+integer is a valid float; a number beyond the float range is not),
+relationships must name a known object and qualifier, and events must be
+sorted by (time, id).
+
 Object universe per converted match bundle: the match itself, both teams,
 all rostered players, one ball, every grid cell and one object per
 possession span.  Team/player/ball/grid identities are either shared
@@ -407,68 +414,67 @@ def write_ocel_json(log: OcelLog, path) -> None:
         fh.write("\n}\n")
 
 
+# each declared attribute type -> the types json.load gives its values, matched
+# exactly (a bool is no integer); an integer is a valid float, inf (1e999) is not
+_VALUE_TYPES = {"string": (str,), "integer": (int,), "float": (float, int), "boolean": (bool,)}
+_INFINITIES = (math.inf, -math.inf)
+
+
 def _expect_keys(obj: dict, keys: set[str], path: str) -> None:
-    missing = keys - obj.keys()
-    extra = obj.keys() - keys
-    if missing:
-        raise ParseError(f"{path}: missing key(s) {sorted(missing)}")
-    if extra:
-        raise ParseError(f"{path}: unexpected key(s) {sorted(extra)}")
+    if obj.keys() != keys:
+        missing = keys - obj.keys()
+        if missing:
+            raise ParseError(f"{path}: missing key(s) {sorted(missing)}")
+        raise ParseError(f"{path}: unexpected key(s) {sorted(obj.keys() - keys)}")
+
+
+def _entries(value, path: str, keys: set[str]):
+    """Yield (path, entry) for each entry of a JSON array of objects with exactly keys."""
+    if not isinstance(value, list):
+        raise ParseError(f"{path}: expected an array")
+    for i, entry in enumerate(value):
+        entry_path = f"{path}[{i}]"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{entry_path}: expected an object")
+        _expect_keys(entry, keys, entry_path)
+        yield entry_path, entry
+
+
+def _new_id(value, seen, path: str, what: str) -> str:
+    """value, checked to be a non-empty string not in seen."""
+    if not isinstance(value, str) or not value:
+        raise ParseError(f"{path}: expected a non-empty string")
+    if value in seen:
+        raise ParseError(f"{path}: duplicate {what} {value!r}")
+    return value
 
 
 def _read_type_section(data, key: str) -> dict[str, dict[str, str]]:
-    section = data[key]
-    if not isinstance(section, list):
-        raise ParseError(f"$.{key}: expected an array")
     schema: dict[str, dict[str, str]] = {}
-    for i, entry in enumerate(section):
-        path = f"$.{key}[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{path}: expected an object")
-        _expect_keys(entry, {"name", "attributes"}, path)
-        name = entry["name"]
-        if not isinstance(name, str) or not name:
-            raise ParseError(f"{path}.name: expected a non-empty string")
-        if name in schema:
-            raise ParseError(f"{path}.name: duplicate type {name!r}")
+    for path, entry in _entries(data[key], f"$.{key}", {"name", "attributes"}):
+        name = _new_id(entry["name"], schema, f"{path}.name", "type")
         attrs: dict[str, str] = {}
-        if not isinstance(entry["attributes"], list):
-            raise ParseError(f"{path}.attributes: expected an array")
-        for j, attr in enumerate(entry["attributes"]):
-            apath = f"{path}.attributes[{j}]"
-            if not isinstance(attr, dict):
-                raise ParseError(f"{apath}: expected an object")
-            _expect_keys(attr, {"name", "type"}, apath)
-            if not isinstance(attr["name"], str):
+        for apath, attr in _entries(entry["attributes"], f"{path}.attributes", {"name", "type"}):
+            aname, atype = attr["name"], attr["type"]
+            if not isinstance(aname, str):
                 raise ParseError(f"{apath}.name: expected a string")
-            if attr["type"] not in ("string", "integer", "float", "boolean"):
-                raise ParseError(f"{apath}.type: unsupported type {attr['type']!r}")
-            if attr["name"] in attrs:
-                raise ParseError(f"{apath}.name: duplicate attribute {attr['name']!r}")
-            attrs[attr["name"]] = attr["type"]
+            if not isinstance(atype, str) or atype not in _VALUE_TYPES:
+                raise ParseError(f"{apath}.type: unsupported type {atype!r}")
+            if aname in attrs:
+                raise ParseError(f"{apath}.name: duplicate attribute {aname!r}")
+            attrs[aname] = atype
         schema[name] = attrs
     return schema
 
 
 def _read_attributes(entries, schema: dict[str, str], path: str) -> dict:
-    if not isinstance(entries, list):
-        raise ParseError(f"{path}: expected an array")
     attrs: dict = {}
-    for j, attr in enumerate(entries):
-        apath = f"{path}[{j}]"
-        if not isinstance(attr, dict):
-            raise ParseError(f"{apath}: expected an object")
-        _expect_keys(attr, {"name", "value"}, apath)
+    for apath, attr in _entries(entries, path, {"name", "value"}):
         name, value = attr["name"], attr["value"]
         if not isinstance(name, str) or name not in schema:
             raise ParseError(f"{apath}.name: undeclared attribute {name!r}")
-        declared = schema[name]
-        try:
-            actual = _json_type(name, value) if isinstance(value, (bool, int, float, str)) else None
-        except ConsistencyError:  # a number beyond the float range reads as inf
-            actual = None
-        if actual is None or (actual != declared and not (actual == "integer" and declared == "float")):
-            raise ParseError(f"{apath}.value: expected {declared}, got {value!r}")
+        if type(value) not in _VALUE_TYPES[schema[name]] or value in _INFINITIES:
+            raise ParseError(f"{apath}.value: expected {schema[name]}, got {value!r}")
         if name in attrs:
             raise ParseError(f"{apath}.name: duplicate attribute {name!r}")
         attrs[name] = value
@@ -476,7 +482,8 @@ def _read_attributes(entries, schema: dict[str, str], path: str) -> dict:
 
 
 def read_ocel_json(path) -> OcelLog:
-    """Load and validate a log; violations name the file and carry a JSON path."""
+    """Load and check a log.  The first violation in document order is raised as
+    a ParseError naming the file and a JSON path such as $.events[3].time."""
     data = read_json(path)
     try:
         return _log_from_dict(data)
@@ -491,70 +498,42 @@ def _log_from_dict(data) -> OcelLog:
     object_schema = _read_type_section(data, "objectTypes")
     event_schema = _read_type_section(data, "eventTypes")
 
-    if not isinstance(data["objects"], list):
-        raise ParseError("$.objects: expected an array")
-    objects: list[OcelObject] = []
-    oids: set[str] = set()
-    for i, entry in enumerate(data["objects"]):
-        path = f"$.objects[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{path}: expected an object")
-        _expect_keys(entry, {"id", "type", "attributes"}, path)
-        oid, otype = entry["id"], entry["type"]
-        if not isinstance(oid, str) or not oid:
-            raise ParseError(f"{path}.id: expected a non-empty string")
-        if oid in oids:
-            raise ParseError(f"{path}.id: duplicate object id {oid!r}")
+    objects: dict[str, OcelObject] = {}
+    for path, entry in _entries(data["objects"], "$.objects", {"id", "type", "attributes"}):
+        oid = _new_id(entry["id"], objects, f"{path}.id", "object id")
+        otype = entry["type"]
         if not isinstance(otype, str) or otype not in object_schema:
             raise ParseError(f"{path}.type: undeclared object type {otype!r}")
         attrs = _read_attributes(entry["attributes"], object_schema[otype], f"{path}.attributes")
-        objects.append(OcelObject(oid, otype, attrs))
-        oids.add(oid)
+        objects[oid] = OcelObject(oid, otype, attrs)
 
-    if not isinstance(data["events"], list):
-        raise ParseError("$.events: expected an array")
-    events: list[OcelEvent] = []
-    eids: set[str] = set()
+    events: dict[str, OcelEvent] = {}
     prev_key = None
-    for i, entry in enumerate(data["events"]):
-        path = f"$.events[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{path}: expected an object")
-        _expect_keys(entry, {"id", "type", "time", "attributes", "relationships"}, path)
-        eid, etype = entry["id"], entry["type"]
-        if not isinstance(eid, str) or not eid:
-            raise ParseError(f"{path}.id: expected a non-empty string")
-        if eid in eids:
-            raise ParseError(f"{path}.id: duplicate event id {eid!r}")
+    for path, entry in _entries(data["events"], "$.events",
+                                {"id", "type", "time", "attributes", "relationships"}):
+        eid = _new_id(entry["id"], events, f"{path}.id", "event id")
+        etype = entry["type"]
         if not isinstance(etype, str) or etype not in event_schema:
             raise ParseError(f"{path}.type: undeclared event type {etype!r}")
-        time = parse_time(entry["time"], f"{path}.time") if isinstance(entry["time"], str) \
-            else None
-        if time is None:
+        if not isinstance(entry["time"], str):
             raise ParseError(f"{path}.time: expected a string")
+        time = parse_time(entry["time"], f"{path}.time")
         attrs = _read_attributes(entry["attributes"], event_schema[etype], f"{path}.attributes")
-        if not isinstance(entry["relationships"], list):
-            raise ParseError(f"{path}.relationships: expected an array")
         rels: list[tuple[str, str]] = []
-        for j, rel in enumerate(entry["relationships"]):
-            rpath = f"{path}.relationships[{j}]"
-            if not isinstance(rel, dict):
-                raise ParseError(f"{rpath}: expected an object")
-            _expect_keys(rel, {"objectId", "qualifier"}, rpath)
+        for rpath, rel in _entries(entry["relationships"], f"{path}.relationships",
+                                   {"objectId", "qualifier"}):
             oid, qualifier = rel["objectId"], rel["qualifier"]
-            if not isinstance(oid, str) or oid not in oids:
+            if not isinstance(oid, str) or oid not in objects:
                 raise ParseError(f"{rpath}.objectId: unknown object {oid!r}")
             if not isinstance(qualifier, str) or qualifier not in QUALIFIERS:
                 raise ParseError(f"{rpath}.qualifier: unknown qualifier {qualifier!r}")
             rels.append((oid, qualifier))
-        key = (time, eid)
-        if prev_key is not None and key < prev_key:
+        if prev_key is not None and (time, eid) < prev_key:
             raise ParseError(f"{path}: events not sorted by (time, id)")
-        prev_key = key
-        events.append(OcelEvent(eid, etype, time, attrs, tuple(rels)))
-        eids.add(eid)
+        prev_key = (time, eid)
+        events[eid] = OcelEvent(eid, etype, time, attrs, tuple(rels))
 
-    return OcelLog(objects=objects, events=events)
+    return OcelLog(objects=list(objects.values()), events=list(events.values()))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,17 @@
 
 from typing import Iterable, Optional
 
-from footocel.ocel import OcelLog, _attr_schema, format_time
+from footocel.errors import ConsistencyError, ParseError, read_json
+from footocel.ocel import (
+    QUALIFIERS,
+    OcelEvent,
+    OcelLog,
+    OcelObject,
+    _attr_schema,
+    _json_type,
+    format_time,
+    parse_time,
+)
 from footocel.spatial import GridSpec, Point, metric_distance
 
 
@@ -72,3 +82,158 @@ def ocel_to_dict(log: OcelLog) -> dict:
             for e in log.events
         ],
     }
+
+
+def _expect_keys(obj: dict, keys: set[str], path: str) -> None:
+    missing = keys - obj.keys()
+    extra = obj.keys() - keys
+    if missing:
+        raise ParseError(f"{path}: missing key(s) {sorted(missing)}")
+    if extra:
+        raise ParseError(f"{path}: unexpected key(s) {sorted(extra)}")
+
+
+def _read_type_section(data, key: str) -> dict[str, dict[str, str]]:
+    section = data[key]
+    if not isinstance(section, list):
+        raise ParseError(f"$.{key}: expected an array")
+    schema: dict[str, dict[str, str]] = {}
+    for i, entry in enumerate(section):
+        path = f"$.{key}[{i}]"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{path}: expected an object")
+        _expect_keys(entry, {"name", "attributes"}, path)
+        name = entry["name"]
+        if not isinstance(name, str) or not name:
+            raise ParseError(f"{path}.name: expected a non-empty string")
+        if name in schema:
+            raise ParseError(f"{path}.name: duplicate type {name!r}")
+        attrs: dict[str, str] = {}
+        if not isinstance(entry["attributes"], list):
+            raise ParseError(f"{path}.attributes: expected an array")
+        for j, attr in enumerate(entry["attributes"]):
+            apath = f"{path}.attributes[{j}]"
+            if not isinstance(attr, dict):
+                raise ParseError(f"{apath}: expected an object")
+            _expect_keys(attr, {"name", "type"}, apath)
+            if not isinstance(attr["name"], str):
+                raise ParseError(f"{apath}.name: expected a string")
+            if attr["type"] not in ("string", "integer", "float", "boolean"):
+                raise ParseError(f"{apath}.type: unsupported type {attr['type']!r}")
+            if attr["name"] in attrs:
+                raise ParseError(f"{apath}.name: duplicate attribute {attr['name']!r}")
+            attrs[attr["name"]] = attr["type"]
+        schema[name] = attrs
+    return schema
+
+
+def _read_attributes(entries, schema: dict[str, str], path: str) -> dict:
+    if not isinstance(entries, list):
+        raise ParseError(f"{path}: expected an array")
+    attrs: dict = {}
+    for j, attr in enumerate(entries):
+        apath = f"{path}[{j}]"
+        if not isinstance(attr, dict):
+            raise ParseError(f"{apath}: expected an object")
+        _expect_keys(attr, {"name", "value"}, apath)
+        name, value = attr["name"], attr["value"]
+        if not isinstance(name, str) or name not in schema:
+            raise ParseError(f"{apath}.name: undeclared attribute {name!r}")
+        declared = schema[name]
+        try:
+            actual = _json_type(name, value) if isinstance(value, (bool, int, float, str)) else None
+        except ConsistencyError:  # a number beyond the float range reads as inf
+            actual = None
+        if actual is None or (actual != declared and not (actual == "integer" and declared == "float")):
+            raise ParseError(f"{apath}.value: expected {declared}, got {value!r}")
+        if name in attrs:
+            raise ParseError(f"{apath}.name: duplicate attribute {name!r}")
+        attrs[name] = value
+    return attrs
+
+
+def reference_read_ocel(path) -> OcelLog:
+    """read_ocel_json written as one hand-coded loop per array, for comparison.
+
+    Each array repeats the array, object and exact-key checks, and each
+    attribute value is typed through the writer's _json_type.  Its results
+    and ParseError messages are what read_ocel_json must give.
+    """
+    data = read_json(path)
+    try:
+        return _log_from_dict(data)
+    except ParseError as exc:
+        raise ParseError(str(exc), source=str(path)) from None
+
+
+def _log_from_dict(data) -> OcelLog:
+    if not isinstance(data, dict):
+        raise ParseError("$: expected a top-level object")
+    _expect_keys(data, {"objectTypes", "eventTypes", "objects", "events"}, "$")
+    object_schema = _read_type_section(data, "objectTypes")
+    event_schema = _read_type_section(data, "eventTypes")
+
+    if not isinstance(data["objects"], list):
+        raise ParseError("$.objects: expected an array")
+    objects: list[OcelObject] = []
+    oids: set[str] = set()
+    for i, entry in enumerate(data["objects"]):
+        path = f"$.objects[{i}]"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{path}: expected an object")
+        _expect_keys(entry, {"id", "type", "attributes"}, path)
+        oid, otype = entry["id"], entry["type"]
+        if not isinstance(oid, str) or not oid:
+            raise ParseError(f"{path}.id: expected a non-empty string")
+        if oid in oids:
+            raise ParseError(f"{path}.id: duplicate object id {oid!r}")
+        if not isinstance(otype, str) or otype not in object_schema:
+            raise ParseError(f"{path}.type: undeclared object type {otype!r}")
+        attrs = _read_attributes(entry["attributes"], object_schema[otype], f"{path}.attributes")
+        objects.append(OcelObject(oid, otype, attrs))
+        oids.add(oid)
+
+    if not isinstance(data["events"], list):
+        raise ParseError("$.events: expected an array")
+    events: list[OcelEvent] = []
+    eids: set[str] = set()
+    prev_key = None
+    for i, entry in enumerate(data["events"]):
+        path = f"$.events[{i}]"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{path}: expected an object")
+        _expect_keys(entry, {"id", "type", "time", "attributes", "relationships"}, path)
+        eid, etype = entry["id"], entry["type"]
+        if not isinstance(eid, str) or not eid:
+            raise ParseError(f"{path}.id: expected a non-empty string")
+        if eid in eids:
+            raise ParseError(f"{path}.id: duplicate event id {eid!r}")
+        if not isinstance(etype, str) or etype not in event_schema:
+            raise ParseError(f"{path}.type: undeclared event type {etype!r}")
+        time = parse_time(entry["time"], f"{path}.time") if isinstance(entry["time"], str) \
+            else None
+        if time is None:
+            raise ParseError(f"{path}.time: expected a string")
+        attrs = _read_attributes(entry["attributes"], event_schema[etype], f"{path}.attributes")
+        if not isinstance(entry["relationships"], list):
+            raise ParseError(f"{path}.relationships: expected an array")
+        rels: list[tuple[str, str]] = []
+        for j, rel in enumerate(entry["relationships"]):
+            rpath = f"{path}.relationships[{j}]"
+            if not isinstance(rel, dict):
+                raise ParseError(f"{rpath}: expected an object")
+            _expect_keys(rel, {"objectId", "qualifier"}, rpath)
+            oid, qualifier = rel["objectId"], rel["qualifier"]
+            if not isinstance(oid, str) or oid not in oids:
+                raise ParseError(f"{rpath}.objectId: unknown object {oid!r}")
+            if not isinstance(qualifier, str) or qualifier not in QUALIFIERS:
+                raise ParseError(f"{rpath}.qualifier: unknown qualifier {qualifier!r}")
+            rels.append((oid, qualifier))
+        key = (time, eid)
+        if prev_key is not None and key < prev_key:
+            raise ParseError(f"{path}: events not sorted by (time, id)")
+        prev_key = key
+        events.append(OcelEvent(eid, etype, time, attrs, tuple(rels)))
+        eids.add(eid)
+
+    return OcelLog(objects=objects, events=events)

@@ -1,9 +1,12 @@
 """Object universe, event wiring, serialization and structural validation."""
 
+import copy
+import io
 import json
 import math
 import re
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
@@ -36,7 +39,7 @@ from footocel.ocel import (
 from footocel.pipeline import convert_matches
 from footocel.possession import PossessionSpan
 from footocel.spatial import GridSpec
-from oracles import ocel_to_dict
+from oracles import ocel_to_dict, reference_read_ocel
 
 UTC = timezone.utc
 ISO_MS = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}\.\d{3}Z$")
@@ -275,6 +278,11 @@ def write_mutated(tmp_path, mutate):
      "$.events[0].relationships[0].objectId: unknown object"),
     (lambda d: d["events"][0]["relationships"][0].update(qualifier={"q": "match"}),
      "$.events[0].relationships[0].qualifier: unknown qualifier"),
+    # json.load gives a bool, which Python counts as an int, for true and false
+    (lambda d: d["events"][0]["attributes"][0].update(value=True),
+     "$.events[0].attributes[0].value: expected float, got True"),
+    (lambda d: d["events"][0]["attributes"][1].update(value=False),
+     "$.events[0].attributes[1].value: expected integer, got False"),
 ])
 def test_reader_rejects_malformed_logs(tmp_path, capsys, mutate, fragment):
     path = write_mutated(tmp_path, mutate)
@@ -458,6 +466,102 @@ def test_reader_rejects_non_finite_numbers(tmp_path, capsys, token, fragment):
     assert str(err.value) == f"{path}: {fragment}"
     assert main(["stats", "--ocel", str(path)]) == 1
     assert fragment in capsys.readouterr().err
+
+
+# --- the reader against its reference, on mutated logs ---
+
+def mutation_base_log() -> OcelLog:
+    """Several object and event types, all four attribute types, relationships."""
+    t0 = datetime(2020, 7, 1, 15, 0, 0, tzinfo=UTC)
+    objects = [
+        OcelObject("m1", "match", {"kickoff": "2020-07-01T15:00:00.000Z"}),
+        OcelObject("Home", "team", {"side": "Home"}),
+        OcelObject("P1", "player", {"side": "Home", "number": 7, "captain": True}),
+        OcelObject("P2", "player", {"side": "Home", "number": 9, "captain": False}),
+        OcelObject("ball", "ball", {}),
+        OcelObject("AA001", "possession", {"team": "Home", "start_time_s": 0.0, "end_time_s": 2.5}),
+    ]
+    events = [
+        OcelEvent("e1", "Pass", t0, {"period": 1, "x": 0.5, "subtype": "HEAD", "success": True},
+                  (("m1", "match"), ("Home", "team"), ("P1", "executing_player"),
+                   ("P2", "receiving_player"), ("AA001", "possession"), ("ball", "ball"))),
+        OcelEvent("e2", "Pass received", t0 + timedelta(seconds=1.5), {"period": 1, "x": 0.75},
+                  (("m1", "match"), ("P2", "receiving_player"), ("AA001", "possession"))),
+        OcelEvent("e3", "Shot", t0 + timedelta(seconds=2.5), {"period": 1, "success": False},
+                  (("m1", "match"), ("P2", "executing_player"), ("ball", "ball"))),
+    ]
+    return OcelLog(objects, events)
+
+
+_INF = "\x00inf\x00"  # stands for the token 1e999, which json.load reads as inf
+_OTHER_KINDS = [[], {}, None, True, False, 10**400, _INF, "",
+                "0001-01-01T00:00:00.000+01:00", "9999-12-31T23:59:59.000-01:00"]
+
+
+def json_nodes(node, path=()):
+    """(path, value) of every value in a JSON tree, the tree itself first."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from json_nodes(child, path + (key,))
+
+
+@st.composite
+def mutated_texts(draw, text: str) -> str:
+    """The JSON text with 1-2 mutations below its root.  Each is at a path drawn
+    by its shape (its keys, any index), so that the few paths of a shape such as
+    $.events[].time are drawn as often as the many of $.objects[].attributes[].name."""
+    tree = json.loads(text)
+    for _ in range(draw(st.integers(1, 2))):
+        nodes = dict(json_nodes(tree))
+        by_shape: dict[tuple, list] = {}
+        for path in list(nodes)[1:]:
+            by_shape.setdefault(tuple(None if isinstance(k, int) else k for k in path),
+                                []).append(path)
+        path = draw(st.sampled_from(by_shape[draw(st.sampled_from(list(by_shape)))]))
+        node, parent = nodes[path], nodes[path[:-1]]
+        kinds = ["replace", "delete"] + ["add key"] * isinstance(node, dict) \
+            + ["duplicate"] * isinstance(parent, list) + ["reverse"] * isinstance(node, list)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "delete":
+            del parent[path[-1]]
+        elif kind == "add key":
+            node[draw(st.sampled_from(["extra", "id", "name", "type", "time", "value"]))] = 1
+        elif kind == "duplicate":
+            parent.insert(path[-1], copy.deepcopy(node))
+        elif kind == "reverse":
+            node.reverse()
+        else:  # another JSON kind, or a scalar from elsewhere in the log
+            scalars = [v for v in nodes.values() if not isinstance(v, (dict, list))]
+            parent[path[-1]] = draw(st.one_of(st.sampled_from(_OTHER_KINDS),
+                                              st.sampled_from(scalars)))
+    return json.dumps(tree).replace(json.dumps(_INF), "1e999")
+
+
+def read_outcome(read, path):
+    try:
+        return read(path)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+@pytest.fixture(scope="module")
+def mutation_base_text(tmp_path_factory) -> str:
+    path = tmp_path_factory.mktemp("mutation") / "base.json"
+    write_ocel_json(mutation_base_log(), path)
+    return path.read_text(encoding="utf-8")
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_reader_agrees_with_its_reference_on_mutated_logs(
+        tmp_path_factory, mutation_base_text, data):
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(data.draw(mutated_texts(mutation_base_text)), encoding="utf-8")
+    # an exception other than ParseError escapes and fails the test
+    assert read_outcome(read_ocel_json, path) == read_outcome(reference_read_ocel, path)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(["stats", "--ocel", str(path)]) in (0, 1)
 
 
 # --- invariant checking and concatenation ---
