@@ -467,9 +467,9 @@ def _read_type_section(data, key: str) -> dict[str, dict[str, str]]:
     return schema
 
 
-def _read_attributes(entries, schema: dict[str, str], path: str) -> dict:
+def _read_attributes(array, schema: dict[str, str], path: str) -> dict:
     attrs: dict = {}
-    for apath, attr in _entries(entries, path, {"name", "value"}):
+    for apath, attr in _entries(array, path, {"name", "value"}):
         name, value = attr["name"], attr["value"]
         if not isinstance(name, str) or name not in schema:
             raise ParseError(f"{apath}.name: undeclared attribute {name!r}")
