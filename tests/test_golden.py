@@ -42,3 +42,13 @@ def test_two_match_normalized_debounced_hash(synth_paths, second_match, tmp_path
         "--normalize-direction", "--min-dwell", "1.0",
     ])
     assert digest == "d66c7d0c88fcb483d422e90606c47ca5b6e5174223f018c67c7023fc395a6b63"
+
+
+def test_two_match_per_match_scope_hash(synth_paths, second_match, tmp_path):
+    digest = _sha256_of_convert(tmp_path, [
+        "--match", *_first(synth_paths),
+        "--match", *second_match,
+        "--match-ids", "game1,game2",
+        "--scope", "per-match",
+    ])
+    assert digest == "04437e4a4fb4573d4f294ec7107daeabc1daa8cabb062f22395ce5bd5ba44e0b"
