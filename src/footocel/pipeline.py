@@ -165,6 +165,8 @@ def convert_matches(
     if not matches:
         raise ValueError("at least one match is required")
     ids = [m.match_id for m in matches]
+    if "" in ids:
+        raise ValueError(f"match ids must not be empty: {ids}")
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate match ids: {ids}")
 

@@ -69,6 +69,19 @@ def test_convert_duplicate_match_ids_exit_2(synth_paths, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_convert_empty_match_id_exit_2(synth_paths, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    rc = main([
+        "convert",
+        "--match", synth_paths.home_tracking, synth_paths.away_tracking, synth_paths.events,
+        "--match-ids", " ",
+        "--out", str(out),
+    ])
+    assert rc == 2
+    assert "error: match ids must not be empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_convert_missing_file_exit_1(synth_paths, tmp_path, capsys):
     rc = main([
         "convert",
