@@ -13,6 +13,13 @@ an end event (a pass emits "Pass received" at its end position, a
 goal-marked shot emits "Goal" at the shot's end time).  Ball-out rows emit
 their single "Ball out" event at the end fields, where the ball actually
 crossed the line.
+
+Each event leaves this module with its final spatial context in attrs, in the
+form the log stores: a game_based or ball event that has a position carries
+its raw coordinates as "x" and "y" and the label of the grid cell it snaps
+into as "cell"; a position_based event carries "from_cell" and "to_cell".
+The team is set when the event is made: the record's side for a mapped
+event, the side its label starts with for a movement event.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import Optional, Sequence
 from .errors import ConsistencyError, ParseError, read_json
 from .ingest import RawEventRecord, Tracking, qualify_player
 from .possession import PossessionSpan, goal_marked, possession_lookup
-from .spatial import GridCell, GridSpec, Point, cell_label, cell_of, metric_distance
+from .spatial import GridSpec, Point, cell_label, cell_of, metric_distance
 
 GAME_BASED = "game_based"
 BALL = "ball"
@@ -60,7 +67,17 @@ class MappingEntry:
 
 @dataclass(frozen=True)
 class ActivityEvent:
-    """One event of the unified stream (before or after enrichment)."""
+    """One event of the unified stream (before or after enrichment).
+
+    attrs holds the attributes the log stores for the event, bar its period
+    and class.  A game_based or ball event has "duration_s", a "subtype" and a
+    "distance_m" when its record gives them and, when it has a position, its
+    raw "x" and "y" and the label of the grid "cell" that position snaps into.
+    A position_based event has "from_cell", "to_cell", "duration_s" and
+    "distance_m".  enrich adds "score_home", "score_away" and "possession_id".
+    team is set at creation and never changes; it is None only for a tracked
+    label of neither side.
+    """
 
     activity: str
     event_class: str
@@ -69,8 +86,6 @@ class ActivityEvent:
     team: Optional[str]
     players: tuple[str, ...]           # qualified labels, executor first
     roles: tuple[str, ...]             # parallel qualifiers for players
-    position: Optional[Point]
-    cell: Optional[GridCell]
     attrs: dict
 
 
@@ -107,6 +122,8 @@ def _mapping_from_dict(data, source: str) -> dict[str, MappingEntry]:
                                     ("at_end", bool, "true or false")):
                 if key in raw and not isinstance(raw[key], kind):
                     raise ValueError(f"{key} must be {what}, got {raw[key]!r}")
+                if raw.get(key) == "":
+                    raise ValueError(f"{key} must not be empty")
             mapping[provider_type] = MappingEntry(
                 activity=raw["activity"],
                 end_activity=raw.get("end_activity"),
@@ -125,11 +142,6 @@ def snap_to_pitch(p: Optional[Point]) -> Optional[Point]:
     if p is None:
         return None
     return Point(min(max(p.x, 0.0), 1.0), min(max(p.y, 0.0), 1.0))
-
-
-def _cell(p: Optional[Point], spec: GridSpec) -> Optional[GridCell]:
-    snapped = snap_to_pitch(p)
-    return None if snapped is None else cell_of(snapped, spec)
 
 
 def decompose_events(
@@ -167,12 +179,20 @@ def decompose_events(
             qualify_player(record.team, record.to_player) if record.to_player else None
         )
 
-        attrs: dict = {}
+        common: dict = {}
         if record.subtype:
-            attrs["subtype"] = record.subtype
-        attrs["duration_s"] = record.end_time_s - record.start_time_s
+            common["subtype"] = record.subtype
+        common["duration_s"] = record.end_time_s - record.start_time_s
         if record.start_pos is not None and record.end_pos is not None:
-            attrs["distance_m"] = metric_distance(record.start_pos, record.end_pos, spec)
+            common["distance_m"] = metric_distance(record.start_pos, record.end_pos, spec)
+
+        def event(activity, time_s, pos, players, roles) -> ActivityEvent:
+            attrs = dict(common)
+            if pos is not None:
+                attrs["x"], attrs["y"] = pos.x, pos.y
+                attrs["cell"] = cell_label(cell_of(snap_to_pitch(pos), spec))
+            return ActivityEvent(activity, entry.event_class, time_s, record.period,
+                                 record.team, players, roles, attrs)
 
         if entry.at_end:
             time_s, pos = record.end_time_s, record.end_pos or record.start_pos
@@ -189,46 +209,14 @@ def decompose_events(
             # connects both players)
             players += (receiver,)
             roles += (RECEIVING,)
-
-        out.append(ActivityEvent(
-            activity=entry.activity,
-            event_class=entry.event_class,
-            time_s=time_s,
-            period=record.period,
-            team=record.team,
-            players=players,
-            roles=roles,
-            position=pos,
-            cell=_cell(pos, spec),
-            attrs=attrs,
-        ))
+        out.append(event(entry.activity, time_s, pos, players, roles))
 
         if entry.end_activity is not None and receiver is not None:
-            out.append(ActivityEvent(
-                activity=entry.end_activity,
-                event_class=entry.event_class,
-                time_s=record.end_time_s,
-                period=record.period,
-                team=record.team,
-                players=(receiver,),
-                roles=(RECEIVING,),
-                position=record.end_pos,
-                cell=_cell(record.end_pos, spec),
-                attrs=dict(attrs),
-            ))
+            out.append(event(entry.end_activity, record.end_time_s, record.end_pos,
+                             (receiver,), (RECEIVING,)))
         if entry.goal_end_activity is not None and goal_marked(record.subtype):
-            out.append(ActivityEvent(
-                activity=entry.goal_end_activity,
-                event_class=entry.event_class,
-                time_s=record.end_time_s,
-                period=record.period,
-                team=record.team,
-                players=(executor,) if executor else (),
-                roles=(EXECUTING,) if executor else (),
-                position=record.end_pos,
-                cell=_cell(record.end_pos, spec),
-                attrs=dict(attrs),
-            ))
+            out.append(event(entry.goal_end_activity, record.end_time_s, record.end_pos,
+                             (executor,) if executor else (), (EXECUTING,) if executor else ()))
 
     out.sort(key=lambda e: (e.period, e.time_s))  # stable: record order breaks ties
     return out
@@ -267,6 +255,7 @@ def detect_movement_events(
 
     for label in sorted(tracking.players):
         xs, ys = tracking.players[label]
+        team = next((side for side in ("Home", "Away") if label.startswith(side)), None)
         confirmed = -1                 # cell index; -1 = none yet this period
         entry_time = 0.0
         acc = 0.0                      # path length since entering `confirmed`
@@ -312,11 +301,9 @@ def detect_movement_events(
                             event_class=POSITION_BASED,
                             time_s=t0,
                             period=period,
-                            team=None,
+                            team=team,
                             players=(label,),
                             roles=(EXECUTING,),
-                            position=None,
-                            cell=None,
                             attrs={
                                 "from_cell": cell_labels[confirmed],
                                 "to_cell": cell_labels[tentative],
@@ -356,11 +343,12 @@ def enrich(
     spans: Sequence[PossessionSpan],
 ) -> list[ActivityEvent]:
     """Merge the two streams (merge_streams) and, in one pass over the
-    result, attach possession ids, running score and movement-event teams.
+    result, add the running score and the possession id to each event's attrs.
 
     The score attributes count goals strictly before each event, so a
-    "Goal" event itself still carries the pre-goal score.  Movement events
-    inherit the side their player label is qualified with.
+    "Goal" event itself still carries the pre-goal score.  An event outside
+    every possession span gets no possession_id.  Teams, cells and
+    coordinates are left as derive made them.
     """
     span_at = possession_lookup(spans)
     score = {"Home": 0, "Away": 0}
@@ -372,13 +360,7 @@ def enrich(
         span = span_at(e.time_s, e.period)
         if span is not None:
             attrs["possession_id"] = span.span_id
-        team = e.team
-        if team is None and e.players:
-            for side in ("Home", "Away"):
-                if e.players[0].startswith(side):
-                    team = side
-                    break
-        out.append(replace(e, team=team, attrs=attrs))
+        out.append(replace(e, attrs=attrs))
         if e.activity == GOAL_ACTIVITY and e.team in score:
             score[e.team] += 1
     return out

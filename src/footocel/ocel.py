@@ -35,7 +35,7 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from typing import Sequence
 
-from .derive import BALL, EVENT_CLASSES, POSITION_BASED, ActivityEvent
+from .derive import BALL, EVENT_CLASSES, ActivityEvent
 from .errors import ConsistencyError, ParseError, read_json
 from .possession import PossessionSpan
 from .spatial import GridSpec, cell_label
@@ -187,6 +187,10 @@ def build_objects(
     return sorted(objects.values(), key=lambda o: (o.otype, o.oid))
 
 
+# the attrs key each cell relation's label is read from, in relation order
+_CELL_RELATIONS = (("cell", "at_cell"), ("from_cell", "from_cell"), ("to_cell", "to_cell"))
+
+
 def events_to_ocel(
     events: Sequence[ActivityEvent],
     match_id: str,
@@ -219,22 +223,14 @@ def events_to_ocel(
         possession_id = e.attrs.get("possession_id")
         if possession_id is not None:
             rels.append((possession_id, "possession"))
-        if e.event_class == POSITION_BASED:
-            rels.append((scoped_id(scope, match_id, e.attrs["from_cell"]), "from_cell"))
-            rels.append((scoped_id(scope, match_id, e.attrs["to_cell"]), "to_cell"))
-        elif e.cell is not None:
-            rels.append((scoped_id(scope, match_id, cell_label(e.cell)), "at_cell"))
+        for key, qualifier in _CELL_RELATIONS:
+            label = e.attrs.get(key)
+            if label is not None:
+                rels.append((scoped_id(scope, match_id, label), qualifier))
         if e.event_class == BALL:
             rels.append((scoped_id(scope, match_id, "ball"), "ball"))
 
-        attrs = dict(e.attrs)
-        attrs["period"] = e.period
-        attrs["event_class"] = e.event_class
-        if e.cell is not None:
-            attrs["cell"] = cell_label(e.cell)
-        if e.position is not None:
-            attrs["x"] = e.position.x
-            attrs["y"] = e.position.y
+        attrs = {**e.attrs, "period": e.period, "event_class": e.event_class}
         out.append(OcelEvent(
             eid=f"e{seq:0{width}d}",
             etype=e.activity,

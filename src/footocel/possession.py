@@ -56,8 +56,6 @@ class PossessionSpan:
     period: int
     start_time_s: float
     end_time_s: float
-    start_frame: int
-    end_frame: int
     outcome: str
 
 
@@ -79,11 +77,9 @@ def segment_possessions(
         return []
 
     period_end_time: dict[int, float] = {}
-    period_end_frame: dict[int, int] = {}
     by_period: dict[int, list[RawEventRecord]] = {}
     for e in events:
         period_end_time[e.period] = max(period_end_time.get(e.period, e.end_time_s), e.end_time_s)
-        period_end_frame[e.period] = max(period_end_frame.get(e.period, e.end_frame), e.end_frame)
         by_period.setdefault(e.period, []).append(e)
     starts = {p: [e.start_time_s for e in members] for p, members in by_period.items()}
 
@@ -100,12 +96,7 @@ def segment_possessions(
     for i, opener in enumerate(openers):
         nxt = openers[i + 1] if i + 1 < len(openers) else None
         last_of_period = nxt is None or nxt.period != opener.period
-        if last_of_period:
-            end_time = period_end_time[opener.period]
-            end_frame = period_end_frame[opener.period]
-        else:
-            end_time = nxt.start_time_s
-            end_frame = nxt.start_frame
+        end_time = period_end_time[opener.period] if last_of_period else nxt.start_time_s
 
         # [start, end) within the period; the period's last span also owns its end instant
         period_starts = starts[opener.period]
@@ -137,8 +128,6 @@ def segment_possessions(
             period=opener.period,
             start_time_s=opener.start_time_s,
             end_time_s=end_time,
-            start_frame=opener.start_frame,
-            end_frame=end_frame,
             outcome=outcome,
         ))
     return spans

@@ -64,6 +64,9 @@ def test_default_mapping_covers_the_provider_vocabulary():
     ({"X": {"activity": "A", "end_activity": 5}}, "entry 'X': end_activity must be a string"),
     ({"X": {"activity": "A", "goal_end_activity": None}},
      "entry 'X': goal_end_activity must be a string"),
+    ({"X": {"activity": "A", "end_activity": ""}}, "entry 'X': end_activity must not be empty"),
+    ({"X": {"activity": "A", "goal_end_activity": ""}},
+     "entry 'X': goal_end_activity must not be empty"),
     ({"X": {"activity": "A", "at_end": "no"}}, "entry 'X': at_end must be true or false"),
     ({"X": {"activity": "A", "at_end": 1}}, "entry 'X': at_end must be true or false"),
 ])
@@ -84,8 +87,9 @@ def test_pass_decomposes_into_pass_and_receipt():
     assert first.roles == ("executing_player", "receiving_player")
     assert second.players == ("HomePlayer2",)
     assert second.roles == ("receiving_player",)
-    assert first.position == Point(0.2, 0.5) and second.position == Point(0.4, 0.5)
-    assert first.cell == cell_of(Point(0.2, 0.5), SPEC)
+    assert (first.attrs["x"], first.attrs["y"]) == (0.2, 0.5)
+    assert (second.attrs["x"], second.attrs["y"]) == (0.4, 0.5)
+    assert first.attrs["cell"] == cell_label(cell_of(Point(0.2, 0.5), SPEC))
     expected = metric_distance(Point(0.2, 0.5), Point(0.4, 0.5), SPEC)
     assert first.attrs["distance_m"] == pytest.approx(expected)
     assert first.attrs["duration_s"] == pytest.approx(1.0)
@@ -119,21 +123,21 @@ def test_ball_out_is_a_single_event_at_the_end_fields():
     event, = decompose_events([record], SPEC)
     assert event.activity == "Ball out"
     assert event.time_s == 3.4
-    assert event.position == Point(1.02, 0.52)   # raw value preserved
-    assert event.cell == cell_of(snap_to_pitch(Point(1.02, 0.52)), SPEC)
-    assert cell_label(event.cell).startswith("F")
+    assert (event.attrs["x"], event.attrs["y"]) == (1.02, 0.52)   # raw value preserved
+    assert event.attrs["cell"] == cell_label(cell_of(snap_to_pitch(Point(1.02, 0.52)), SPEC))
+    assert event.attrs["cell"].startswith("F")
 
 
 def test_ball_out_falls_back_to_start_fields():
     event, = decompose_events(
         [raw(etype="BALL OUT", start=3.0, end=3.4, start_pos=Point(0.9, 0.5))], SPEC)
     assert event.time_s == 3.4
-    assert event.position == Point(0.9, 0.5)
+    assert (event.attrs["x"], event.attrs["y"]) == (0.9, 0.5)
 
 
 def test_positionless_events_have_no_cell():
     event, = decompose_events([raw(etype="RECOVERY")], SPEC)
-    assert event.position is None and event.cell is None
+    assert not {"x", "y", "cell"} & event.attrs.keys()
     assert "distance_m" not in event.attrs
 
 
@@ -209,7 +213,14 @@ def test_cell_crossing_fires_at_first_frame_inside():
               + metric_distance(Point(0.15, 0.5), Point(0.2, 0.5), SPEC))
     assert event.attrs["distance_m"] == pytest.approx(walked)
     assert event.players == ("HomePlayer1",)
-    assert event.team is None  # attached later by enrichment
+    assert event.team == "Home"  # the side the label starts with
+
+
+def test_movement_team_is_the_side_the_label_starts_with():
+    walk = [Point(0.1, 0.5), Point(0.2, 0.5)]
+    for label, team in (("AwayPlayer9", "Away"), ("HomePlayer2", "Home"), ("Referee", None)):
+        event, = detect_movement_events(frames_from_walk(walk, label=label), SPEC)
+        assert event.team == team
 
 
 def test_gap_reappearing_in_same_cell_continues_residence():
@@ -314,6 +325,7 @@ def reference_movement_events(frames, spec, min_dwell_s=0.0):
     events = []
 
     for label in labels:
+        team = "Home" if label.startswith("Home") else "Away" if label.startswith("Away") else None
         confirmed = None
         entry_time = 0.0
         acc = 0.0
@@ -358,11 +370,9 @@ def reference_movement_events(frames, spec, min_dwell_s=0.0):
                             event_class=POSITION_BASED,
                             time_s=t0,
                             period=f.period,
-                            team=None,
+                            team=team,
                             players=(label,),
                             roles=("executing_player",),
-                            position=None,
-                            cell=None,
                             attrs={
                                 "from_cell": cell_label(confirmed),
                                 "to_cell": cell_label(new_cell),

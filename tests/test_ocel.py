@@ -106,7 +106,7 @@ def test_objects_are_sorted_by_type_then_id(log):
 
 
 def test_conflicting_object_definitions_are_rejected():
-    span = PossessionSpan("AA001", "Home", 1, 0.0, 1.0, 0, 25, "lost")
+    span = PossessionSpan("AA001", "Home", 1, 0.0, 1.0, "lost")
     rosters = {"Home": ("HomePlayer1",), "Away": ()}
     with pytest.raises(ConsistencyError, match="conflicting definitions"):
         build_objects(
@@ -600,7 +600,7 @@ def test_validate_log_violations():
 def test_concat_logs_renumbers_globally():
     """Ids are one sequence across groups, padded to the log's total; concat only joins."""
     def shot(time_s):
-        return ActivityEvent("Shot", BALL, time_s, 1, None, (), (), None, None, {})
+        return ActivityEvent("Shot", BALL, time_s, 1, None, (), (), {})
 
     objects = [OcelObject("m1", "match", {}), OcelObject("m2", "match", {}),
                OcelObject("ball", "ball", {})]

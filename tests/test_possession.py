@@ -54,12 +54,6 @@ def test_fixture_segmentation():
     ]
 
 
-def test_fixture_frames_follow_times():
-    spans = segment_possessions(FIXTURE)
-    assert spans[0].start_frame == 0 and spans[0].end_frame == 125
-    assert spans[3].end_frame == 16 * 25  # period end = latest event end
-
-
 def test_same_team_spans_split_at_period_boundary():
     events = [
         mk("Away", "SET PIECE", "KICK OFF", 1, 0.0),
