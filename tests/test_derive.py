@@ -64,11 +64,11 @@ def test_default_mapping_covers_the_provider_vocabulary():
     ({"X": {"activity": "A", "end_activity": 5}}, "entry 'X': end_activity must be a string"),
     ({"X": {"activity": "A", "goal_end_activity": None}},
      "entry 'X': goal_end_activity must be a string"),
+    ({"X": {"activity": "A", "at_end": "no"}}, "entry 'X': at_end must be true or false"),
+    ({"X": {"activity": "A", "at_end": 1}}, "entry 'X': at_end must be true or false"),
     ({"X": {"activity": "A", "end_activity": ""}}, "entry 'X': end_activity must not be empty"),
     ({"X": {"activity": "A", "goal_end_activity": ""}},
      "entry 'X': goal_end_activity must not be empty"),
-    ({"X": {"activity": "A", "at_end": "no"}}, "entry 'X': at_end must be true or false"),
-    ({"X": {"activity": "A", "at_end": 1}}, "entry 'X': at_end must be true or false"),
 ])
 def test_activity_map_validation(tmp_path, payload, message):
     path = tmp_path / "map.json"
