@@ -39,7 +39,8 @@ class QueryError(ValueError):
 
 def read_json(path):
     """Parse a JSON file; every error names it.  Non-UTF-8 bytes are invalid
-    JSON, and NaN and Infinity are refused: JSON has no such numbers."""
+    JSON, and NaN and Infinity are refused: JSON has no such numbers.  Arrays
+    or objects nested deeper than the parser's recursion limit are invalid."""
     def reject(token: str):
         raise ParseError(f"$: {token} is not a JSON number", source=str(path))
 
@@ -50,3 +51,5 @@ def read_json(path):
         raise
     except ValueError as exc:  # bad syntax or encoding, or an integer too long to convert
         raise ParseError(f"$: invalid JSON: {exc}", source=str(path)) from None
+    except RecursionError:
+        raise ParseError("$: invalid JSON: nesting too deep", source=str(path)) from None

@@ -12,12 +12,14 @@ streams it one object or event at a time rather than building a tree of the
 whole log.  Every check of a write runs before the file is opened, so a log
 that cannot be written leaves an existing file as it was.
 
-The reader walks the parsed JSON once, in document order.  Every array entry
+The reader checks the parsed JSON in document order.  Every array entry
 must be an object with exactly its layout's keys, ids and type names must be
 non-empty and unique, attribute values must match their declared type (an
 integer is a valid float; a number beyond the float range is not),
 relationships must name a known object and qualifier, and events must be
-sorted by (time, id).
+sorted by (time, id).  Each object and event is checked in bulk, without
+building a JSON path; an entry that fails is walked again check by check,
+which raises its first violation with its path.
 
 Object universe per converted match bundle: the match itself, both teams,
 all rostered players, one ball, every grid cell and one object per
@@ -146,6 +148,11 @@ def build_objects(
         existing = objects.get(obj.oid)
         if existing is not None:
             if existing != obj:
+                if OBJECT_TYPE_MATCH in (existing.otype, obj.otype):
+                    other = existing.otype if obj.otype == OBJECT_TYPE_MATCH else obj.otype
+                    raise ConsistencyError(
+                        f"match id {obj.oid!r} is also the id of a {other} object"
+                    )
                 raise ConsistencyError(f"conflicting definitions for object {obj.oid!r}")
             return
         objects[obj.oid] = obj
@@ -424,15 +431,19 @@ def _expect_keys(obj: dict, keys: set[str], path: str) -> None:
         raise ParseError(f"{path}: unexpected key(s) {sorted(obj.keys() - keys)}")
 
 
+def _expect_entry(entry, keys: set[str], path: str) -> None:
+    if not isinstance(entry, dict):
+        raise ParseError(f"{path}: expected an object")
+    _expect_keys(entry, keys, path)
+
+
 def _entries(value, path: str, keys: set[str]):
     """Yield (path, entry) for each entry of a JSON array of objects with exactly keys."""
     if not isinstance(value, list):
         raise ParseError(f"{path}: expected an array")
     for i, entry in enumerate(value):
         entry_path = f"{path}[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{entry_path}: expected an object")
-        _expect_keys(entry, keys, entry_path)
+        _expect_entry(entry, keys, entry_path)
         yield entry_path, entry
 
 
@@ -477,9 +488,133 @@ def _read_attributes(array, schema: dict[str, str], path: str) -> dict:
     return attrs
 
 
+def _read_object(entry, path: str, schema, objects) -> OcelObject:
+    """The $.objects entry at path, checked in document order: the first
+    violation is raised with its JSON path."""
+    _expect_entry(entry, {"id", "type", "attributes"}, path)
+    oid = _new_id(entry["id"], objects, f"{path}.id", "object id")
+    otype = entry["type"]
+    if not isinstance(otype, str) or otype not in schema:
+        raise ParseError(f"{path}.type: undeclared object type {otype!r}")
+    attrs = _read_attributes(entry["attributes"], schema[otype], f"{path}.attributes")
+    return OcelObject(oid, otype, attrs)
+
+
+def _read_event(entry, path: str, schema, objects, events, prev_key) -> OcelEvent:
+    """The $.events entry at path, which must sort after prev_key, checked in
+    document order: the first violation is raised with its JSON path."""
+    _expect_entry(entry, {"id", "type", "time", "attributes", "relationships"}, path)
+    eid = _new_id(entry["id"], events, f"{path}.id", "event id")
+    etype = entry["type"]
+    if not isinstance(etype, str) or etype not in schema:
+        raise ParseError(f"{path}.type: undeclared event type {etype!r}")
+    if not isinstance(entry["time"], str):
+        raise ParseError(f"{path}.time: expected a string")
+    time = parse_time(entry["time"], f"{path}.time")
+    attrs = _read_attributes(entry["attributes"], schema[etype], f"{path}.attributes")
+    rels: list[tuple[str, str]] = []
+    for rpath, rel in _entries(entry["relationships"], f"{path}.relationships",
+                               {"objectId", "qualifier"}):
+        oid, qualifier = rel["objectId"], rel["qualifier"]
+        if not isinstance(oid, str) or oid not in objects:
+            raise ParseError(f"{rpath}.objectId: unknown object {oid!r}")
+        if not isinstance(qualifier, str) or qualifier not in QUALIFIERS:
+            raise ParseError(f"{rpath}.qualifier: unknown qualifier {qualifier!r}")
+        rels.append((oid, qualifier))
+    if prev_key is not None and (time, eid) < prev_key:
+        raise ParseError(f"{path}: events not sorted by (time, id)")
+    return OcelEvent(eid, etype, time, attrs, tuple(rels))
+
+
+# The bulk checks below accept only what _read_object and _read_event accept,
+# and build no JSON path.  An entry they refuse, by _Slow, by the KeyError or
+# TypeError that indexing a wrong JSON kind raises, or by a ValueError, is read
+# again by the located walk, whose result stands.
+class _Slow(Exception):
+    """An entry failed a bulk check."""
+
+
+_REREAD = (_Slow, KeyError, TypeError, ValueError)
+
+
+def _value_types(schema: dict[str, dict[str, str]]) -> dict[str, dict[str, tuple]]:
+    """Per type: attribute name -> the Python types its values may have."""
+    return {t: {a: _VALUE_TYPES[k] for a, k in attrs.items()} for t, attrs in schema.items()}
+
+
+def _bulk_attributes(array, value_types: dict[str, tuple]) -> dict:
+    if type(array) is not list:
+        raise _Slow
+    attrs = {a["name"]: a["value"] for a in array}
+    # a repeated name shrinks attrs; a key beyond name and value grows the sum
+    if len(attrs) != len(array) or sum(map(len, array)) != 2 * len(array):
+        raise _Slow
+    for name, value in attrs.items():
+        if type(value) not in value_types[name] or value in _INFINITIES:
+            raise _Slow
+    return attrs
+
+
+def _bulk_relationships(array, objects) -> tuple[tuple[str, str], ...]:
+    if type(array) is not list:
+        raise _Slow
+    rels = tuple([(r["objectId"], r["qualifier"]) for r in array])
+    if sum(map(len, array)) != 2 * len(array):
+        raise _Slow
+    for oid, qualifier in rels:
+        if oid not in objects or qualifier not in QUALIFIERS:
+            raise _Slow
+    return rels
+
+
+def _read_objects(array, schema) -> dict[str, OcelObject]:
+    if not isinstance(array, list):
+        raise ParseError("$.objects: expected an array")
+    value_types = _value_types(schema)
+    objects: dict[str, OcelObject] = {}
+    for i, entry in enumerate(array):
+        try:  # three keys, each of them indexed: exactly the layout's keys
+            oid, otype = entry["id"], entry["type"]
+            if len(entry) != 3 or type(oid) is not str or not oid or oid in objects:
+                raise _Slow
+            obj = OcelObject(oid, otype, _bulk_attributes(entry["attributes"], value_types[otype]))
+        except _REREAD:
+            obj = _read_object(entry, f"$.objects[{i}]", schema, objects)
+        objects[obj.oid] = obj
+    return objects
+
+
+def _read_events(array, schema, objects) -> list[OcelEvent]:
+    if not isinstance(array, list):
+        raise ParseError("$.events: expected an array")
+    value_types = _value_types(schema)
+    events: dict[str, OcelEvent] = {}
+    prev_key = None
+    for i, entry in enumerate(array):
+        try:  # five keys, each of them indexed
+            eid, etype, text = entry["id"], entry["type"], entry["time"]
+            if (len(entry) != 5 or type(eid) is not str or not eid or eid in events
+                    or type(text) is not str):
+                raise _Slow
+            attrs = _bulk_attributes(entry["attributes"], value_types[etype])
+            rels = _bulk_relationships(entry["relationships"], objects)
+            key = (parse_time(text, "$"), eid)  # its ParseError is a ValueError
+            if prev_key is not None and key < prev_key:
+                raise _Slow
+            event = OcelEvent(eid, etype, key[0], attrs, rels)
+        except _REREAD:
+            event = _read_event(entry, f"$.events[{i}]", schema, objects, events, prev_key)
+        prev_key = (event.time, event.eid)
+        events[event.eid] = event
+    return list(events.values())
+
+
 def read_ocel_json(path) -> OcelLog:
     """Load and check a log.  The first violation in document order is raised as
-    a ParseError naming the file and a JSON path such as $.events[3].time."""
+    a ParseError naming the file and a JSON path such as $.events[3].time.
+
+    Each object and event is checked in bulk; one that fails is walked again,
+    check by check, to locate its first violation."""
     data = read_json(path)
     try:
         return _log_from_dict(data)
@@ -493,43 +628,9 @@ def _log_from_dict(data) -> OcelLog:
     _expect_keys(data, {"objectTypes", "eventTypes", "objects", "events"}, "$")
     object_schema = _read_type_section(data, "objectTypes")
     event_schema = _read_type_section(data, "eventTypes")
-
-    objects: dict[str, OcelObject] = {}
-    for path, entry in _entries(data["objects"], "$.objects", {"id", "type", "attributes"}):
-        oid = _new_id(entry["id"], objects, f"{path}.id", "object id")
-        otype = entry["type"]
-        if not isinstance(otype, str) or otype not in object_schema:
-            raise ParseError(f"{path}.type: undeclared object type {otype!r}")
-        attrs = _read_attributes(entry["attributes"], object_schema[otype], f"{path}.attributes")
-        objects[oid] = OcelObject(oid, otype, attrs)
-
-    events: dict[str, OcelEvent] = {}
-    prev_key = None
-    for path, entry in _entries(data["events"], "$.events",
-                                {"id", "type", "time", "attributes", "relationships"}):
-        eid = _new_id(entry["id"], events, f"{path}.id", "event id")
-        etype = entry["type"]
-        if not isinstance(etype, str) or etype not in event_schema:
-            raise ParseError(f"{path}.type: undeclared event type {etype!r}")
-        if not isinstance(entry["time"], str):
-            raise ParseError(f"{path}.time: expected a string")
-        time = parse_time(entry["time"], f"{path}.time")
-        attrs = _read_attributes(entry["attributes"], event_schema[etype], f"{path}.attributes")
-        rels: list[tuple[str, str]] = []
-        for rpath, rel in _entries(entry["relationships"], f"{path}.relationships",
-                                   {"objectId", "qualifier"}):
-            oid, qualifier = rel["objectId"], rel["qualifier"]
-            if not isinstance(oid, str) or oid not in objects:
-                raise ParseError(f"{rpath}.objectId: unknown object {oid!r}")
-            if not isinstance(qualifier, str) or qualifier not in QUALIFIERS:
-                raise ParseError(f"{rpath}.qualifier: unknown qualifier {qualifier!r}")
-            rels.append((oid, qualifier))
-        if prev_key is not None and (time, eid) < prev_key:
-            raise ParseError(f"{path}: events not sorted by (time, id)")
-        prev_key = (time, eid)
-        events[eid] = OcelEvent(eid, etype, time, attrs, tuple(rels))
-
-    return OcelLog(objects=list(objects.values()), events=list(events.values()))
+    objects = _read_objects(data["objects"], object_schema)
+    events = _read_events(data["events"], event_schema, objects)
+    return OcelLog(objects=list(objects.values()), events=events)
 
 
 @dataclass(frozen=True)

@@ -302,6 +302,33 @@ def test_settings_files_that_are_not_utf8_exit_1(small_match, tmp_path, capsys, 
     assert capsys.readouterr().err.startswith(f"error: {binary}: $: invalid JSON: ")
 
 
+@pytest.mark.parametrize("option", ["--ocel", "--config", "--activity-map"])
+def test_deeply_nested_json_exit_1(small_match, tmp_path, capsys, option):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    if option == "--ocel":
+        assert main(["stats", option, str(deep)]) == 1
+    else:
+        assert convert_small(small_match, tmp_path, option, str(deep)) == 1
+        assert not (tmp_path / "x.json").exists()
+    assert capsys.readouterr().err == f"error: {deep}: $: invalid JSON: nesting too deep\n"
+
+
+@pytest.mark.parametrize("match_id, other, scope", [
+    ("Home", "team", "global"),
+    ("A1", "grid_position", "global"),
+    ("AA001", "possession", "global"),
+    ("AA001", "possession", "per-match"),
+])
+def test_match_id_that_is_another_objects_id_exit_2(
+        small_match, tmp_path, capsys, match_id, other, scope):
+    rc = convert_small(small_match, tmp_path, "--match-ids", match_id, "--scope", scope)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: match id {match_id!r} is also the id of a {other} object\n")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_activity_map_is_read_once_per_convert(small_match, tmp_path, monkeypatch):
     mapping = tmp_path / "map.json"
     mapping.write_text(resources.files("footocel").joinpath("data/activity_map.json")

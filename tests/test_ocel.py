@@ -283,6 +283,19 @@ def write_mutated(tmp_path, mutate):
      "$.events[0].attributes[0].value: expected float, got True"),
     (lambda d: d["events"][0]["attributes"][1].update(value=False),
      "$.events[0].attributes[1].value: expected integer, got False"),
+    # a key renamed: the entry keeps its key count, so counting keys is not enough
+    (lambda d: d["objects"][0].update(extra=d["objects"][0].pop("attributes")),
+     "$.objects[0]: missing key(s) ['attributes']"),
+    (lambda d: d["events"][1].update(extra=d["events"][1].pop("attributes")),
+     "$.events[1]: missing key(s) ['attributes']"),
+    (lambda d: d["events"][1].update(extra=d["events"][1].pop("relationships")),
+     "$.events[1]: missing key(s) ['relationships']"),
+    (lambda d: d["events"][0]["attributes"][0].update(
+        extra=d["events"][0]["attributes"][0].pop("value")),
+     "$.events[0].attributes[0]: missing key(s) ['value']"),
+    (lambda d: d["events"][0]["relationships"][1].update(
+        extra=d["events"][0]["relationships"][1].pop("qualifier")),
+     "$.events[0].relationships[1]: missing key(s) ['qualifier']"),
 ])
 def test_reader_rejects_malformed_logs(tmp_path, capsys, mutate, fragment):
     path = write_mutated(tmp_path, mutate)
@@ -496,6 +509,9 @@ def mutation_base_log() -> OcelLog:
 _INF = "\x00inf\x00"  # stands for the token 1e999, which json.load reads as inf
 _OTHER_KINDS = [[], {}, None, True, False, 10**400, _INF, "",
                 "0001-01-01T00:00:00.000+01:00", "9999-12-31T23:59:59.000-01:00"]
+# every key of the log's layout, and one that belongs to none of them
+_KEYS = ["extra", "objectTypes", "eventTypes", "objects", "events", "id", "name", "type",
+         "time", "attributes", "relationships", "value", "objectId", "qualifier"]
 
 
 def json_nodes(node, path=()):
@@ -521,12 +537,17 @@ def mutated_texts(draw, text: str) -> str:
         path = draw(st.sampled_from(by_shape[draw(st.sampled_from(list(by_shape)))]))
         node, parent = nodes[path], nodes[path[:-1]]
         kinds = ["replace", "delete"] + ["add key"] * isinstance(node, dict) \
-            + ["duplicate"] * isinstance(parent, list) + ["reverse"] * isinstance(node, list)
+            + ["duplicate"] * isinstance(parent, list) + ["reverse"] * isinstance(node, list) \
+            + ["rename key"] * (isinstance(node, dict) and bool(node))
         kind = draw(st.sampled_from(kinds))
         if kind == "delete":
             del parent[path[-1]]
         elif kind == "add key":
             node[draw(st.sampled_from(["extra", "id", "name", "type", "time", "value"]))] = 1
+        elif kind == "rename key":  # the key count stays, so only the names can tell
+            old = draw(st.sampled_from(sorted(node)))
+            new = draw(st.sampled_from([k for k in _KEYS if k not in node]))
+            node[new] = node.pop(old)
         elif kind == "duplicate":
             parent.insert(path[-1], copy.deepcopy(node))
         elif kind == "reverse":
@@ -562,6 +583,26 @@ def test_reader_agrees_with_its_reference_on_mutated_logs(
     assert read_outcome(read_ocel_json, path) == read_outcome(reference_read_ocel, path)
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         assert main(["stats", "--ocel", str(path)]) in (0, 1)
+
+
+def test_valid_logs_never_take_the_located_walk(log, tmp_path, monkeypatch):
+    # the synthetic match's log, and the mutation base with an integer under
+    # the float attribute x: every entry must pass the bulk checks
+    converted = tmp_path / "converted.json"
+    write_ocel_json(log, converted)
+    base = tmp_path / "base.json"
+    write_ocel_json(mutation_base_log(), base)
+    text = base.read_text(encoding="utf-8")
+    assert text.count('"value": 0.75') == 1
+    base.write_text(text.replace('"value": 0.75', '"value": 1'), encoding="utf-8")
+    expected = [read_ocel_json(converted), read_ocel_json(base)]
+    assert expected[1].events[1].attrs["x"] == 1
+
+    def located(entry, path, *args):
+        raise AssertionError(f"{path} took the located walk")
+    monkeypatch.setattr(ocel_module, "_read_object", located)
+    monkeypatch.setattr(ocel_module, "_read_event", located)
+    assert [read_ocel_json(converted), read_ocel_json(base)] == expected
 
 
 # --- invariant checking and concatenation ---
