@@ -28,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .errors import ConsistencyError, ParseError, read_json
 from .ingest import RawEventRecord, Tracking, qualify_player
@@ -41,7 +41,6 @@ POSITION_BASED = "position_based"
 EVENT_CLASSES = frozenset({GAME_BASED, BALL, POSITION_BASED})
 
 MOVEMENT_ACTIVITY = "Player changes position"
-GOAL_ACTIVITY = "Goal"
 
 EXECUTING = "executing_player"
 RECEIVING = "receiving_player"
@@ -341,14 +340,16 @@ def enrich(
     game_stream: Sequence[ActivityEvent],
     movement_stream: Sequence[ActivityEvent],
     spans: Sequence[PossessionSpan],
+    goal_activities: Collection[str],
 ) -> list[ActivityEvent]:
     """Merge the two streams (merge_streams) and, in one pass over the
     result, add the running score and the possession id to each event's attrs.
 
-    The score attributes count goals strictly before each event, so a
-    "Goal" event itself still carries the pre-goal score.  An event outside
-    every possession span gets no possession_id.  Teams, cells and
-    coordinates are left as derive made them.
+    The score attributes count goals strictly before each event, so a goal
+    event itself still carries the pre-goal score.  A goal is an event whose
+    activity is in goal_activities: the goal_end_activity names of the
+    activity map in use.  An event outside every possession span gets no
+    possession_id.  Teams, cells and coordinates are left as derive made them.
     """
     span_at = possession_lookup(spans)
     score = {"Home": 0, "Away": 0}
@@ -361,6 +362,6 @@ def enrich(
         if span is not None:
             attrs["possession_id"] = span.span_id
         out.append(replace(e, attrs=attrs))
-        if e.activity == GOAL_ACTIVITY and e.team in score:
+        if e.activity in goal_activities and e.team in score:
             score[e.team] += 1
     return out

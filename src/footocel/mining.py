@@ -4,19 +4,20 @@ A filter keeps the events related to an object of one type whose
 attributes match, with all their relations, and drops objects no kept
 event references.
 
-Per object type, each object induces a trace: its related events in log
-order, every event counted once per object no matter how many qualifiers
-tie them together.  The directly-follows graph counts consecutive trace
-pairs; start/end counts tally which activity opens/closes each non-empty
-trace, so their totals both equal the number of objects that appear in at
-least one event.  A requested type without objects yields an empty graph.
+Per object type, each object induces a trace (object_traces): its related
+events in log order, every event counted once per object no matter how
+many qualifiers tie them together.  The directly-follows graph counts
+consecutive trace pairs; start/end counts tally which activity
+opens/closes each non-empty trace, so their totals both equal the number
+of objects that appear in at least one event.  A requested type without
+objects yields an empty graph.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import QueryError
 from .ocel import OcelEvent, OcelLog
@@ -92,27 +93,31 @@ class OcDfg:
     per_type: dict[str, DirectlyFollows]
 
 
+def object_traces(log: OcelLog, object_types: Iterable[str]) -> dict[str, list[OcelEvent]]:
+    """Object id -> the object's trace, for each object of the given types
+    that at least one event relates to (keys in order of first event)."""
+    wanted = set(object_types)
+    oids = {o.oid for o in log.objects if o.otype in wanted}
+    traces: dict[str, list[OcelEvent]] = {}
+    for e in log.events:
+        for oid in dict.fromkeys([oid for oid, _ in e.relations]):  # dedupe, keep order
+            if oid in oids:
+                traces.setdefault(oid, []).append(e)
+    return traces
+
+
 def discover_ocdfg(log: OcelLog, object_types: Sequence[str]) -> OcDfg:
     """Discover one directly-follows graph per requested object type."""
-    wanted = set(object_types)
-    otype_of = {o.oid: o.otype for o in log.objects}
-    traces: dict[str, list[str]] = {}
-    for e in log.events:
-        for oid in dict.fromkeys(oid for oid, _ in e.relations):  # dedupe, keep order
-            if otype_of.get(oid) in wanted:
-                traces.setdefault(oid, []).append(e.etype)
-
+    traces = object_traces(log, object_types)
     result = OcDfg(per_type={t: DirectlyFollows() for t in object_types})
     for o in log.objects:  # object list order keeps discovery deterministic
         trace = traces.get(o.oid)
-        if trace is None or o.otype not in wanted:
+        if trace is None:
             continue
         g = result.per_type[o.otype]
         g.n_objects += 1
-        g.start_counts[trace[0]] += 1
-        g.end_counts[trace[-1]] += 1
-        for activity in trace:
-            g.activity_counts[activity] += 1
-        for a, b in zip(trace, trace[1:]):
-            g.edge_counts[(a, b)] += 1
+        g.start_counts[trace[0].etype] += 1
+        g.end_counts[trace[-1].etype] += 1
+        g.activity_counts.update(e.etype for e in trace)
+        g.edge_counts.update((a.etype, b.etype) for a, b in zip(trace, trace[1:]))
     return result

@@ -644,15 +644,9 @@ class OcelStats:
     objects_by_type: dict
     n_possessions: int
     n_matches: int
-    n_end_events: int      # decomposed end events (receipts, goals)
-    n_primary_events: int  # everything else
 
     def to_text(self) -> str:
-        lines = [
-            f"events            {self.n_events}",
-            f"  primary         {self.n_primary_events}",
-            f"  decomposed ends {self.n_end_events}",
-        ]
+        lines = [f"events            {self.n_events}"]
         for cls in sorted(self.events_by_class):
             lines.append(f"  class {cls:<15} {self.events_by_class[cls]}")
         for act in sorted(self.events_by_activity):
@@ -665,20 +659,13 @@ class OcelStats:
         return "\n".join(lines)
 
 
-# the activities that close a decomposed provider row (receipts, goals)
-END_ACTIVITIES = frozenset({"Pass received", "Goal"})
-
-
 def stats(log: OcelLog) -> OcelStats:
     """Count events/objects per kind; an empty log yields all zeroes."""
     by_class: Counter = Counter()
     by_activity: Counter = Counter()
-    n_end = 0
     for e in log.events:
         by_activity[e.etype] += 1
         by_class[e.attrs.get("event_class", "unknown")] += 1
-        if e.etype in END_ACTIVITIES:
-            n_end += 1
     by_type: Counter = Counter(o.otype for o in log.objects)
     return OcelStats(
         n_events=len(log.events),
@@ -688,6 +675,4 @@ def stats(log: OcelLog) -> OcelStats:
         objects_by_type=dict(by_type),
         n_possessions=by_type.get(OBJECT_TYPE_POSSESSION, 0),
         n_matches=by_type.get(OBJECT_TYPE_MATCH, 0),
-        n_end_events=n_end,
-        n_primary_events=len(log.events) - n_end,
     )

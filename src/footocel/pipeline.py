@@ -153,7 +153,8 @@ def convert_one(
     )
     game_stream = decompose_events(events, config.grid, mapping, config.unknown_events)
     movement_stream = detect_movement_events(frames, config.grid, config.min_dwell_s)
-    enriched = enrich(game_stream, movement_stream, spans)
+    goals = {m.goal_end_activity for m in mapping.values() if m.goal_end_activity is not None}
+    enriched = enrich(game_stream, movement_stream, spans, goals)
     return MatchArtifacts(paths.match_id, dict(bundle.rosters), spans, enriched)
 
 

@@ -9,17 +9,20 @@ The spatial view draws the grid with cell A1 bottom-left (grid rows count
 up from the bottom while screen y grows downward, so row indices are
 flipped at draw time); events with exact coordinates are plotted there,
 events that only know a cell (movement events) sit at the cell's center.
+Each object's points follow its trace (mining.object_traces), restricted to
+the possession's events that have a point.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
 from .derive import snap_to_pitch
 from .errors import QueryError
-from .mining import OcDfg
+from .mining import OcDfg, object_traces
 from .ocel import OBJECT_TYPE_BALL, OcelEvent, OcelLog
 from .spatial import GridSpec, Point, cell_center, cell_label, parse_cell_label
 
@@ -118,38 +121,33 @@ def spatial_instance_svg(
     possession = index.get(possession_id)
     if possession is None or possession.otype != "possession":
         raise QueryError(f"unknown possession id {possession_id!r}")
-    wanted = set(object_types)
-    if not wanted:
+    if not object_types:
         raise QueryError("at least one object type must be rendered")
 
-    # traces: object id -> plotted points, in event order
-    traces: dict[str, list[Point]] = {}
+    # each of the possession's events plotted once; an object's points follow its trace
+    plotted: list[OcelEvent] = []
+    points: dict[str, Point] = {}  # event id -> point
     for e in log.events:
-        oids = [oid for oid, _ in e.relations]
-        if possession_id not in oids:
-            continue
-        point = _event_point(e, spec)
-        if point is None:
-            continue
-        for oid in dict.fromkeys(oids):
-            obj = index.get(oid)
-            if obj is not None and obj.otype in wanted:
-                traces.setdefault(oid, []).append(point)
+        if possession_id in [oid for oid, _ in e.relations]:
+            point = _event_point(e, spec)
+            if point is not None:
+                plotted.append(e)
+                points[e.eid] = point
+    traces = object_traces(OcelLog(log.objects, plotted), object_types)
 
     # ball first, then everything else by (type, id); colors follow this order
     def trace_order(oid: str):
         obj = index[oid]
-        return (0 if obj.otype == OBJECT_TYPE_BALL else 1, obj.otype, oid)
+        return (obj.otype != OBJECT_TYPE_BALL, obj.otype, oid)
 
-    ordered = sorted(traces, key=trace_order)
-    styles: dict[str, tuple[str, float]] = {}  # oid -> (color, stroke width)
-    palette_next = 0
-    for oid in ordered:
+    palette = itertools.cycle(TRACE_PALETTE)
+    drawn = []  # (oid, points, quoted color, stroke width, dash attribute, point radius)
+    for oid in sorted(traces, key=trace_order):
         if index[oid].otype == OBJECT_TYPE_BALL:
-            styles[oid] = ("#111111", 2.6)
+            style = (quoteattr("#111111"), 2.6, ' stroke-dasharray="7 4"', 5.0)
         else:
-            styles[oid] = (TRACE_PALETTE[palette_next % len(TRACE_PALETTE)], 1.6)
-            palette_next += 1
+            style = (quoteattr(next(palette)), 1.6, "", 3.6)
+        drawn.append((oid, [points[e.eid] for e in traces[oid]], *style))
 
     pad_l, pad_t, pad_b, legend_w = 30, 46, 16, 180
     pw = WIDTH - pad_l - legend_w - 10
@@ -168,12 +166,11 @@ def spatial_instance_svg(
         f'viewBox="0 0 {WIDTH} {HEIGHT}">'
     )
     out.append("<defs>")
-    for i, oid in enumerate(ordered):
-        color, _ = styles[oid]
+    for i, (_, _, color, _, _, _) in enumerate(drawn):
         out.append(
             f'<marker id="arrow{i}" viewBox="0 0 10 10" refX="9" refY="5" '
             f'markerWidth="7" markerHeight="7" orient="auto">'
-            f'<path d="M 0 0 L 10 5 L 0 10 z" fill={quoteattr(color)}/></marker>'
+            f'<path d="M 0 0 L 10 5 L 0 10 z" fill={color}/></marker>'
         )
     out.append("</defs>")
     out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>')
@@ -207,34 +204,28 @@ def spatial_instance_svg(
             f'text-anchor="middle" dominant-baseline="central">{cell_label(cell)}</text>'
         )
 
-    for i, oid in enumerate(ordered):
-        color, width = styles[oid]
-        points = traces[oid]
-        dash = ' stroke-dasharray="7 4"' if index[oid].otype == OBJECT_TYPE_BALL else ""
-        for p, q in zip(points, points[1:]):
+    for i, (_, trace, color, width, dash, radius) in enumerate(drawn):
+        for p, q in zip(trace, trace[1:]):
             if p == q:
                 continue
             out.append(
                 f'<line x1="{_fmt(sx(p.x))}" y1="{_fmt(sy(p.y))}" '
                 f'x2="{_fmt(sx(q.x))}" y2="{_fmt(sy(q.y))}" '
-                f'stroke={quoteattr(color)} stroke-width="{width}"{dash} '
+                f'stroke={color} stroke-width="{width}"{dash} '
                 f'marker-end="url(#arrow{i})"/>'
             )
-        radius = 5.0 if index[oid].otype == OBJECT_TYPE_BALL else 3.6
-        for p in points:
+        for p in trace:
             out.append(
                 f'<circle cx="{_fmt(sx(p.x))}" cy="{_fmt(sy(p.y))}" r="{radius}" '
-                f'fill={quoteattr(color)} fill-opacity="0.85"/>'
+                f'fill={color} fill-opacity="0.85"/>'
             )
 
     lx = pad_l + pw + 14
     ly = pad_t + 6
-    for i, oid in enumerate(ordered):
-        color, width = styles[oid]
-        dash = ' stroke-dasharray="7 4"' if index[oid].otype == OBJECT_TYPE_BALL else ""
+    for i, (oid, _, color, width, dash, _) in enumerate(drawn):
         out.append(
             f'<line x1="{lx}" y1="{ly + 18 * i}" x2="{lx + 26}" y2="{ly + 18 * i}" '
-            f'stroke={quoteattr(color)} stroke-width="{width}"{dash}/>'
+            f'stroke={color} stroke-width="{width}"{dash}/>'
         )
         out.append(
             f'<text x="{lx + 32}" y="{ly + 18 * i + 4}" font-family="Helvetica" '

@@ -4,6 +4,7 @@ import json
 import math
 import random
 from array import array
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from footocel.derive import (
 from footocel.errors import ConsistencyError, ParseError
 from footocel.ingest import RawEventRecord, Tracking, TrackingFrame, normalize_direction
 from footocel.ocel import EPOCH_BASE, IdentityScope, build_objects, concat_logs, events_to_ocel
+from footocel.pipeline import RunConfig, convert_matches
 from footocel.possession import segment_possessions
 from footocel.spatial import GridSpec, Point, cell_label, cell_of, metric_distance
 from oracles import path_length
@@ -465,7 +467,7 @@ def test_merge_orders_and_numbers_events():
                          start_frame=24), SPEC)
     assert moved_first[0].time_s == 1.0
 
-    merged = enrich(game, moved_first, [])
+    merged = enrich(game, moved_first, [], {"Goal"})
     # tie at t=1.0: ball events precede position-based ones
     assert [e.activity for e in merged] == [
         "Pass", "Pass received", MOVEMENT_ACTIVITY,
@@ -482,7 +484,7 @@ def test_merge_tie_breaks_by_player_label():
     walk_a = frames_from_walk([Point(0.1, 0.5), Point(0.2, 0.5)], label="AwayPlayer9")
     walk_b = frames_from_walk([Point(0.1, 0.5), Point(0.2, 0.5)], label="HomePlayer2")
     merged = enrich([], detect_movement_events(walk_a, SPEC)
-                    + detect_movement_events(walk_b, SPEC), [])
+                    + detect_movement_events(walk_b, SPEC), [], {"Goal"})
     assert [e.players[0] for e in merged] == ["AwayPlayer9", "HomePlayer2"]
 
 
@@ -495,7 +497,7 @@ def test_enrich_scores_count_goals_strictly_before():
             from_player="Player21"),
     ]
     spans = segment_possessions(records)
-    enriched = enrich(decompose_events(records, SPEC), [], spans)
+    enriched = enrich(decompose_events(records, SPEC), [], spans, {"Goal"})
     by_activity = {e.activity: e for e in enriched if e.team == "Home"}
     assert by_activity["Set piece"].attrs["score_home"] == 0
     assert by_activity["Shot"].attrs["score_home"] == 0
@@ -503,6 +505,23 @@ def test_enrich_scores_count_goals_strictly_before():
     kickoff_after = [e for e in enriched if e.team == "Away"][0]
     assert kickoff_after.attrs["score_home"] == 1
     assert kickoff_after.attrs["score_away"] == 0
+
+
+def test_renamed_goal_activity_keeps_the_score(synth_paths, log, tmp_path):
+    """The score counts the map's goal_end_activity, whatever its name."""
+    packaged = resources.files("footocel").joinpath("data/activity_map.json")
+    table = json.loads(packaged.read_text(encoding="utf-8"))
+    table["SHOT"]["goal_end_activity"] = "Tor"
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps(table), encoding="utf-8")
+    renamed, _ = convert_matches([synth_paths], RunConfig(activity_map_path=str(map_path)))
+
+    assert any(e.etype == "Tor" for e in renamed.events)
+    assert log.events[-1].attrs["score_home"] + log.events[-1].attrs["score_away"] > 0
+    assert len(renamed.events) == len(log.events)
+    for got, want in zip(renamed.events, log.events):
+        assert (got.attrs["score_home"], got.attrs["score_away"]) == (
+            want.attrs["score_home"], want.attrs["score_away"])
 
 
 def test_enrich_attaches_possessions_and_movement_teams():
@@ -514,7 +533,7 @@ def test_enrich_attaches_possessions_and_movement_teams():
     movement = detect_movement_events(
         frames_from_walk([Point(0.1, 0.5), Point(0.2, 0.5)], start_frame=25,
                          label="AwayPlayer9"), SPEC)
-    enriched = enrich(decompose_events(records, SPEC), movement, spans)
+    enriched = enrich(decompose_events(records, SPEC), movement, spans, {"Goal"})
     for e in enriched:
         assert e.attrs["possession_id"] == spans[0].span_id
     mover = [e for e in enriched if e.activity == MOVEMENT_ACTIVITY][0]

@@ -8,7 +8,7 @@ from datetime import datetime, timezone
 import pytest
 
 from footocel.errors import QueryError
-from footocel.mining import LogFilter, discover_ocdfg, filter_log
+from footocel.mining import LogFilter, discover_ocdfg, filter_log, object_traces
 from footocel.ocel import OcelEvent, OcelLog, OcelObject, validate_log
 
 T0 = datetime(2020, 7, 1, 15, 0, 0, tzinfo=timezone.utc)
@@ -51,6 +51,15 @@ def brute_force(log, object_types):
 
 
 def assert_matches_brute_force(log, object_types):
+    traces = object_traces(log, object_types)
+    want_traces = {}
+    for o in log.objects:
+        if o.otype in object_types:
+            trace = [e for e in log.events if o.oid in {oid for oid, _ in e.relations}]
+            if trace:
+                want_traces[o.oid] = trace
+    assert traces == want_traces
+
     got = discover_ocdfg(log, object_types)
     want = brute_force(log, object_types)
     for t in object_types:

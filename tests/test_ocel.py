@@ -679,10 +679,6 @@ def test_stats_totals_are_consistent(log):
     s = stats(log)
     assert s.n_events == len(log.events)
     assert s.n_objects == len(log.objects)
-    assert s.n_primary_events + s.n_end_events == s.n_events
-    ends = (s.events_by_activity.get("Pass received", 0)
-            + s.events_by_activity.get("Goal", 0))
-    assert s.n_end_events == ends
     assert sum(s.events_by_class.values()) == s.n_events
     assert sum(s.events_by_activity.values()) == s.n_events
     assert s.n_matches == 1

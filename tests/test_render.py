@@ -97,17 +97,19 @@ def tiny_spatial_log() -> OcelLog:
         OcelObject("P1", "possession", {"team": "Home", "outcome": "goal"}),
         OcelObject("HomeP1", "player", {"side": "Home"}),
         OcelObject("ball", "ball", {}),
+        OcelObject("HomeP2", "player", {"side": "Home"}),  # only in unplotted e4: not drawn
     ]
     events = [
         OcelEvent("e1", "Pass", T0, {"x": 0.1, "y": 0.5},
-                  (("ball", "ball"), ("HomeP1", "executing_player"), ("P1", "possession"))),
+                  (("ball", "ball"), ("HomeP1", "executing_player"),
+                   ("HomeP1", "receiving_player"), ("P1", "possession"))),
         OcelEvent("e2", "Player changes position", T0,
                   {"to_cell": "D3", "from_cell": "C3"},
                   (("HomeP1", "executing_player"), ("P1", "possession"))),
         OcelEvent("e3", "Shot", T0, {"x": 0.9, "y": 0.5},
                   (("ball", "ball"), ("HomeP1", "executing_player"), ("P1", "possession"))),
-        OcelEvent("e4", "Half time", T0, {},
-                  (("P1", "possession"),)),  # no coordinates: not plotted
+        OcelEvent("e4", "Half time", T0, {},  # no coordinates: not plotted
+                  (("HomeP2", "executing_player"), ("P1", "possession"))),
     ]
     return OcelLog(objects, events)
 
@@ -148,6 +150,8 @@ def test_svg_coordinate_precedence():
     ex = 30 + (3.5 / 6) * 660
     ey = 46 + (1.5 / 4) * 438
     assert f'<circle cx="{ex:.2f}" cy="{ey:.2f}"' in svg
+    # e1..e3 once each, though two qualifiers tie HomeP1 to e1
+    assert svg.count("<circle") == 3
 
 
 def test_svg_excludes_unrelated_and_unplottable_events():
@@ -165,6 +169,11 @@ def test_svg_error_cases():
         spatial_instance_svg(log, "ball", ["ball"], GridSpec())  # wrong type
     with pytest.raises(QueryError, match="at least one object type"):
         spatial_instance_svg(log, "P1", [], GridSpec())
+    # a malformed cell fails the query even on an event no drawn object relates to
+    bad_cell = OcelEvent("e5", "Half time", T0, {"cell": "Z9"}, (("P1", "possession"),))
+    with pytest.raises(QueryError, match="e5"):
+        spatial_instance_svg(OcelLog(log.objects, [*log.events, bad_cell]), "P1", ["ball"],
+                             GridSpec())
 
 
 def test_svg_on_converted_log(log, spans):
