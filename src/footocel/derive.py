@@ -277,16 +277,10 @@ def detect_movement_events(
             row = int((1.0 - (0.0 if y < 0.0 else 1.0 if y > 1.0 else y)) * rows)
             cell = (col if col < cols else cols - 1) * rows + (row if row < rows else rows - 1)
 
-            if confirmed < 0:
+            if confirmed < 0 or not (prev_present or cell == confirmed):
+                # first cell of the period, or back after a gap somewhere
+                # else: a new residence starts without an event
                 confirmed, entry_time, acc, tentative = cell, time_s, 0.0, -1
-            elif not prev_present:
-                # back after a gap: same cell continues the residence,
-                # anywhere else silently resets the memory
-                tentative = -1
-                if cell == confirmed:
-                    acc += hypot((x - last_x) * length_m, (y - last_y) * width_m)
-                else:
-                    confirmed, entry_time, acc = cell, time_s, 0.0
             else:
                 acc += hypot((x - last_x) * length_m, (y - last_y) * width_m)
                 if cell == confirmed:

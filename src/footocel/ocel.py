@@ -113,18 +113,25 @@ def format_time(dt: datetime) -> str:
     return f"{dt.year:04d}-{dt:%m-%dT%H:%M:%S}.{dt.microsecond // 1000:03d}Z"
 
 
+def _shown(value) -> str:
+    """An input value as an error message echoes it: its repr, cut to 80
+    characters with a trailing "..." when longer."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 def parse_time(text: str, path: str) -> datetime:
     normalized = text[:-1] + "+00:00" if text.endswith("Z") else text
     try:
         dt = datetime.fromisoformat(normalized)
     except ValueError:
-        raise ParseError(f"{path}: invalid ISO-8601 time {text!r}") from None
+        raise ParseError(f"{path}: invalid ISO-8601 time {_shown(text)}") from None
     if dt.tzinfo is None:
-        raise ParseError(f"{path}: time {text!r} lacks a UTC offset")
+        raise ParseError(f"{path}: time {_shown(text)} lacks a UTC offset")
     try:
         return dt.astimezone(timezone.utc)
     except OverflowError:  # a UTC instant before year 1 or after year 9999
-        raise ParseError(f"{path}: time {text!r} out of range") from None
+        raise ParseError(f"{path}: time {_shown(text)} out of range") from None
 
 
 def scoped_id(scope: IdentityScope, match_id: str, base: str) -> str:
@@ -215,7 +222,9 @@ def events_to_ocel(
     input order.  This is the one place events are named: the log's events
     form one zero-padded sequence, so this group's ids start after the
     `first` events before it and pad to the width of the log's `total`
-    events; reruns over identical input produce identical ids.
+    events; reruns over identical input produce identical ids.  An event
+    earlier than the one before it, as when a period's clock restarts,
+    raises ConsistencyError naming the match and both periods.
     """
     width = max(6, len(str(total)))
     out: list[OcelEvent] = []
@@ -238,10 +247,18 @@ def events_to_ocel(
             rels.append((scoped_id(scope, match_id, "ball"), "ball"))
 
         attrs = {**e.attrs, "period": e.period, "event_class": e.event_class}
+        time = event_time(epoch, e.time_s)
+        if out and time < out[-1].time:
+            prev = events[seq - first - 2]  # the event out[-1] was made from
+            raise ConsistencyError(
+                f"match {match_id!r}: period {e.period} time {e.time_s} s comes before "
+                f"period {prev.period} time {prev.time_s} s; each period's clock must "
+                "continue from the one before"
+            )
         out.append(OcelEvent(
             eid=f"e{seq:0{width}d}",
             etype=e.activity,
-            time=event_time(epoch, e.time_s),
+            time=time,
             attrs=attrs,
             relations=tuple(rels),
         ))
@@ -428,7 +445,7 @@ def _expect_keys(obj: dict, keys: set[str], path: str) -> None:
         missing = keys - obj.keys()
         if missing:
             raise ParseError(f"{path}: missing key(s) {sorted(missing)}")
-        raise ParseError(f"{path}: unexpected key(s) {sorted(obj.keys() - keys)}")
+        raise ParseError(f"{path}: unexpected key(s) {_shown(sorted(obj.keys() - keys))}")
 
 
 def _expect_entry(entry, keys: set[str], path: str) -> None:
@@ -452,7 +469,7 @@ def _new_id(value, seen, path: str, what: str) -> str:
     if not isinstance(value, str) or not value:
         raise ParseError(f"{path}: expected a non-empty string")
     if value in seen:
-        raise ParseError(f"{path}: duplicate {what} {value!r}")
+        raise ParseError(f"{path}: duplicate {what} {_shown(value)}")
     return value
 
 
@@ -466,9 +483,9 @@ def _read_type_section(data, key: str) -> dict[str, dict[str, str]]:
             if not isinstance(aname, str):
                 raise ParseError(f"{apath}.name: expected a string")
             if not isinstance(atype, str) or atype not in _VALUE_TYPES:
-                raise ParseError(f"{apath}.type: unsupported type {atype!r}")
+                raise ParseError(f"{apath}.type: unsupported type {_shown(atype)}")
             if aname in attrs:
-                raise ParseError(f"{apath}.name: duplicate attribute {aname!r}")
+                raise ParseError(f"{apath}.name: duplicate attribute {_shown(aname)}")
             attrs[aname] = atype
         schema[name] = attrs
     return schema
@@ -479,11 +496,11 @@ def _read_attributes(array, schema: dict[str, str], path: str) -> dict:
     for apath, attr in _entries(array, path, {"name", "value"}):
         name, value = attr["name"], attr["value"]
         if not isinstance(name, str) or name not in schema:
-            raise ParseError(f"{apath}.name: undeclared attribute {name!r}")
+            raise ParseError(f"{apath}.name: undeclared attribute {_shown(name)}")
         if type(value) not in _VALUE_TYPES[schema[name]] or value in _INFINITIES:
-            raise ParseError(f"{apath}.value: expected {schema[name]}, got {value!r}")
+            raise ParseError(f"{apath}.value: expected {schema[name]}, got {_shown(value)}")
         if name in attrs:
-            raise ParseError(f"{apath}.name: duplicate attribute {name!r}")
+            raise ParseError(f"{apath}.name: duplicate attribute {_shown(name)}")
         attrs[name] = value
     return attrs
 
@@ -495,7 +512,7 @@ def _read_object(entry, path: str, schema, objects) -> OcelObject:
     oid = _new_id(entry["id"], objects, f"{path}.id", "object id")
     otype = entry["type"]
     if not isinstance(otype, str) or otype not in schema:
-        raise ParseError(f"{path}.type: undeclared object type {otype!r}")
+        raise ParseError(f"{path}.type: undeclared object type {_shown(otype)}")
     attrs = _read_attributes(entry["attributes"], schema[otype], f"{path}.attributes")
     return OcelObject(oid, otype, attrs)
 
@@ -507,7 +524,7 @@ def _read_event(entry, path: str, schema, objects, events, prev_key) -> OcelEven
     eid = _new_id(entry["id"], events, f"{path}.id", "event id")
     etype = entry["type"]
     if not isinstance(etype, str) or etype not in schema:
-        raise ParseError(f"{path}.type: undeclared event type {etype!r}")
+        raise ParseError(f"{path}.type: undeclared event type {_shown(etype)}")
     if not isinstance(entry["time"], str):
         raise ParseError(f"{path}.time: expected a string")
     time = parse_time(entry["time"], f"{path}.time")
@@ -517,9 +534,9 @@ def _read_event(entry, path: str, schema, objects, events, prev_key) -> OcelEven
                                {"objectId", "qualifier"}):
         oid, qualifier = rel["objectId"], rel["qualifier"]
         if not isinstance(oid, str) or oid not in objects:
-            raise ParseError(f"{rpath}.objectId: unknown object {oid!r}")
+            raise ParseError(f"{rpath}.objectId: unknown object {_shown(oid)}")
         if not isinstance(qualifier, str) or qualifier not in QUALIFIERS:
-            raise ParseError(f"{rpath}.qualifier: unknown qualifier {qualifier!r}")
+            raise ParseError(f"{rpath}.qualifier: unknown qualifier {_shown(qualifier)}")
         rels.append((oid, qualifier))
     if prev_key is not None and (time, eid) < prev_key:
         raise ParseError(f"{path}: events not sorted by (time, id)")

@@ -9,8 +9,8 @@ timeline from the first controlling event of each period onward.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .ingest import RawEventRecord
@@ -66,70 +66,57 @@ def segment_possessions(
 ) -> list[PossessionSpan]:
     """Cut the event timeline into alternating possession spans.
 
-    Events must be ordered by start time, as parse_events returns them:
-    each span's members are bisected out of its period's events.  Events
-    before the first controlling event of a period belong to no span.
-    Outcome precedence: goal > shot > period_end (final span of its period)
-    > out_then_lost (the span's last ball-out is not followed by another
+    Events must be ordered by start time, as parse_events returns them.  A
+    span's members are the events whose start instant possession_lookup
+    assigns to it, so events before the first controlling event of a period
+    belong to no span.  Outcome precedence: goal > shot > period_end (final
+    span of its period) > out_then_lost (a ball-out follows the span's last
     controlling event) > lost.
     """
-    if not events:
-        return []
-
     period_end_time: dict[int, float] = {}
-    by_period: dict[int, list[RawEventRecord]] = {}
+    openers: list[RawEventRecord] = []
+    owner: Optional[tuple[str, int]] = None  # (team, period) of the open span
     for e in events:
         period_end_time[e.period] = max(period_end_time.get(e.period, e.end_time_s), e.end_time_s)
-        by_period.setdefault(e.period, []).append(e)
-    starts = {p: [e.start_time_s for e in members] for p, members in by_period.items()}
-
-    # span boundaries: (opening event, its index)
-    openers: list[RawEventRecord] = []
-    cur_team: Optional[str] = None
-    cur_period: Optional[int] = None
-    for e in events:
-        if e.event_type in control_types and (e.team != cur_team or e.period != cur_period):
+        if e.event_type in control_types and (e.team, e.period) != owner:
             openers.append(e)
-            cur_team, cur_period = e.team, e.period
+            owner = (e.team, e.period)
 
     spans: list[PossessionSpan] = []
     for i, opener in enumerate(openers):
         nxt = openers[i + 1] if i + 1 < len(openers) else None
         last_of_period = nxt is None or nxt.period != opener.period
-        end_time = period_end_time[opener.period] if last_of_period else nxt.start_time_s
-
-        # [start, end) within the period; the period's last span also owns its end instant
-        period_starts = starts[opener.period]
-        lo = bisect_left(period_starts, opener.start_time_s)
-        hi = (bisect_right if last_of_period else bisect_left)(period_starts, end_time)
-        members = by_period[opener.period][lo:hi]
-        outcome = "lost"
-        if any(e.event_type == SHOT_TYPE and goal_marked(e.subtype) for e in members):
-            outcome = "goal"
-        elif any(e.event_type == SHOT_TYPE for e in members):
-            outcome = "shot"
-        elif last_of_period:
-            outcome = "period_end"
-        elif members:
-            last_out = max(
-                (j for j, e in enumerate(members) if e.event_type == BALL_OUT_TYPE),
-                default=None,
-            )
-            last_control = max(
-                (j for j, e in enumerate(members) if e.event_type in control_types),
-                default=None,
-            )
-            if last_out is not None and (last_control is None or last_out > last_control):
-                outcome = "out_then_lost"
-
         spans.append(PossessionSpan(
             span_id=f"{prefix}{i + 1:0{_ID_PAD}d}",
             team=opener.team,
             period=opener.period,
             start_time_s=opener.start_time_s,
-            end_time_s=end_time,
-            outcome=outcome,
+            end_time_s=period_end_time[opener.period] if last_of_period else nxt.start_time_s,
+            outcome="period_end" if last_of_period else "lost",
         ))
+
+    members: dict[str, list[RawEventRecord]] = {s.span_id: [] for s in spans}
+    span_at = possession_lookup(spans)
+    for e in events:
+        span = span_at(e.start_time_s, e.period)
+        if span is not None:
+            members[span.span_id].append(e)
+
+    for i, span in enumerate(spans):
+        own = members[span.span_id]
+        outcome = span.outcome
+        if any(e.event_type == SHOT_TYPE and goal_marked(e.subtype) for e in own):
+            outcome = "goal"
+        elif any(e.event_type == SHOT_TYPE for e in own):
+            outcome = "shot"
+        elif outcome == "lost":
+            for e in reversed(own):
+                if e.event_type in control_types:
+                    break
+                if e.event_type == BALL_OUT_TYPE:
+                    outcome = "out_then_lost"
+                    break
+        spans[i] = replace(span, outcome=outcome)
     return spans
 
 

@@ -2,7 +2,8 @@
 
 Both emitters sort everything they iterate over and embed no timestamps or
 randomness, so rendering the same input twice yields byte-identical output.
-The DOT graph colors each object type from one fixed table; its node and
+The DOT graph colors each known object type from one fixed table and any
+other type from the palette colors that table leaves free; its node and
 edge labels can be turned off.  The SVG canvas has one fixed size.
 
 The spatial view draws the grid with cell A1 bottom-left (grid rows count
@@ -62,9 +63,9 @@ def dfg_to_dot(dfg: OcDfg, opts: Optional[RenderOptions] = None) -> str:
     """
     opts = opts or RenderOptions()
     types = sorted(dfg.per_type)
-    colors = {t: TYPE_COLORS.get(t, "#444444") for t in types}
-    if len(set(colors.values())) != len(colors):
-        raise ValueError(f"object types must render in distinct colors, got {colors}")
+    # types outside TYPE_COLORS take the palette colors it leaves free, in order
+    spare = itertools.cycle([c for c in TRACE_PALETTE if c not in TYPE_COLORS.values()])
+    colors = {t: TYPE_COLORS.get(t) or next(spare) for t in types}
 
     activities = sorted({a for g in dfg.per_type.values() for a in g.activity_counts})
     node_id = {a: f"n{i}" for i, a in enumerate(activities)}

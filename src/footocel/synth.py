@@ -12,26 +12,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 
 from .ingest import EVENTS_HEADER
 
 _TERMINALS = ("lost", "out", "goal", "saved", "offtarget")
-
-
-@dataclass(frozen=True)
-class SynthMatch:
-    """Generated file contents plus the script's ground truth."""
-
-    home_csv: str
-    away_csv: str
-    events_csv: str
-    goals: dict            # side -> goals scored
-    n_event_rows: int
-    period_s: float
-    sample_rate: float
 
 
 def _fmt_time(frame: int, rate: float) -> str:
@@ -51,7 +37,6 @@ class _EventScript:
         self.rosters = rosters  # side -> list of on-pitch tokens per period
         self.rows: list[list[str]] = []
         self.ball_anchors: list[tuple[int, float, float]] = []  # frame, x, y
-        self.goals = {"Home": 0, "Away": 0}
         self.fouls = 0
 
     def pick(self, side: str, period: int, not_token: str | None = None) -> str:
@@ -113,7 +98,6 @@ class _EventScript:
             f1 = f + rng.randint(15, 25)
             self.add(attacker, "SHOT", "ON TARGET-GOAL", period, f, f1, holder, None,
                      (x, y), (goal_x, rng.uniform(0.45, 0.55)))
-            self.goals[attacker] += 1
             f = f1 + rng.randint(50, 90)
             kicker = self.pick(defender, period)
             self.add(defender, "SET PIECE", "KICK OFF", period, f, f, kicker, None, None, None)
@@ -218,8 +202,9 @@ def synth_match(
     period_s: float = 120.0,
     players_per_side: int = 4,
     sample_rate: float = 25.0,
-) -> SynthMatch:
-    """Generate one deterministic match (two periods of period_s seconds)."""
+) -> tuple[str, str, str]:
+    """Generate one deterministic match (two periods of period_s seconds):
+    the home tracking, away tracking and event CSV texts."""
     rng = Random(seed)
     n_frames = int(round(period_s * sample_rate))
 
@@ -282,18 +267,10 @@ def synth_match(
         else:
             ball.append((cur[1], cur[2]))
 
-    home_csv = _tracking_csv(
-        "SynthHome", home_tokens, tracks, ball, n_frames, sample_rate)
-    away_csv = _tracking_csv(
-        "SynthAway", away_tokens, tracks, ball, n_frames, sample_rate)
-    return SynthMatch(
-        home_csv=home_csv,
-        away_csv=away_csv,
-        events_csv=events_buf.getvalue(),
-        goals=dict(script.goals),
-        n_event_rows=len(script.rows),
-        period_s=period_s,
-        sample_rate=sample_rate,
+    return (
+        _tracking_csv("SynthHome", home_tokens, tracks, ball, n_frames, sample_rate),
+        _tracking_csv("SynthAway", away_tokens, tracks, ball, n_frames, sample_rate),
+        events_buf.getvalue(),
     )
 
 
@@ -301,11 +278,11 @@ def write_synth_match(directory, prefix: str = "synth", **kwargs) -> tuple[Path,
     """Write the three files of a generated match; returns their paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    match = synth_match(**kwargs)
+    home_csv, away_csv, events_csv = synth_match(**kwargs)
     home = directory / f"{prefix}_tracking_home.csv"
     away = directory / f"{prefix}_tracking_away.csv"
     events = directory / f"{prefix}_events.csv"
-    home.write_text(match.home_csv, encoding="utf-8")
-    away.write_text(match.away_csv, encoding="utf-8")
-    events.write_text(match.events_csv, encoding="utf-8")
+    home.write_text(home_csv, encoding="utf-8")
+    away.write_text(away_csv, encoding="utf-8")
+    events.write_text(events_csv, encoding="utf-8")
     return home, away, events

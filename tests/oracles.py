@@ -84,13 +84,20 @@ def ocel_to_dict(log: OcelLog) -> dict:
     }
 
 
+def _echo(value) -> str:
+    """A bad value as the reader's messages show it: repr, at most 80
+    characters of it, then "..." if any were dropped."""
+    text = repr(value)
+    return text[:80] + "..." * (len(text) > 80)
+
+
 def _expect_keys(obj: dict, keys: set[str], path: str) -> None:
     missing = keys - obj.keys()
     extra = obj.keys() - keys
     if missing:
         raise ParseError(f"{path}: missing key(s) {sorted(missing)}")
     if extra:
-        raise ParseError(f"{path}: unexpected key(s) {sorted(extra)}")
+        raise ParseError(f"{path}: unexpected key(s) {_echo(sorted(extra))}")
 
 
 def _read_type_section(data, key: str) -> dict[str, dict[str, str]]:
@@ -107,7 +114,7 @@ def _read_type_section(data, key: str) -> dict[str, dict[str, str]]:
         if not isinstance(name, str) or not name:
             raise ParseError(f"{path}.name: expected a non-empty string")
         if name in schema:
-            raise ParseError(f"{path}.name: duplicate type {name!r}")
+            raise ParseError(f"{path}.name: duplicate type {_echo(name)}")
         attrs: dict[str, str] = {}
         if not isinstance(entry["attributes"], list):
             raise ParseError(f"{path}.attributes: expected an array")
@@ -119,9 +126,9 @@ def _read_type_section(data, key: str) -> dict[str, dict[str, str]]:
             if not isinstance(attr["name"], str):
                 raise ParseError(f"{apath}.name: expected a string")
             if attr["type"] not in ("string", "integer", "float", "boolean"):
-                raise ParseError(f"{apath}.type: unsupported type {attr['type']!r}")
+                raise ParseError(f"{apath}.type: unsupported type {_echo(attr['type'])}")
             if attr["name"] in attrs:
-                raise ParseError(f"{apath}.name: duplicate attribute {attr['name']!r}")
+                raise ParseError(f"{apath}.name: duplicate attribute {_echo(attr['name'])}")
             attrs[attr["name"]] = attr["type"]
         schema[name] = attrs
     return schema
@@ -138,16 +145,16 @@ def _read_attributes(entries, schema: dict[str, str], path: str) -> dict:
         _expect_keys(attr, {"name", "value"}, apath)
         name, value = attr["name"], attr["value"]
         if not isinstance(name, str) or name not in schema:
-            raise ParseError(f"{apath}.name: undeclared attribute {name!r}")
+            raise ParseError(f"{apath}.name: undeclared attribute {_echo(name)}")
         declared = schema[name]
         try:
             actual = _json_type(name, value) if isinstance(value, (bool, int, float, str)) else None
         except ConsistencyError:  # a number beyond the float range reads as inf
             actual = None
         if actual is None or (actual != declared and not (actual == "integer" and declared == "float")):
-            raise ParseError(f"{apath}.value: expected {declared}, got {value!r}")
+            raise ParseError(f"{apath}.value: expected {declared}, got {_echo(value)}")
         if name in attrs:
-            raise ParseError(f"{apath}.name: duplicate attribute {name!r}")
+            raise ParseError(f"{apath}.name: duplicate attribute {_echo(name)}")
         attrs[name] = value
     return attrs
 
@@ -186,9 +193,9 @@ def _log_from_dict(data) -> OcelLog:
         if not isinstance(oid, str) or not oid:
             raise ParseError(f"{path}.id: expected a non-empty string")
         if oid in oids:
-            raise ParseError(f"{path}.id: duplicate object id {oid!r}")
+            raise ParseError(f"{path}.id: duplicate object id {_echo(oid)}")
         if not isinstance(otype, str) or otype not in object_schema:
-            raise ParseError(f"{path}.type: undeclared object type {otype!r}")
+            raise ParseError(f"{path}.type: undeclared object type {_echo(otype)}")
         attrs = _read_attributes(entry["attributes"], object_schema[otype], f"{path}.attributes")
         objects.append(OcelObject(oid, otype, attrs))
         oids.add(oid)
@@ -207,9 +214,9 @@ def _log_from_dict(data) -> OcelLog:
         if not isinstance(eid, str) or not eid:
             raise ParseError(f"{path}.id: expected a non-empty string")
         if eid in eids:
-            raise ParseError(f"{path}.id: duplicate event id {eid!r}")
+            raise ParseError(f"{path}.id: duplicate event id {_echo(eid)}")
         if not isinstance(etype, str) or etype not in event_schema:
-            raise ParseError(f"{path}.type: undeclared event type {etype!r}")
+            raise ParseError(f"{path}.type: undeclared event type {_echo(etype)}")
         time = parse_time(entry["time"], f"{path}.time") if isinstance(entry["time"], str) \
             else None
         if time is None:
@@ -225,9 +232,9 @@ def _log_from_dict(data) -> OcelLog:
             _expect_keys(rel, {"objectId", "qualifier"}, rpath)
             oid, qualifier = rel["objectId"], rel["qualifier"]
             if not isinstance(oid, str) or oid not in oids:
-                raise ParseError(f"{rpath}.objectId: unknown object {oid!r}")
+                raise ParseError(f"{rpath}.objectId: unknown object {_echo(oid)}")
             if not isinstance(qualifier, str) or qualifier not in QUALIFIERS:
-                raise ParseError(f"{rpath}.qualifier: unknown qualifier {qualifier!r}")
+                raise ParseError(f"{rpath}.qualifier: unknown qualifier {_echo(qualifier)}")
             rels.append((oid, qualifier))
         key = (time, eid)
         if prev_key is not None and key < prev_key:

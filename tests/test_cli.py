@@ -117,6 +117,27 @@ def test_convert_truncated_tracking_exit_2(synth_paths, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_convert_restarted_period_clock_names_the_match_exit_2(tmp_path, capsys):
+    # every period-2 event time moved back by one 60 s period: the event feed
+    # restarts its clock at half time while the tracking does not
+    home, away, events = write_synth_match(tmp_path, seed=3, period_s=60.0, players_per_side=2)
+    lines = events.read_text(encoding="utf-8").splitlines(keepends=True)
+    for i, line in enumerate(lines[1:], start=1):
+        row = line.split(",")
+        if row[3] == "2":
+            row[5], row[7] = (f"{float(row[k]) - 60:.2f}" for k in (5, 7))
+            lines[i] = ",".join(row)
+    events.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "x.json"
+    rc = main(["convert", "--match", str(home), str(away), str(events),
+               "--match-ids", "restart", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "match 'restart': period 2 time " in err
+    assert "period 1 time " in err
+
+
 def test_match_ids_count_mismatch_is_a_usage_error(synth_paths, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(convert_args(synth_paths, tmp_path / "x.json",

@@ -296,6 +296,9 @@ def write_mutated(tmp_path, mutate):
     (lambda d: d["events"][0]["relationships"][1].update(
         extra=d["events"][0]["relationships"][1].pop("qualifier")),
      "$.events[0].relationships[1]: missing key(s) ['qualifier']"),
+    # an echoed value is cut to 80 characters of its repr
+    (lambda d: d["events"][0].update(type="x" * 100_000),
+     "$.events[0].type: undeclared event type '" + "x" * 79 + "..."),
 ])
 def test_reader_rejects_malformed_logs(tmp_path, capsys, mutate, fragment):
     path = write_mutated(tmp_path, mutate)

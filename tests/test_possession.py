@@ -89,6 +89,15 @@ def test_custom_control_types():
     ]
     spans = segment_possessions(events, control_types=frozenset({"KICKOFF", "STEAL"}))
     assert [(s.team, s.start_time_s) for s in spans] == [("Home", 0.0), ("Away", 4.0)]
+    # a ball-out that is itself a control type is the span's last control: no out_then_lost
+    events = [
+        mk("Home", "PASS", None, 1, 0.0),
+        mk("Home", "BALL OUT", None, 1, 1.0),
+        mk("Away", "PASS", None, 1, 2.0),
+    ]
+    assert [s.outcome for s in segment_possessions(events)] == ["out_then_lost", "period_end"]
+    spans = segment_possessions(events, control_types=frozenset({"PASS", "BALL OUT"}))
+    assert [s.outcome for s in spans] == ["lost", "period_end"]
 
 
 def test_goal_marked():

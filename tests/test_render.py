@@ -2,13 +2,14 @@
 
 import xml.etree.ElementTree as ET
 from collections import Counter
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from footocel.cli import main
 from footocel.errors import QueryError
 from footocel.mining import DirectlyFollows, OcDfg, discover_ocdfg
-from footocel.ocel import OcelEvent, OcelLog, OcelObject
+from footocel.ocel import OcelEvent, OcelLog, OcelObject, write_ocel_json
 from footocel.render import RenderOptions, dfg_to_dot, spatial_instance_svg
 from footocel.spatial import GridSpec
 
@@ -67,11 +68,25 @@ def test_dot_escapes_special_characters():
     assert '[label="Say \\"hi\\"\\\\now"];' in dot
 
 
-def test_dot_requires_distinct_colors():
-    """Two types outside the color table would share the fallback color."""
-    dfg = OcDfg(per_type={"referee": DirectlyFollows(), "coach": DirectlyFollows()})
-    with pytest.raises(ValueError, match="distinct colors"):
-        dfg_to_dot(dfg)
+def test_dot_foreign_types_take_free_palette_colors(tmp_path, capsys):
+    """Types outside the color table take, in sorted order, the palette colors
+    no table entry uses; the dfg command draws a log of two such types."""
+    dfg = OcDfg(per_type={t: DirectlyFollows(
+        activity_counts=Counter({"A": 1}),
+        edge_counts=Counter({("A", "A"): 1}),
+    ) for t in ("referee", "coach", "ball")})
+    edges = [line for line in dfg_to_dot(dfg).splitlines() if " -> " in line]
+    assert [line.split('color="')[1][:7] for line in edges] == ["#111111", "#e7298a", "#66a61e"]
+
+    objects = [OcelObject("o1", "order", {}), OcelObject("i1", "item", {})]
+    events = [OcelEvent(f"e{i}", "Ship", T0 + timedelta(seconds=i), {},
+                        (("o1", "match"), ("i1", "ball"))) for i in range(2)]
+    path = tmp_path / "foreign.json"
+    write_ocel_json(OcelLog(objects, events), path)
+    assert main(["dfg", "--ocel", str(path), "--types", "order,item"]) == 0
+    dot = capsys.readouterr().out
+    assert '[label="item:1", color="#e7298a", fontcolor="#e7298a"];' in dot
+    assert '[label="order:1", color="#66a61e", fontcolor="#66a61e"];' in dot
 
 
 def test_dot_unknown_type_gets_fallback_color():
@@ -82,7 +97,7 @@ def test_dot_unknown_type_gets_fallback_color():
         end_counts=Counter({"A": 1}),
         n_objects=1,
     )})
-    assert 'color="#444444"' in dfg_to_dot(dfg)
+    assert 'color="#e7298a"' in dfg_to_dot(dfg)
 
 
 def test_dot_byte_stable(log):
