@@ -6,7 +6,9 @@ event references.
 
 Per object type, each object induces a trace (object_traces): its related
 events in log order, every event counted once per object no matter how
-many qualifiers tie them together.  The directly-follows graph counts
+many qualifiers tie them together.  Traces come from the log's own index
+(OcelLog.traces), built once per log, and a filter keeps the union of the
+matching objects' traces.  The directly-follows graph counts
 consecutive trace pairs; start/end counts tally which activity
 opens/closes each non-empty trace, so their totals both equal the number
 of objects that appear in at least one event.  A requested type without
@@ -65,14 +67,10 @@ def filter_log(log: OcelLog, flt: LogFilter) -> OcelLog:
         if all(attr in o.attrs and _value_matches(o.attrs[attr], v) for attr, v in flt.where)
     }
 
-    events: list[OcelEvent] = []
-    referenced: set[str] = set()
-    for e in log.events:
-        if not any(oid in matching for oid, _ in e.relations):
-            continue
-        referenced.update(oid for oid, _ in e.relations)
-        events.append(e)
-
+    # the union of the matching objects' traces, in log order
+    kept = {id(e) for oid in matching for e in log.traces.get(oid, ())}
+    events = [e for e in log.events if id(e) in kept]
+    referenced = {oid for e in events for oid, _ in e.relations}
     objects = [o for o in log.objects if o.oid in referenced]
     return OcelLog(objects=objects, events=events)
 
@@ -93,17 +91,12 @@ class OcDfg:
     per_type: dict[str, DirectlyFollows]
 
 
-def object_traces(log: OcelLog, object_types: Iterable[str]) -> dict[str, list[OcelEvent]]:
+def object_traces(log: OcelLog, object_types: Iterable[str]) -> dict[str, tuple[OcelEvent, ...]]:
     """Object id -> the object's trace, for each object of the given types
     that at least one event relates to (keys in order of first event)."""
     wanted = set(object_types)
     oids = {o.oid for o in log.objects if o.otype in wanted}
-    traces: dict[str, list[OcelEvent]] = {}
-    for e in log.events:
-        for oid in dict.fromkeys([oid for oid, _ in e.relations]):  # dedupe, keep order
-            if oid in oids:
-                traces.setdefault(oid, []).append(e)
-    return traces
+    return {oid: trace for oid, trace in log.traces.items() if oid in oids}
 
 
 def discover_ocdfg(log: OcelLog, object_types: Sequence[str]) -> OcDfg:

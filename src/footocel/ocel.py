@@ -21,6 +21,12 @@ sorted by (time, id).  Each object and event is checked in bulk, without
 building a JSON path; an entry that fails is walked again check by check,
 which raises its first violation with its path.
 
+A log is a frozen value: its objects and events are tuples, and every
+event's relations a tuple.  On first use it builds one index from each
+object id to the object's trace, its related events in log order, and the
+query paths (mining's traces, filters and graphs, render's possession view)
+all read that index instead of scanning the events.
+
 Object universe per converted match bundle: the match itself, both teams,
 all rostered players, one ball, every grid cell and one object per
 possession span.  Team/player/ball/grid identities are either shared
@@ -35,6 +41,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 from .derive import BALL, EVENT_CLASSES, ActivityEvent
@@ -87,13 +94,34 @@ class OcelEvent:
     relations: tuple[tuple[str, str], ...]  # (object id, qualifier)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OcelLog:
-    objects: list[OcelObject]
-    events: list[OcelEvent]
+    """An immutable log: objects and events are tuples, so the trace index
+    built on first use stays true for the log's lifetime."""
+
+    objects: tuple[OcelObject, ...]
+    events: tuple[OcelEvent, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "objects", tuple(self.objects))
+        object.__setattr__(self, "events", tuple(self.events))
 
     def object_index(self) -> dict[str, OcelObject]:
         return {o.oid: o for o in self.objects}
+
+    @cached_property
+    def traces(self) -> dict[str, tuple[OcelEvent, ...]]:
+        """Object id -> its related events in log order, each event once however
+        many qualifiers tie it to the object; keys in order of first event."""
+        traces: dict[str, list[OcelEvent]] = {}
+        for e in self.events:
+            for oid, _ in e.relations:
+                trace = traces.get(oid)
+                if trace is None:
+                    traces[oid] = [e]
+                elif trace[-1] is not e:  # a second qualifier of the same event
+                    trace.append(e)
+        return {oid: tuple(trace) for oid, trace in traces.items()}
 
 
 def match_epoch(match_index: int) -> datetime:
@@ -601,7 +629,7 @@ def _read_objects(array, schema) -> dict[str, OcelObject]:
     return objects
 
 
-def _read_events(array, schema, objects) -> list[OcelEvent]:
+def _read_events(array, schema, objects) -> tuple[OcelEvent, ...]:
     if not isinstance(array, list):
         raise ParseError("$.events: expected an array")
     value_types = _value_types(schema)
@@ -623,7 +651,7 @@ def _read_events(array, schema, objects) -> list[OcelEvent]:
             event = _read_event(entry, f"$.events[{i}]", schema, objects, events, prev_key)
         prev_key = (event.time, event.eid)
         events[event.eid] = event
-    return list(events.values())
+    return tuple(events.values())
 
 
 def read_ocel_json(path) -> OcelLog:
@@ -647,7 +675,7 @@ def _log_from_dict(data) -> OcelLog:
     event_schema = _read_type_section(data, "eventTypes")
     objects = _read_objects(data["objects"], object_schema)
     events = _read_events(data["events"], event_schema, objects)
-    return OcelLog(objects=list(objects.values()), events=events)
+    return OcelLog(objects=tuple(objects.values()), events=events)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,13 @@ up from the bottom while screen y grows downward, so row indices are
 flipped at draw time); events with exact coordinates are plotted there,
 events that only know a cell (movement events) sit at the cell's center.
 Each object's points follow its trace (mining.object_traces), restricted to
-the possession's events that have a point.
+the possession's events that have a point.  Those events are the
+possession's own trace, read from the frozen log's trace index
+(OcelLog.traces), so a call does not visit the rest of the log.
+
+Text is escaped for XML here (&, > and <): xml.sax.saxutils would import the
+network stack into every process that renders.  Every attribute value is a
+literal or a color from the tables below, so none needs escaping.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
-from xml.sax.saxutils import escape, quoteattr
 
 from .derive import snap_to_pitch
 from .errors import QueryError
@@ -49,6 +54,11 @@ WIDTH, HEIGHT = 880, 500
 class RenderOptions:
     node_labels: bool = True   # annotate DFG nodes with per-type counts
     edge_labels: bool = True   # annotate DFG edges with "<type>:<count>"
+
+
+def _escape(text: str) -> str:
+    """XML character data: &, > and < as entities, in that order."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _dot_quote(text: str) -> str:
@@ -128,12 +138,11 @@ def spatial_instance_svg(
     # each of the possession's events plotted once; an object's points follow its trace
     plotted: list[OcelEvent] = []
     points: dict[str, Point] = {}  # event id -> point
-    for e in log.events:
-        if possession_id in [oid for oid, _ in e.relations]:
-            point = _event_point(e, spec)
-            if point is not None:
-                plotted.append(e)
-                points[e.eid] = point
+    for e in log.traces.get(possession_id, ()):
+        point = _event_point(e, spec)
+        if point is not None:
+            plotted.append(e)
+            points[e.eid] = point
     traces = object_traces(OcelLog(log.objects, plotted), object_types)
 
     # ball first, then everything else by (type, id); colors follow this order
@@ -142,12 +151,12 @@ def spatial_instance_svg(
         return (obj.otype != OBJECT_TYPE_BALL, obj.otype, oid)
 
     palette = itertools.cycle(TRACE_PALETTE)
-    drawn = []  # (oid, points, quoted color, stroke width, dash attribute, point radius)
+    drawn = []  # (oid, points, color, stroke width, dash attribute, point radius)
     for oid in sorted(traces, key=trace_order):
         if index[oid].otype == OBJECT_TYPE_BALL:
-            style = (quoteattr("#111111"), 2.6, ' stroke-dasharray="7 4"', 5.0)
+            style = (TYPE_COLORS[OBJECT_TYPE_BALL], 2.6, ' stroke-dasharray="7 4"', 5.0)
         else:
-            style = (quoteattr(next(palette)), 1.6, "", 3.6)
+            style = (next(palette), 1.6, "", 3.6)
         drawn.append((oid, [points[e.eid] for e in traces[oid]], *style))
 
     pad_l, pad_t, pad_b, legend_w = 30, 46, 16, 180
@@ -171,15 +180,15 @@ def spatial_instance_svg(
         out.append(
             f'<marker id="arrow{i}" viewBox="0 0 10 10" refX="9" refY="5" '
             f'markerWidth="7" markerHeight="7" orient="auto">'
-            f'<path d="M 0 0 L 10 5 L 0 10 z" fill={color}/></marker>'
+            f'<path d="M 0 0 L 10 5 L 0 10 z" fill="{color}"/></marker>'
         )
     out.append("</defs>")
     out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>')
     out.append(
         f'<text x="{pad_l}" y="24" font-family="Helvetica" font-size="15" '
-        f'fill="#222222">possession {escape(possession_id)}'
-        f' ({escape(str(possession.attrs.get("team", "?")))},'
-        f' {escape(str(possession.attrs.get("outcome", "?")))})</text>'
+        f'fill="#222222">possession {_escape(possession_id)}'
+        f' ({_escape(str(possession.attrs.get("team", "?")))},'
+        f' {_escape(str(possession.attrs.get("outcome", "?")))})</text>'
     )
     out.append(
         f'<rect x="{_fmt(sx(0))}" y="{_fmt(sy(0))}" width="{_fmt(pw)}" height="{_fmt(ph)}" '
@@ -212,13 +221,13 @@ def spatial_instance_svg(
             out.append(
                 f'<line x1="{_fmt(sx(p.x))}" y1="{_fmt(sy(p.y))}" '
                 f'x2="{_fmt(sx(q.x))}" y2="{_fmt(sy(q.y))}" '
-                f'stroke={color} stroke-width="{width}"{dash} '
+                f'stroke="{color}" stroke-width="{width}"{dash} '
                 f'marker-end="url(#arrow{i})"/>'
             )
         for p in trace:
             out.append(
                 f'<circle cx="{_fmt(sx(p.x))}" cy="{_fmt(sy(p.y))}" r="{radius}" '
-                f'fill={color} fill-opacity="0.85"/>'
+                f'fill="{color}" fill-opacity="0.85"/>'
             )
 
     lx = pad_l + pw + 14
@@ -226,11 +235,11 @@ def spatial_instance_svg(
     for i, (oid, _, color, width, dash, _) in enumerate(drawn):
         out.append(
             f'<line x1="{lx}" y1="{ly + 18 * i}" x2="{lx + 26}" y2="{ly + 18 * i}" '
-            f'stroke={color} stroke-width="{width}"{dash}/>'
+            f'stroke="{color}" stroke-width="{width}"{dash}/>'
         )
         out.append(
             f'<text x="{lx + 32}" y="{ly + 18 * i + 4}" font-family="Helvetica" '
-            f'font-size="12" fill="#333333">{escape(oid)}</text>'
+            f'font-size="12" fill="#333333">{_escape(oid)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -428,6 +428,17 @@ def test_subcommands_open_text_files_as_utf8_only(small_match, tmp_path):
         "--out", str(tmp_path / "possession.svg"))
 
 
+def test_importing_the_cli_loads_no_network_modules():
+    """Every process starts by importing the CLI; it needs no networking stack."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import footocel.cli; "
+            "print(*(m for m in ('urllib.request', 'http.client', 'ssl') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code, str(src)],
+                          capture_output=True, text=True, encoding="utf-8")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "\n"
+
+
 def test_stats_subcommand(synth_paths, tmp_path, capsys):
     out = tmp_path / "log.json"
     main(convert_args(synth_paths, out))

@@ -55,7 +55,7 @@ def assert_matches_brute_force(log, object_types):
     want_traces = {}
     for o in log.objects:
         if o.otype in object_types:
-            trace = [e for e in log.events if o.oid in {oid for oid, _ in e.relations}]
+            trace = tuple(e for e in log.events if o.oid in {oid for oid, _ in e.relations})
             if trace:
                 want_traces[o.oid] = trace
     assert traces == want_traces

@@ -7,7 +7,7 @@ import math
 import re
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -395,7 +395,8 @@ def test_non_finite_attribute_is_refused_and_leaves_the_file(tmp_path, value):
     before = path.read_bytes()
     # on the last event: a writer that formats after opening the file would
     # already have truncated it and written every event before this one
-    log.events[-1] = replace(log.events[-1], attrs={"period": 1, "duration_s": value})
+    last = replace(log.events[-1], attrs={"period": 1, "duration_s": value})
+    log = replace(log, events=(*log.events[:-1], last))
     with pytest.raises(ConsistencyError, match="attribute 'duration_s' has non-finite value"):
         write_ocel_json(log, path)
     assert path.read_bytes() == before
@@ -408,7 +409,8 @@ def test_non_utc_time_on_the_last_event_is_refused_and_leaves_the_file(tmp_path,
     write_ocel_json(log, path)
     before = path.read_bytes()
     last = log.events[-1]
-    log.events[-1] = replace(last, time=last.time.replace(tzinfo=tzinfo))
+    last = replace(last, time=last.time.replace(tzinfo=tzinfo))
+    log = replace(log, events=(*log.events[:-1], last))
     with pytest.raises(ConsistencyError, match="event times must be UTC"):
         write_ocel_json(log, path)
     assert path.read_bytes() == before
@@ -528,8 +530,10 @@ def json_nodes(node, path=()):
 @st.composite
 def mutated_texts(draw, text: str) -> str:
     """The JSON text with 1-2 mutations below its root.  Each is at a path drawn
-    by its shape (its keys, any index), so that the few paths of a shape such as
-    $.events[].time are drawn as often as the many of $.objects[].attributes[].name."""
+    by its shape: the shape of the entry holding it and its key there (a name,
+    or any index), all such pairs alike.  So the few paths of a shape such as
+    $.events[].time are drawn as often as the many of $.objects[].attributes[].name,
+    and a key is renamed in one entry shape as often as it is deleted."""
     tree = json.loads(text)
     for _ in range(draw(st.integers(1, 2))):
         nodes = dict(json_nodes(tree))
@@ -541,16 +545,15 @@ def mutated_texts(draw, text: str) -> str:
         node, parent = nodes[path], nodes[path[:-1]]
         kinds = ["replace", "delete"] + ["add key"] * isinstance(node, dict) \
             + ["duplicate"] * isinstance(parent, list) + ["reverse"] * isinstance(node, list) \
-            + ["rename key"] * (isinstance(node, dict) and bool(node))
+            + ["rename key"] * isinstance(parent, dict)
         kind = draw(st.sampled_from(kinds))
         if kind == "delete":
             del parent[path[-1]]
         elif kind == "add key":
             node[draw(st.sampled_from(["extra", "id", "name", "type", "time", "value"]))] = 1
         elif kind == "rename key":  # the key count stays, so only the names can tell
-            old = draw(st.sampled_from(sorted(node)))
-            new = draw(st.sampled_from([k for k in _KEYS if k not in node]))
-            node[new] = node.pop(old)
+            new = draw(st.sampled_from([k for k in _KEYS if k not in parent]))
+            parent[new] = parent.pop(path[-1])
         elif kind == "duplicate":
             parent.insert(path[-1], copy.deepcopy(node))
         elif kind == "reverse":
@@ -654,12 +657,30 @@ def test_concat_logs_renumbers_globally():
                             IdentityScope.GLOBAL, first=2, total=3)
     log = concat_logs(objects, [group1, group2])
     assert [e.eid for e in log.events] == ["e000001", "e000002", "e000003"]
-    assert log.events == group1 + group2
+    assert log.events == tuple(group1 + group2)
     wide = events_to_ocel([shot(1.0)], "m1", match_epoch(0), IdentityScope.GLOBAL,
                           first=0, total=1_000_000)
     assert [e.eid for e in wide] == ["e0000001"]
     with pytest.raises(ConsistencyError, match="duplicate event id"):
         concat_logs(objects, [group1, group1])
+
+
+def test_log_fields_cannot_be_assigned():
+    log = tiny_log()
+    assert isinstance(log.objects, tuple) and isinstance(log.events, tuple)
+    with pytest.raises(FrozenInstanceError):
+        log.events = ()
+    with pytest.raises(FrozenInstanceError):
+        log.objects = ()
+
+
+def test_a_replaced_log_builds_its_own_trace_index():
+    log = tiny_log()
+    assert log.traces is log.traces  # built once
+    assert [e.eid for e in log.traces["m1"]] == ["e1", "e2"]
+    shorter = replace(log, events=log.events[:1])
+    assert [e.eid for e in shorter.traces["m1"]] == ["e1"]
+    assert [e.eid for e in log.traces["m1"]] == ["e1", "e2"]
 
 
 def test_convert_builds_each_event_once(synth_paths, monkeypatch):

@@ -165,11 +165,11 @@ def reference_spans(events, control_types=CONTROL_TYPES):
             outcome = "period_end"
         else:
             tail = None
-            for e in members:
-                if e.event_type == "BALL OUT":
-                    tail = "out"
-                elif e.event_type in control_types:
+            for e in members:  # a control type that is also BALL OUT still controls
+                if e.event_type in control_types:
                     tail = "control"
+                elif e.event_type == "BALL OUT":
+                    tail = "out"
             outcome = "out_then_lost" if tail == "out" else "lost"
         out.append((s["team"], s["period"], s["start"], end, outcome))
     return out
@@ -202,11 +202,12 @@ def timelines(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(timelines())
-def test_segmentation_matches_reference(events):
+@given(timelines(), st.one_of(st.just(CONTROL_TYPES),
+                              st.frozensets(st.sampled_from(TYPES), min_size=1)))
+def test_segmentation_matches_reference(events, control_types):
     got = [(s.team, s.period, s.start_time_s, s.end_time_s, s.outcome)
-           for s in segment_possessions(events)]
-    assert got == reference_spans(events)
+           for s in segment_possessions(events, control_types=control_types)]
+    assert got == reference_spans(events, control_types)
 
 
 @settings(max_examples=200, deadline=None)

@@ -213,3 +213,49 @@ def test_svg_trace_follows_possession_membership(log, spans):
     )
     assert n_ball_points > 0
     assert svg.count('r="5.0"') == n_ball_points
+
+
+def scanned_possession_log(log: OcelLog, pid: str) -> OcelLog:
+    """The log cut to the events related to pid, found by a brute-force scan."""
+    return OcelLog(log.objects, [e for e in log.events
+                                 if pid in {oid for oid, _ in e.relations}])
+
+
+def interleaved_possessions_log() -> OcelLog:
+    """Two possessions whose events alternate; e3 relates to P1 under two qualifiers."""
+    objects = [
+        OcelObject("P1", "possession", {"team": "Home", "outcome": "lost"}),
+        OcelObject("P2", "possession", {"team": "Away", "outcome": "shot"}),
+        OcelObject("ball", "ball", {}),
+        OcelObject("HomeP1", "player", {"side": "Home"}),
+        OcelObject("AwayP1", "player", {"side": "Away"}),
+    ]
+    events = [
+        OcelEvent("e1", "Pass", T0, {"x": 0.1, "y": 0.5},
+                  (("ball", "ball"), ("HomeP1", "executing_player"), ("P1", "possession"))),
+        OcelEvent("e2", "Pass", T0, {"x": 0.3, "y": 0.2},
+                  (("ball", "ball"), ("AwayP1", "executing_player"), ("P2", "possession"))),
+        OcelEvent("e3", "Pass", T0, {"x": 0.5, "y": 0.5},
+                  (("P1", "possession"), ("ball", "ball"), ("HomeP1", "executing_player"),
+                   ("P1", "match"))),
+        OcelEvent("e4", "Player changes position", T0, {"to_cell": "C2"},
+                  (("AwayP1", "executing_player"), ("P2", "possession"))),
+        OcelEvent("e5", "Player changes position", T0, {"to_cell": "D3"},
+                  (("HomeP1", "executing_player"), ("P1", "possession"))),
+    ]
+    return OcelLog(objects, events)
+
+
+def test_svg_equals_the_svg_of_its_scanned_events(log):
+    """Each possession draws as the log of only its events, found by a scan, draws."""
+    grid = GridSpec()
+    micro = interleaved_possessions_log()
+    cases = [(micro, "P1"), (micro, "P2")]
+    cases += [(log, o.oid) for o in log.objects if o.otype == "possession"]
+    assert len(cases) > 10
+    for source, pid in cases:
+        svg = spatial_instance_svg(source, pid, ["ball", "player"], grid)
+        assert svg == spatial_instance_svg(scanned_possession_log(source, pid), pid,
+                                           ["ball", "player"], grid)
+    # P1: the ball at e1 and e3, HomeP1 at e1, e3 and e5; e3 once though tied twice
+    assert spatial_instance_svg(micro, "P1", ["ball", "player"], grid).count("<circle") == 5
