@@ -116,7 +116,7 @@ def qualify_player(side: str, token: str) -> str:
     return f"{side}{token}"
 
 
-def _opt_float(token: str, *, source: str, line: int, what: str) -> Optional[float]:
+def _opt_float(token: str, what: str) -> Optional[float]:
     """Parse an optional numeric field: blank or NaN mean absent."""
     token = token.strip()
     if not token:
@@ -124,33 +124,33 @@ def _opt_float(token: str, *, source: str, line: int, what: str) -> Optional[flo
     try:
         value = float(token)
     except ValueError:
-        raise ParseError(f"non-numeric {what} {token!r}", source=source, line=line) from None
+        raise ParseError(f"non-numeric {what} {token!r}") from None
     if math.isnan(value):
         return None
     if math.isinf(value):
-        raise ParseError(f"non-finite {what} {token!r}", source=source, line=line)
+        raise ParseError(f"non-finite {what} {token!r}")
     return value
 
 
-def _req_int(token: str, *, source: str, line: int, what: str) -> int:
+def _req_int(token: str, what: str) -> int:
     try:
         return int(token.strip())
     except ValueError:
-        raise ParseError(f"non-numeric {what} {token!r}", source=source, line=line) from None
+        raise ParseError(f"non-numeric {what} {token!r}") from None
 
 
-def _req_float(token: str, *, source: str, line: int, what: str) -> float:
-    value = _opt_float(token, source=source, line=line, what=what)
+def _req_float(token: str, what: str) -> float:
+    value = _opt_float(token, what)
     if value is None:
-        raise ParseError(f"missing {what}", source=source, line=line)
+        raise ParseError(f"missing {what}")
     return value
 
 
-def _opt_pair(xs: str, ys: str, *, source: str, line: int, what: str) -> Optional[Point]:
-    x = _opt_float(xs, source=source, line=line, what=f"{what} x")
-    y = _opt_float(ys, source=source, line=line, what=f"{what} y")
+def _opt_pair(xs: str, ys: str, what: str) -> Optional[Point]:
+    x = _opt_float(xs, f"{what} x")
+    y = _opt_float(ys, f"{what} y")
     if (x is None) != (y is None):
-        raise ParseError(f"half-present coordinate pair for {what}", source=source, line=line)
+        raise ParseError(f"half-present coordinate pair for {what}")
     if x is None:
         return None
     return Point(x, y)
@@ -168,37 +168,39 @@ def parse_tracking(
     the ball; merge_tracking joins the two sides.  The header is validated
     structurally and every data row is checked for field count, numeric
     sanity, strictly increasing frame numbers and time = frame / sample_rate.
+    Errors, the csv module's own too, name source and the reader's line.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     reader = csv.reader(lines)
+    try:
+        return _tracking_rows(reader, side, sample_rate)
+    except (ParseError, csv.Error) as exc:
+        raise ParseError(str(exc), source=source, line=reader.line_num) from None
+
+
+def _tracking_rows(reader, side: str, sample_rate: float) -> Tracking:
     header = []
     for row in reader:
         header.append(row)
         if len(header) == 3:
             break
     if len(header) < 3:
-        raise ParseError("truncated header: expected 3 header lines", source=source, line=len(header))
+        raise ParseError("truncated header: expected 3 header lines")
     titles = [t.strip() for t in header[2]]
     if tuple(titles[:3]) != TRACKING_TITLE_PREFIX:
-        raise ParseError(
-            f"column-title row must start with {','.join(TRACKING_TITLE_PREFIX)}",
-            source=source, line=3,
-        )
+        raise ParseError(f"column-title row must start with {','.join(TRACKING_TITLE_PREFIX)}")
     if (len(titles) - 3) % 2 != 0:
-        raise ParseError("odd coordinate column count", source=source, line=3)
+        raise ParseError("odd coordinate column count")
     n_pairs = (len(titles) - 3) // 2
     if n_pairs < 1:
-        raise ParseError("no coordinate columns (not even a ball pair)", source=source, line=3)
+        raise ParseError("no coordinate columns (not even a ball pair)")
     pair_tokens = [titles[3 + 2 * k] for k in range(n_pairs)]
     if pair_tokens[-1].lower() != "ball":
-        raise ParseError(
-            f"last coordinate pair must be titled Ball, got {pair_tokens[-1]!r}",
-            source=source, line=3,
-        )
+        raise ParseError(f"last coordinate pair must be titled Ball, got {pair_tokens[-1]!r}")
     for token in pair_tokens[:-1]:
         if not token:
-            raise ParseError("unnamed player coordinate pair", source=source, line=3)
+            raise ParseError("unnamed player coordinate pair")
     labels = [qualify_player(side, token) for token in pair_tokens[:-1]]
 
     periods, frames, times = array("q"), array("q"), array("d")
@@ -206,46 +208,35 @@ def parse_tracking(
     width = len(titles)
     prev_frame: Optional[int] = None
     for row in reader:
-        line = reader.line_num
         if not row or (len(row) == 1 and not row[0].strip()):
             continue  # stray blank line
         if len(row) != width:
-            raise ParseError(
-                f"expected {width} fields, got {len(row)}", source=source, line=line,
-            )
-        period = _req_int(row[0], source=source, line=line, what="period")
+            raise ParseError(f"expected {width} fields, got {len(row)}")
+        period = _req_int(row[0], "period")
         if period < 1:
-            raise ParseError(f"period must be >= 1, got {period}", source=source, line=line)
-        frame = _req_int(row[1], source=source, line=line, what="frame")
-        time_s = _req_float(row[2], source=source, line=line, what="time")
+            raise ParseError(f"period must be >= 1, got {period}")
+        frame = _req_int(row[1], "frame")
+        time_s = _req_float(row[2], "time")
         if prev_frame is not None and frame <= prev_frame:
-            raise ParseError(
-                f"frame {frame} not greater than previous frame {prev_frame}",
-                source=source, line=line,
-            )
+            raise ParseError(f"frame {frame} not greater than previous frame {prev_frame}")
         prev_frame = frame
         try:
             periods.append(period)
             frames.append(frame)
         except OverflowError:  # beyond 64 bits; frame / sample_rate may not even be a float
-            raise ParseError(
-                f"period {period} or frame {frame} out of range", source=source, line=line,
-            ) from None
+            raise ParseError(f"period {period} or frame {frame} out of range") from None
         if abs(time_s - frame / sample_rate) > FLOAT_TOLERANCE:
-            raise ParseError(
-                f"time {time_s} inconsistent with frame {frame} at {sample_rate} Hz",
-                source=source, line=line,
-            )
+            raise ParseError(f"time {time_s} inconsistent with frame {frame} at {sample_rate} Hz")
         # blank and NaN tokens both read as NaN; a row that holds any other
         # non-number, an infinity or a half-present pair is converted again
-        # pair by pair, which raises the located error for its first bad pair
+        # pair by pair, which raises the error for its first bad pair
         try:
             values = [float(token or "nan") for token in row[3:]]
         except ValueError:
             values = None
         if (values is None or math.inf in values or -math.inf in values
                 or list(map(math.isnan, values[0::2])) != list(map(math.isnan, values[1::2]))):
-            values = _checked_coords(row, labels, source, line)
+            values = _checked_coords(row, labels)
         times.append(time_s)
         coords.extend(values)
     n = width - 3
@@ -255,18 +246,17 @@ def parse_tracking(
     return Tracking(periods, frames, times, players, (coords[n - 2::n], coords[n - 1::n]))
 
 
-def _checked_coords(row: list[str], labels: list[str], source: str, line: int) -> list[float]:
+def _checked_coords(row: list[str], labels: list[str]) -> list[float]:
     """One row's coordinates, validated pair by pair; NaN marks an absent pair."""
     values: list[float] = []
     for k, what in enumerate([*labels, "ball"]):
-        p = _opt_pair(row[3 + 2 * k], row[4 + 2 * k], source=source, line=line, what=what)
+        p = _opt_pair(row[3 + 2 * k], row[4 + 2 * k], what)
         values += (math.nan, math.nan) if p is None else p
     return values
 
 
 def _check_alignment(home: Tracking, away: Tracking) -> None:
     """Raise on the first frame where the two sides' fragments disagree."""
-    overlap = home.players.keys() & away.players.keys()
     (hx, hy), (ax, ay) = home.ball, away.ball
     for i in range(max(len(home), len(away))):
         if i >= len(home):
@@ -280,8 +270,6 @@ def _check_alignment(home: Tracking, away: Tracking) -> None:
             raise ConsistencyError(f"period mismatch at frame {frame}")
         if abs(home.time_s[i] - away.time_s[i]) > FLOAT_TOLERANCE:
             raise ConsistencyError(f"time mismatch at frame {frame}")
-        if overlap:
-            raise ConsistencyError(f"duplicate player labels across sides: {sorted(overlap)}")
         if (hx[i] == hx[i] and ax[i] == ax[i]
                 and (abs(hx[i] - ax[i]) > FLOAT_TOLERANCE or abs(hy[i] - ay[i]) > FLOAT_TOLERANCE)):
             raise ConsistencyError(f"ball position disagreement at frame {frame}")
@@ -293,13 +281,16 @@ def merge_tracking(home: Tracking, away: Tracking) -> Tracking:
     Both files must describe exactly the same frame sequence; the first
     diverging frame is reported.  Ball positions may come from either file
     and must agree where both report one.  The merged value shares the
-    home fragment's frame columns.
+    home fragment's frame columns.  A player label in both fragments is
+    refused whatever their frame count.
     """
+    overlap = home.players.keys() & away.players.keys()
+    if overlap:
+        raise ConsistencyError(f"duplicate player labels across sides: {sorted(overlap)}")
     (hx, hy), (ax, ay) = home.ball, away.ball
     same_ball = hx.tobytes() == ax.tobytes() and hy.tobytes() == ay.tobytes()
     if not (home.frame == away.frame and home.period == away.period
-            and home.time_s.tobytes() == away.time_s.tobytes() and same_ball
-            and (not len(home) or home.players.keys().isdisjoint(away.players))):
+            and home.time_s.tobytes() == away.time_s.tobytes() and same_ball):
         _check_alignment(home, away)
     ball = home.ball
     if not same_ball:  # take the away file's ball where the home file has none
@@ -315,54 +306,55 @@ def parse_events(lines: Iterable[str], source: str = "<events>") -> list[RawEven
     The 14-column header is matched exactly.  Rows come back stably sorted
     by start time (file order preserved among ties); values are kept
     verbatim, so writing the records back in the provider layout
-    reproduces every field.
+    reproduces every field.  Errors, the csv module's own too, name source
+    and the reader's line.
     """
     reader = csv.reader(lines)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty file: missing header", source=source, line=1) from None
+        records = _event_rows(reader)
+    except (ParseError, csv.Error) as exc:  # an empty file has read no line: its header is line 1
+        raise ParseError(str(exc), source=source, line=reader.line_num or 1) from None
+    records.sort(key=lambda r: r.start_time_s)  # stable: file order breaks ties
+    return records
+
+
+def _event_rows(reader) -> list[RawEventRecord]:
+    header = next(reader, None)
+    if header is None:
+        raise ParseError("empty file: missing header")
     if [h.strip() for h in header] != EVENTS_HEADER:
-        raise ParseError(
-            f"unexpected header: expected {','.join(EVENTS_HEADER)}", source=source, line=1,
-        )
+        raise ParseError(f"unexpected header: expected {','.join(EVENTS_HEADER)}")
     records: list[RawEventRecord] = []
     for row in reader:
-        line = reader.line_num
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != len(EVENTS_HEADER):
-            raise ParseError(
-                f"expected {len(EVENTS_HEADER)} fields, got {len(row)}", source=source, line=line,
-            )
+            raise ParseError(f"expected {len(EVENTS_HEADER)} fields, got {len(row)}")
         team = row[0].strip()
         if team not in SIDES:
-            raise ParseError(f"unknown team {team!r}", source=source, line=line)
+            raise ParseError(f"unknown team {team!r}")
         event_type = row[1].strip()
         if not event_type:
-            raise ParseError("missing event type", source=source, line=line)
+            raise ParseError("missing event type")
         subtype = row[2].strip() or None
-        period = _req_int(row[3], source=source, line=line, what="period")
+        period = _req_int(row[3], "period")
         if period < 1:
-            raise ParseError(f"period must be >= 1, got {period}", source=source, line=line)
-        start_frame = _req_int(row[4], source=source, line=line, what="start frame")
-        start_time = _req_float(row[5], source=source, line=line, what="start time")
-        end_frame = _req_int(row[6], source=source, line=line, what="end frame")
-        end_time = _req_float(row[7], source=source, line=line, what="end time")
+            raise ParseError(f"period must be >= 1, got {period}")
+        start_frame = _req_int(row[4], "start frame")
+        start_time = _req_float(row[5], "start time")
+        end_frame = _req_int(row[6], "end frame")
+        end_time = _req_float(row[7], "end time")
         if end_time < start_time:
-            raise ParseError(
-                f"end time {end_time} before start time {start_time}", source=source, line=line,
-            )
+            raise ParseError(f"end time {end_time} before start time {start_time}")
         from_player = row[8].strip() or None
         to_player = row[9].strip() or None
-        start_pos = _opt_pair(row[10], row[11], source=source, line=line, what="start position")
-        end_pos = _opt_pair(row[12], row[13], source=source, line=line, what="end position")
+        start_pos = _opt_pair(row[10], row[11], "start position")
+        end_pos = _opt_pair(row[12], row[13], "end position")
         records.append(RawEventRecord(
             team, event_type, subtype, period,
             start_frame, start_time, end_frame, end_time,
             from_player, to_player, start_pos, end_pos,
         ))
-    records.sort(key=lambda r: r.start_time_s)  # stable: file order breaks ties
     return records
 
 

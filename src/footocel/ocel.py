@@ -17,9 +17,10 @@ must be an object with exactly its layout's keys, ids and type names must be
 non-empty and unique, attribute values must match their declared type (an
 integer is a valid float; a number beyond the float range is not),
 relationships must name a known object and qualifier, and events must be
-sorted by (time, id).  Each object and event is checked in bulk, without
-building a JSON path; an entry that fails is walked again check by check,
-which raises its first violation with its path.
+sorted by (time, id).  Each rule of an object or event entry is checked
+once, and a JSON path is formatted only for the violation raised.  An
+attributes or relationships array is checked in bulk; one that fails is
+walked again check by check, which raises its first violation with its path.
 
 A log is a frozen value: its objects and events are tuples, and every
 event's relations a tuple.  On first use it builds one index from each
@@ -148,18 +149,19 @@ def _shown(value) -> str:
     return text if len(text) <= 80 else text[:80] + "..."
 
 
-def parse_time(text: str, path: str) -> datetime:
+def parse_time(text: str) -> datetime:
+    """The UTC instant of an ISO-8601 time with an offset; errors carry no location."""
     normalized = text[:-1] + "+00:00" if text.endswith("Z") else text
     try:
         dt = datetime.fromisoformat(normalized)
     except ValueError:
-        raise ParseError(f"{path}: invalid ISO-8601 time {_shown(text)}") from None
+        raise ParseError(f"invalid ISO-8601 time {_shown(text)}") from None
     if dt.tzinfo is None:
-        raise ParseError(f"{path}: time {_shown(text)} lacks a UTC offset")
+        raise ParseError(f"time {_shown(text)} lacks a UTC offset")
     try:
         return dt.astimezone(timezone.utc)
     except OverflowError:  # a UTC instant before year 1 or after year 9999
-        raise ParseError(f"{path}: time {_shown(text)} out of range") from None
+        raise ParseError(f"time {_shown(text)} out of range") from None
 
 
 def scoped_id(scope: IdentityScope, match_id: str, base: str) -> str:
@@ -468,18 +470,29 @@ _VALUE_TYPES = {"string": (str,), "integer": (int,), "float": (float, int), "boo
 _INFINITIES = (math.inf, -math.inf)
 
 
-def _expect_keys(obj: dict, keys: set[str], path: str) -> None:
-    if obj.keys() != keys:
-        missing = keys - obj.keys()
-        if missing:
-            raise ParseError(f"{path}: missing key(s) {sorted(missing)}")
-        raise ParseError(f"{path}: unexpected key(s) {_shown(sorted(obj.keys() - keys))}")
+_OBJECT_KEYS = {"id", "type", "attributes"}
+_EVENT_KEYS = {"id", "type", "time", "attributes", "relationships"}
 
 
-def _expect_entry(entry, keys: set[str], path: str) -> None:
-    if not isinstance(entry, dict):
-        raise ParseError(f"{path}: expected an object")
-    _expect_keys(entry, keys, path)
+def _keys_problem(obj, keys: set[str]) -> str | None:
+    """Why obj is not a JSON object with exactly keys, or None if it is."""
+    if not isinstance(obj, dict):
+        return "expected an object"
+    if obj.keys() == keys:
+        return None
+    missing = keys - obj.keys()
+    if missing:
+        return f"missing key(s) {sorted(missing)}"
+    return f"unexpected key(s) {_shown(sorted(obj.keys() - keys))}"
+
+
+def _id_problem(value, seen, what: str) -> str | None:
+    """Why value is not a non-empty string absent from seen, or None."""
+    if not isinstance(value, str) or not value:
+        return "expected a non-empty string"
+    if value in seen:
+        return f"duplicate {what} {_shown(value)}"
+    return None
 
 
 def _entries(value, path: str, keys: set[str]):
@@ -488,23 +501,17 @@ def _entries(value, path: str, keys: set[str]):
         raise ParseError(f"{path}: expected an array")
     for i, entry in enumerate(value):
         entry_path = f"{path}[{i}]"
-        _expect_entry(entry, keys, entry_path)
+        if problem := _keys_problem(entry, keys):
+            raise ParseError(f"{entry_path}: {problem}")
         yield entry_path, entry
-
-
-def _new_id(value, seen, path: str, what: str) -> str:
-    """value, checked to be a non-empty string not in seen."""
-    if not isinstance(value, str) or not value:
-        raise ParseError(f"{path}: expected a non-empty string")
-    if value in seen:
-        raise ParseError(f"{path}: duplicate {what} {_shown(value)}")
-    return value
 
 
 def _read_type_section(data, key: str) -> dict[str, dict[str, str]]:
     schema: dict[str, dict[str, str]] = {}
     for path, entry in _entries(data[key], f"$.{key}", {"name", "attributes"}):
-        name = _new_id(entry["name"], schema, f"{path}.name", "type")
+        name = entry["name"]
+        if problem := _id_problem(name, schema, "type"):
+            raise ParseError(f"{path}.name: {problem}")
         attrs: dict[str, str] = {}
         for apath, attr in _entries(entry["attributes"], f"{path}.attributes", {"name", "type"}):
             aname, atype = attr["name"], attr["type"]
@@ -517,6 +524,27 @@ def _read_type_section(data, key: str) -> dict[str, dict[str, str]]:
             attrs[aname] = atype
         schema[name] = attrs
     return schema
+
+
+# An attributes or relationships array is read in two passes.  The bulk pass
+# builds no JSON path; it accepts only what the walk accepts, and refuses any
+# other array by returning None, also where indexing an entry of a wrong JSON
+# kind or without a key raises.  A refused array is walked entry by entry,
+# which raises its first violation with its path; the walk's result stands.
+def _bulk_attributes(array, value_types: dict[str, tuple]) -> dict | None:
+    if type(array) is not list:
+        return None
+    try:
+        attrs = {a["name"]: a["value"] for a in array}
+        # a repeated name shrinks attrs; a key beyond name and value grows the sum
+        if len(attrs) != len(array) or sum(map(len, array)) != 2 * len(array):
+            return None
+        for name, value in attrs.items():
+            if type(value) not in value_types[name] or value in _INFINITIES:
+                return None
+    except (KeyError, TypeError):
+        return None
+    return attrs
 
 
 def _read_attributes(array, schema: dict[str, str], path: str) -> dict:
@@ -533,83 +561,36 @@ def _read_attributes(array, schema: dict[str, str], path: str) -> dict:
     return attrs
 
 
-def _read_object(entry, path: str, schema, objects) -> OcelObject:
-    """The $.objects entry at path, checked in document order: the first
-    violation is raised with its JSON path."""
-    _expect_entry(entry, {"id", "type", "attributes"}, path)
-    oid = _new_id(entry["id"], objects, f"{path}.id", "object id")
-    otype = entry["type"]
-    if not isinstance(otype, str) or otype not in schema:
-        raise ParseError(f"{path}.type: undeclared object type {_shown(otype)}")
-    attrs = _read_attributes(entry["attributes"], schema[otype], f"{path}.attributes")
-    return OcelObject(oid, otype, attrs)
+def _bulk_relationships(array, objects) -> tuple[tuple[str, str], ...] | None:
+    if type(array) is not list:
+        return None
+    try:
+        rels = tuple([(r["objectId"], r["qualifier"]) for r in array])
+        if sum(map(len, array)) != 2 * len(array):
+            return None
+        for oid, qualifier in rels:
+            if oid not in objects or qualifier not in QUALIFIERS:
+                return None
+    except (KeyError, TypeError):
+        return None
+    return rels
 
 
-def _read_event(entry, path: str, schema, objects, events, prev_key) -> OcelEvent:
-    """The $.events entry at path, which must sort after prev_key, checked in
-    document order: the first violation is raised with its JSON path."""
-    _expect_entry(entry, {"id", "type", "time", "attributes", "relationships"}, path)
-    eid = _new_id(entry["id"], events, f"{path}.id", "event id")
-    etype = entry["type"]
-    if not isinstance(etype, str) or etype not in schema:
-        raise ParseError(f"{path}.type: undeclared event type {_shown(etype)}")
-    if not isinstance(entry["time"], str):
-        raise ParseError(f"{path}.time: expected a string")
-    time = parse_time(entry["time"], f"{path}.time")
-    attrs = _read_attributes(entry["attributes"], schema[etype], f"{path}.attributes")
+def _read_relationships(array, objects, path: str) -> tuple[tuple[str, str], ...]:
     rels: list[tuple[str, str]] = []
-    for rpath, rel in _entries(entry["relationships"], f"{path}.relationships",
-                               {"objectId", "qualifier"}):
+    for rpath, rel in _entries(array, path, {"objectId", "qualifier"}):
         oid, qualifier = rel["objectId"], rel["qualifier"]
         if not isinstance(oid, str) or oid not in objects:
             raise ParseError(f"{rpath}.objectId: unknown object {_shown(oid)}")
         if not isinstance(qualifier, str) or qualifier not in QUALIFIERS:
             raise ParseError(f"{rpath}.qualifier: unknown qualifier {_shown(qualifier)}")
         rels.append((oid, qualifier))
-    if prev_key is not None and (time, eid) < prev_key:
-        raise ParseError(f"{path}: events not sorted by (time, id)")
-    return OcelEvent(eid, etype, time, attrs, tuple(rels))
-
-
-# The bulk checks below accept only what _read_object and _read_event accept,
-# and build no JSON path.  An entry they refuse, by _Slow, by the KeyError or
-# TypeError that indexing a wrong JSON kind raises, or by a ValueError, is read
-# again by the located walk, whose result stands.
-class _Slow(Exception):
-    """An entry failed a bulk check."""
-
-
-_REREAD = (_Slow, KeyError, TypeError, ValueError)
+    return tuple(rels)
 
 
 def _value_types(schema: dict[str, dict[str, str]]) -> dict[str, dict[str, tuple]]:
     """Per type: attribute name -> the Python types its values may have."""
     return {t: {a: _VALUE_TYPES[k] for a, k in attrs.items()} for t, attrs in schema.items()}
-
-
-def _bulk_attributes(array, value_types: dict[str, tuple]) -> dict:
-    if type(array) is not list:
-        raise _Slow
-    attrs = {a["name"]: a["value"] for a in array}
-    # a repeated name shrinks attrs; a key beyond name and value grows the sum
-    if len(attrs) != len(array) or sum(map(len, array)) != 2 * len(array):
-        raise _Slow
-    for name, value in attrs.items():
-        if type(value) not in value_types[name] or value in _INFINITIES:
-            raise _Slow
-    return attrs
-
-
-def _bulk_relationships(array, objects) -> tuple[tuple[str, str], ...]:
-    if type(array) is not list:
-        raise _Slow
-    rels = tuple([(r["objectId"], r["qualifier"]) for r in array])
-    if sum(map(len, array)) != 2 * len(array):
-        raise _Slow
-    for oid, qualifier in rels:
-        if oid not in objects or qualifier not in QUALIFIERS:
-            raise _Slow
-    return rels
 
 
 def _read_objects(array, schema) -> dict[str, OcelObject]:
@@ -618,14 +599,18 @@ def _read_objects(array, schema) -> dict[str, OcelObject]:
     value_types = _value_types(schema)
     objects: dict[str, OcelObject] = {}
     for i, entry in enumerate(array):
-        try:  # three keys, each of them indexed: exactly the layout's keys
-            oid, otype = entry["id"], entry["type"]
-            if len(entry) != 3 or type(oid) is not str or not oid or oid in objects:
-                raise _Slow
-            obj = OcelObject(oid, otype, _bulk_attributes(entry["attributes"], value_types[otype]))
-        except _REREAD:
-            obj = _read_object(entry, f"$.objects[{i}]", schema, objects)
-        objects[obj.oid] = obj
+        if problem := _keys_problem(entry, _OBJECT_KEYS):
+            raise ParseError(f"$.objects[{i}]: {problem}")
+        oid, otype = entry["id"], entry["type"]
+        if problem := _id_problem(oid, objects, "object id"):
+            raise ParseError(f"$.objects[{i}].id: {problem}")
+        if not isinstance(otype, str) or otype not in schema:
+            raise ParseError(f"$.objects[{i}].type: undeclared object type {_shown(otype)}")
+        attrs = _bulk_attributes(entry["attributes"], value_types[otype])
+        if attrs is None:
+            attrs = _read_attributes(entry["attributes"], schema[otype],
+                                     f"$.objects[{i}].attributes")
+        objects[oid] = OcelObject(oid, otype, attrs)
     return objects
 
 
@@ -636,30 +621,36 @@ def _read_events(array, schema, objects) -> tuple[OcelEvent, ...]:
     events: dict[str, OcelEvent] = {}
     prev_key = None
     for i, entry in enumerate(array):
-        try:  # five keys, each of them indexed
-            eid, etype, text = entry["id"], entry["type"], entry["time"]
-            if (len(entry) != 5 or type(eid) is not str or not eid or eid in events
-                    or type(text) is not str):
-                raise _Slow
-            attrs = _bulk_attributes(entry["attributes"], value_types[etype])
-            rels = _bulk_relationships(entry["relationships"], objects)
-            key = (parse_time(text, "$"), eid)  # its ParseError is a ValueError
-            if prev_key is not None and key < prev_key:
-                raise _Slow
-            event = OcelEvent(eid, etype, key[0], attrs, rels)
-        except _REREAD:
-            event = _read_event(entry, f"$.events[{i}]", schema, objects, events, prev_key)
-        prev_key = (event.time, event.eid)
-        events[event.eid] = event
+        if problem := _keys_problem(entry, _EVENT_KEYS):
+            raise ParseError(f"$.events[{i}]: {problem}")
+        eid, etype, text = entry["id"], entry["type"], entry["time"]
+        if problem := _id_problem(eid, events, "event id"):
+            raise ParseError(f"$.events[{i}].id: {problem}")
+        if not isinstance(etype, str) or etype not in schema:
+            raise ParseError(f"$.events[{i}].type: undeclared event type {_shown(etype)}")
+        if not isinstance(text, str):
+            raise ParseError(f"$.events[{i}].time: expected a string")
+        try:
+            time = parse_time(text)
+        except ParseError as exc:
+            raise ParseError(f"$.events[{i}].time: {exc}") from None
+        attrs = _bulk_attributes(entry["attributes"], value_types[etype])
+        rels = _bulk_relationships(entry["relationships"], objects)
+        if attrs is None or rels is None:
+            path = f"$.events[{i}]"
+            attrs = _read_attributes(entry["attributes"], schema[etype], f"{path}.attributes")
+            rels = _read_relationships(entry["relationships"], objects, f"{path}.relationships")
+        key = (time, eid)
+        if prev_key is not None and key < prev_key:
+            raise ParseError(f"$.events[{i}]: events not sorted by (time, id)")
+        prev_key = key
+        events[eid] = OcelEvent(eid, etype, time, attrs, rels)
     return tuple(events.values())
 
 
 def read_ocel_json(path) -> OcelLog:
     """Load and check a log.  The first violation in document order is raised as
-    a ParseError naming the file and a JSON path such as $.events[3].time.
-
-    Each object and event is checked in bulk; one that fails is walked again,
-    check by check, to locate its first violation."""
+    a ParseError naming the file and a JSON path such as $.events[3].time."""
     data = read_json(path)
     try:
         return _log_from_dict(data)
@@ -670,7 +661,8 @@ def read_ocel_json(path) -> OcelLog:
 def _log_from_dict(data) -> OcelLog:
     if not isinstance(data, dict):
         raise ParseError("$: expected a top-level object")
-    _expect_keys(data, {"objectTypes", "eventTypes", "objects", "events"}, "$")
+    if problem := _keys_problem(data, {"objectTypes", "eventTypes", "objects", "events"}):
+        raise ParseError(f"$: {problem}")
     object_schema = _read_type_section(data, "objectTypes")
     event_schema = _read_type_section(data, "eventTypes")
     objects = _read_objects(data["objects"], object_schema)

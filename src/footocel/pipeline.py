@@ -68,6 +68,8 @@ class RunConfig:
             raise ValueError(f"scope must be 'global' or 'per-match', got {self.scope!r}")
         if not self.min_dwell_s >= 0:
             raise ValueError(f"min_dwell_s must be >= 0, got {self.min_dwell_s!r}")
+        if self.min_dwell_s == math.inf:
+            raise ValueError("min_dwell_s must be finite, got inf")
         if self.unknown_events not in (UNKNOWN_REJECT, UNKNOWN_PASS):
             raise ValueError(f"unknown_events must be 'reject' or 'pass', got {self.unknown_events!r}")
         if not self.control_types:

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 from .derive import snap_to_pitch
 from .errors import QueryError
 from .mining import OcDfg, object_traces
-from .ocel import OBJECT_TYPE_BALL, OcelEvent, OcelLog
+from .ocel import OBJECT_TYPE_BALL, OBJECT_TYPE_POSSESSION, OcelEvent, OcelLog
 from .spatial import GridSpec, Point, cell_center, cell_label, parse_cell_label
 
 TYPE_COLORS = {
@@ -130,7 +130,7 @@ def spatial_instance_svg(
     """Draw one possession's object traces over the pitch grid (SVG 1.1)."""
     index = log.object_index()
     possession = index.get(possession_id)
-    if possession is None or possession.otype != "possession":
+    if possession is None or possession.otype != OBJECT_TYPE_POSSESSION:
         raise QueryError(f"unknown possession id {possession_id!r}")
     if not object_types:
         raise QueryError("at least one object type must be rendered")

@@ -49,6 +49,9 @@ class GridSpec:
             raise ValueError(f"at most 26 grid columns supported, got {self.cols}")
         if not (self.pitch_length_m > 0 and self.pitch_width_m > 0):
             raise ValueError("pitch dimensions must be positive")
+        for name in ("pitch_length_m", "pitch_width_m"):
+            if getattr(self, name) == math.inf:
+                raise ValueError(f"grid.{name} must be finite, got inf")
 
     def all_cells(self) -> list[GridCell]:
         """Every cell, column-major from A1: A1, A2, ..., F4."""

@@ -217,10 +217,12 @@ def _log_from_dict(data) -> OcelLog:
             raise ParseError(f"{path}.id: duplicate event id {_echo(eid)}")
         if not isinstance(etype, str) or etype not in event_schema:
             raise ParseError(f"{path}.type: undeclared event type {_echo(etype)}")
-        time = parse_time(entry["time"], f"{path}.time") if isinstance(entry["time"], str) \
-            else None
-        if time is None:
+        if not isinstance(entry["time"], str):
             raise ParseError(f"{path}.time: expected a string")
+        try:
+            time = parse_time(entry["time"])
+        except ParseError as exc:  # the library's parse_time leaves the path to its caller
+            raise ParseError(f"{path}.time: {exc}") from None
         attrs = _read_attributes(entry["attributes"], event_schema[etype], f"{path}.attributes")
         if not isinstance(entry["relationships"], list):
             raise ParseError(f"{path}.relationships: expected an array")

@@ -292,6 +292,9 @@ def test_config_value_of_wrong_type_exit_1(small_match, tmp_path, capsys, config
     (["--grid-cols", "0"], "grid must have positive dimensions, got 0x4"),
     (["--scope", "both"], "scope must be 'global' or 'per-match', got 'both'"),
     (["--unknown-events", "drop"], "unknown_events must be 'reject' or 'pass', got 'drop'"),
+    (["--min-dwell", "inf"], "min_dwell_s must be finite, got inf"),
+    (["--pitch-length", "inf"], "grid.pitch_length_m must be finite, got inf"),
+    (["--pitch-width", "inf"], "grid.pitch_width_m must be finite, got inf"),
 ])
 def test_setting_out_of_range_exit_2(small_match, tmp_path, capsys, extra, message):
     assert convert_small(small_match, tmp_path, *extra) == 2
@@ -307,6 +310,9 @@ def test_setting_out_of_range_exit_2(small_match, tmp_path, capsys, extra, messa
     ({"min_dwell_s": -10 ** 400}, 2, "error: min_dwell_s must be >= 0, got -inf"),
     ({"scope": "both"}, 2, "error: scope must be 'global' or 'per-match', got 'both'"),
     ({"unknown_events": "drop"}, 2, "error: unknown_events must be 'reject' or 'pass', got 'drop'"),
+    ({"min_dwell_s": 10 ** 400}, 2, "error: min_dwell_s must be finite, got inf"),
+    ({"grid": {"pitch_length_m": 10 ** 400}}, 2,
+     "error: grid.pitch_length_m must be finite, got inf"),
 ])
 def test_config_non_finite_and_out_of_range(small_match, tmp_path, capsys, config, rc, err):
     cfg = tmp_path / "cfg.json"

@@ -91,6 +91,29 @@ def test_parse_tracking_header_errors(mutate, message):
         parse_tracking(mutate(tracking_lines()), "Home")
 
 
+@pytest.mark.parametrize("lines, message", [
+    (tracking_lines()[:1], "h.csv:1: truncated header: expected 3 header lines"),
+    (tracking_lines()[:2], "h.csv:2: truncated header: expected 3 header lines"),
+    (tracking_lines()[:2] + ["Period,Frame,Time [s],Player1,,Ball\n"],
+     "h.csv:3: odd coordinate column count"),
+])
+def test_parse_tracking_header_errors_are_located(lines, message):
+    with pytest.raises(ParseError) as err:
+        parse_tracking(lines, "Home", source="h.csv")
+    assert str(err.value) == message
+
+
+def test_oversize_csv_field_is_a_located_parse_error():
+    # the csv module's own error, raised while it reads line 4, is located too
+    row = "1,1,0.04," + "9" * (csv.field_size_limit() + 1) + ",0.5,0.6,0.5,0.5,0.5"
+    with pytest.raises(ParseError) as err:
+        parse_tracking(tracking_lines(rows=[row]), "Home", source="h.csv")
+    assert str(err.value) == f"h.csv:4: field larger than field limit ({csv.field_size_limit()})"
+    with pytest.raises(ParseError) as err:
+        parse_events(events_lines(["x" * (csv.field_size_limit() + 1)]), source="e.csv")
+    assert str(err.value) == f"e.csv:2: field larger than field limit ({csv.field_size_limit()})"
+
+
 @pytest.mark.parametrize("row, message", [
     ("1,1,0.04,0.5,0.5", "expected 9 fields"),
     ("0,1,0.04,0.4,0.5,0.6,0.5,0.5,0.5", "period must be"),
@@ -166,6 +189,12 @@ def reference_parse_tracking(lines, side, sample_rate=25.0, source="<tracking>")
             raise ParseError("unnamed player coordinate pair", source=source, line=3)
     labels = [qualify_player(side, token) for token in pair_tokens[:-1]]
 
+    def at(line, parse, *args):  # the library's field parsers raise unlocated errors
+        try:
+            return parse(*args)
+        except ParseError as exc:
+            raise ParseError(str(exc), source=source, line=line) from None
+
     frames = []
     width = len(titles)
     prev_frame = None
@@ -175,11 +204,11 @@ def reference_parse_tracking(lines, side, sample_rate=25.0, source="<tracking>")
             continue
         if len(row) != width:
             raise ParseError(f"expected {width} fields, got {len(row)}", source=source, line=line)
-        period = _req_int(row[0], source=source, line=line, what="period")
+        period = at(line, _req_int, row[0], "period")
         if period < 1:
             raise ParseError(f"period must be >= 1, got {period}", source=source, line=line)
-        frame = _req_int(row[1], source=source, line=line, what="frame")
-        time_s = _req_float(row[2], source=source, line=line, what="time")
+        frame = at(line, _req_int, row[1], "frame")
+        time_s = at(line, _req_float, row[2], "time")
         if prev_frame is not None and frame <= prev_frame:
             raise ParseError(
                 f"frame {frame} not greater than previous frame {prev_frame}",
@@ -193,10 +222,8 @@ def reference_parse_tracking(lines, side, sample_rate=25.0, source="<tracking>")
             )
         positions = {}
         for k, label in enumerate(labels):
-            positions[label] = _opt_pair(
-                row[3 + 2 * k], row[4 + 2 * k], source=source, line=line, what=label,
-            )
-        ball = _opt_pair(row[width - 2], row[width - 1], source=source, line=line, what="ball")
+            positions[label] = at(line, _opt_pair, row[3 + 2 * k], row[4 + 2 * k], label)
+        ball = at(line, _opt_pair, row[width - 2], row[width - 1], "ball")
         frames.append(TrackingFrame(period, frame, time_s, positions, ball))
     return frames
 
@@ -299,6 +326,9 @@ def test_merge_tracking_rejects_duplicate_labels():
     clone = _side_frames("Home", ["1,1,0.04,0.6,0.5,,"])
     with pytest.raises(ConsistencyError, match="duplicate player labels"):
         merge_tracking(home, clone)
+    # header-only fragments have no frame to compare, yet still collide
+    with pytest.raises(ConsistencyError, match=r"duplicate player labels .*'HomePlayer1'"):
+        merge_tracking(_side_frames("Home", []), _side_frames("Home", []))
 
 
 def events_lines(rows):
@@ -339,10 +369,13 @@ def test_parse_events_row_errors(row, message):
 
 
 def test_parse_events_rejects_foreign_header():
-    with pytest.raises(ParseError, match="unexpected header"):
-        parse_events(["Team,Type,Subtype\n"])
-    with pytest.raises(ParseError, match="missing header"):
-        parse_events([])
+    # both are located at line 1, an empty file's missing header too
+    with pytest.raises(ParseError) as err:
+        parse_events(["Team,Type,Subtype\n", "Home,PASS,\n"], source="e.csv")
+    assert str(err.value) == f"e.csv:1: unexpected header: expected {','.join(EVENTS_HEADER)}"
+    with pytest.raises(ParseError) as err:
+        parse_events([], source="e.csv")
+    assert str(err.value) == "e.csv:1: empty file: missing header"
 
 
 def _fmt_opt(value) -> str:
