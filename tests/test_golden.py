@@ -1,6 +1,7 @@
 """Golden hashes: `convert` output stays byte-identical across refactors.
 
-Each hash pins the `log.json` of one small synthetic conversion.  A change
+Each hash pins the `log.json` of one small synthetic conversion, or every
+possession SVG drawn from the session's converted log.  A change
 that moves a hash changed the log; it must be a change the log is meant to
 get, and the new hash is then recorded here with the reason.
 """
@@ -10,6 +11,9 @@ import hashlib
 import pytest
 
 from footocel.cli import main
+from footocel.ocel import OBJECT_TYPE_POSSESSION, OBJECT_TYPES
+from footocel.render import spatial_instance_svg
+from footocel.spatial import GridSpec
 from footocel.synth import write_synth_match
 
 
@@ -52,3 +56,22 @@ def test_two_match_per_match_scope_hash(synth_paths, second_match, tmp_path):
         "--scope", "per-match",
     ])
     assert digest == "04437e4a4fb4573d4f294ec7107daeabc1daa8cabb062f22395ce5bd5ba44e0b"
+
+
+def _sha256_of_svgs(log, object_types, spec):
+    """One hash over every possession's SVG, in object order."""
+    digest = hashlib.sha256()
+    for o in log.objects:
+        if o.otype == OBJECT_TYPE_POSSESSION:
+            digest.update(spatial_instance_svg(log, o.oid, object_types, spec).encode("utf-8"))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("object_types, spec, expected", [
+    (["ball", "player"], GridSpec(),
+     "f24c0d8c71cdee53beb8b021a43b5ed3a50b5c0d3385b2ee4c61d07f45f433d7"),
+    (sorted(OBJECT_TYPES), GridSpec(cols=7, rows=5),
+     "9cefab67eb2b780c578061ac29397ebb77149a7bd6a2b76c9a635f527f85a753"),
+])
+def test_possession_svgs_hash(log, object_types, spec, expected):
+    assert _sha256_of_svgs(log, object_types, spec) == expected
