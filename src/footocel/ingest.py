@@ -175,8 +175,8 @@ def parse_tracking(
     reader = csv.reader(lines)
     try:
         return _tracking_rows(reader, side, sample_rate)
-    except (ParseError, csv.Error) as exc:
-        raise ParseError(str(exc), source=source, line=reader.line_num) from None
+    except (ParseError, csv.Error) as exc:  # an empty file has read no line: its header is line 1
+        raise ParseError(str(exc), source=source, line=reader.line_num or 1) from None
 
 
 def _tracking_rows(reader, side: str, sample_rate: float) -> Tracking:

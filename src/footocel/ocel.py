@@ -26,7 +26,9 @@ A log is a frozen value: its objects and events are tuples, and every
 event's relations a tuple.  On first use it builds one index from each
 object id to the object's trace, its related events in log order, and the
 query paths (mining's traces, filters and graphs, render's possession view)
-all read that index instead of scanning the events.
+all read that index instead of scanning the events.  Its index from object
+id to object is likewise built once, on first use.  A log made from another
+by dataclasses.replace is a new value and builds its own indexes.
 
 Object universe per converted match bundle: the match itself, both teams,
 all rostered players, one ball, every grid cell and one object per
@@ -97,8 +99,8 @@ class OcelEvent:
 
 @dataclass(frozen=True)
 class OcelLog:
-    """An immutable log: objects and events are tuples, so the trace index
-    built on first use stays true for the log's lifetime."""
+    """An immutable log: objects and events are tuples, so the object and
+    trace indexes built on first use stay true for the log's lifetime."""
 
     objects: tuple[OcelObject, ...]
     events: tuple[OcelEvent, ...]
@@ -107,7 +109,9 @@ class OcelLog:
         object.__setattr__(self, "objects", tuple(self.objects))
         object.__setattr__(self, "events", tuple(self.events))
 
+    @cached_property
     def object_index(self) -> dict[str, OcelObject]:
+        """Object id -> object."""
         return {o.oid: o for o in self.objects}
 
     @cached_property

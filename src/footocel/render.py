@@ -15,6 +15,13 @@ the possession's events that have a point.  Those events are the
 possession's own trace, read from the frozen log's trace index
 (OcelLog.traces), so a call does not visit the rest of the log.
 
+What depends on the grid alone, the pitch drawing and each cell label's
+center on the canvas, is built on a grid's first render and kept for the
+last few grids (GridSpec is frozen, so it keys the cache).  A cell label not
+in that map, lowercase or outside the grid, is parsed as before, so it plots
+at its cell or fails the query naming its event.  A call formats each of its
+plotted points once, however many traces pass through it.
+
 Text is escaped for XML here (&, > and <): xml.sax.saxutils would import the
 network stack into every process that renders.  Every attribute value is a
 literal or a color from the tables below, so none needs escaping.
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .derive import snap_to_pitch
@@ -46,8 +54,12 @@ TRACE_PALETTE = (
     "#e6ab02", "#a6761d", "#1f78b4", "#b15928", "#6a3d9a",
 )
 
-# SVG canvas size in pixels
+# SVG canvas size in pixels, and the plot area's place in it: the legend
+# takes the right-hand LEGEND_W pixels
 WIDTH, HEIGHT = 880, 500
+PAD_L, PAD_T, PAD_B, LEGEND_W = 30, 46, 16, 180
+PLOT_W = WIDTH - PAD_L - LEGEND_W - 10
+PLOT_H = HEIGHT - PAD_T - PAD_B
 
 
 @dataclass(frozen=True)
@@ -103,15 +115,58 @@ def dfg_to_dot(dfg: OcDfg, opts: Optional[RenderOptions] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _event_point(event: OcelEvent, spec: GridSpec) -> Optional[Point]:
-    """Where to plot an event: exact coordinates, else its cell's center."""
+def _placed(p: Point) -> tuple[Point, str, str]:
+    """A pitch point with its canvas coordinates, formatted."""
+    return p, _fmt(PAD_L + p.x * PLOT_W), _fmt(PAD_T + p.y * PLOT_H)
+
+
+@lru_cache(maxsize=8)
+def _grid_drawing(spec: GridSpec) -> tuple[str, dict[str, tuple[Point, str, str]]]:
+    """The pitch of one grid as SVG lines (frame, grid lines, cell labels), and
+    each cell label's center placed on the canvas; built on a grid's first render."""
+    left, top, right, bottom = _fmt(PAD_L), _fmt(PAD_T), _fmt(PAD_L + PLOT_W), _fmt(PAD_T + PLOT_H)
+    out = [
+        f'<rect x="{left}" y="{top}" width="{_fmt(PLOT_W)}" height="{_fmt(PLOT_H)}" '
+        f'fill="#fbfdfb" stroke="#444444" stroke-width="1.2"/>'
+    ]
+    for c in range(1, spec.cols):
+        x = _fmt(PAD_L + c / spec.cols * PLOT_W)
+        out.append(
+            f'<line x1="{x}" y1="{top}" x2="{x}" y2="{bottom}" '
+            f'stroke="#cccccc" stroke-width="0.8"/>'
+        )
+    for r in range(1, spec.rows):
+        y = _fmt(PAD_T + r / spec.rows * PLOT_H)
+        out.append(
+            f'<line x1="{left}" y1="{y}" x2="{right}" y2="{y}" '
+            f'stroke="#cccccc" stroke-width="0.8"/>'
+        )
+    centers = {}
+    for cell in spec.all_cells():
+        label = cell_label(cell)
+        centers[label] = center = _placed(cell_center(cell, spec))
+        out.append(
+            f'<text x="{center[1]}" y="{center[2]}" '
+            f'font-family="Helvetica" font-size="12" fill="#c9c9c9" '
+            f'text-anchor="middle" dominant-baseline="central">{label}</text>'
+        )
+    return "\n".join(out), centers
+
+
+def _event_point(
+    event: OcelEvent, spec: GridSpec, centers: dict[str, tuple[Point, str, str]],
+) -> Optional[tuple[Point, str, str]]:
+    """Where to plot an event, placed on the canvas: exact coordinates, else
+    its cell's center."""
     attrs = event.attrs
     try:
         if "x" in attrs and "y" in attrs:
-            return snap_to_pitch(Point(float(attrs["x"]), float(attrs["y"])))
+            return _placed(snap_to_pitch(Point(float(attrs["x"]), float(attrs["y"]))))
         for key in ("to_cell", "cell"):
             if key in attrs:
-                return cell_center(parse_cell_label(attrs[key], spec), spec)
+                label = attrs[key]
+                center = centers.get(label) if isinstance(label, str) else None
+                return center or _placed(cell_center(parse_cell_label(label, spec), spec))
     except ValueError as exc:
         raise QueryError(f"event {event.eid!r}: {exc}") from None
     return None
@@ -128,18 +183,19 @@ def spatial_instance_svg(
     spec: GridSpec,
 ) -> str:
     """Draw one possession's object traces over the pitch grid (SVG 1.1)."""
-    index = log.object_index()
+    index = log.object_index
     possession = index.get(possession_id)
     if possession is None or possession.otype != OBJECT_TYPE_POSSESSION:
         raise QueryError(f"unknown possession id {possession_id!r}")
     if not object_types:
         raise QueryError("at least one object type must be rendered")
+    pitch, centers = _grid_drawing(spec)
 
-    # each of the possession's events plotted once; an object's points follow its trace
+    # each of the possession's events placed once; an object's points follow its trace
     plotted: list[OcelEvent] = []
-    points: dict[str, Point] = {}  # event id -> point
+    points: dict[str, tuple[Point, str, str]] = {}  # event id -> placed point
     for e in log.traces.get(possession_id, ()):
-        point = _event_point(e, spec)
+        point = _event_point(e, spec, centers)
         if point is not None:
             plotted.append(e)
             points[e.eid] = point
@@ -151,23 +207,13 @@ def spatial_instance_svg(
         return (obj.otype != OBJECT_TYPE_BALL, obj.otype, oid)
 
     palette = itertools.cycle(TRACE_PALETTE)
-    drawn = []  # (oid, points, color, stroke width, dash attribute, point radius)
+    drawn = []  # (oid, placed points, color, stroke width, dash attribute, point radius)
     for oid in sorted(traces, key=trace_order):
         if index[oid].otype == OBJECT_TYPE_BALL:
             style = (TYPE_COLORS[OBJECT_TYPE_BALL], 2.6, ' stroke-dasharray="7 4"', 5.0)
         else:
             style = (next(palette), 1.6, "", 3.6)
         drawn.append((oid, [points[e.eid] for e in traces[oid]], *style))
-
-    pad_l, pad_t, pad_b, legend_w = 30, 46, 16, 180
-    pw = WIDTH - pad_l - legend_w - 10
-    ph = HEIGHT - pad_t - pad_b
-
-    def sx(x: float) -> float:
-        return pad_l + x * pw
-
-    def sy(y: float) -> float:
-        return pad_t + y * ph
 
     out: list[str] = []
     out.append(
@@ -185,53 +231,30 @@ def spatial_instance_svg(
     out.append("</defs>")
     out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>')
     out.append(
-        f'<text x="{pad_l}" y="24" font-family="Helvetica" font-size="15" '
+        f'<text x="{PAD_L}" y="24" font-family="Helvetica" font-size="15" '
         f'fill="#222222">possession {_escape(possession_id)}'
         f' ({_escape(str(possession.attrs.get("team", "?")))},'
         f' {_escape(str(possession.attrs.get("outcome", "?")))})</text>'
     )
-    out.append(
-        f'<rect x="{_fmt(sx(0))}" y="{_fmt(sy(0))}" width="{_fmt(pw)}" height="{_fmt(ph)}" '
-        f'fill="#fbfdfb" stroke="#444444" stroke-width="1.2"/>'
-    )
-    for c in range(1, spec.cols):
-        x = _fmt(sx(c / spec.cols))
-        out.append(
-            f'<line x1="{x}" y1="{_fmt(sy(0))}" x2="{x}" y2="{_fmt(sy(1))}" '
-            f'stroke="#cccccc" stroke-width="0.8"/>'
-        )
-    for r in range(1, spec.rows):
-        y = _fmt(sy(r / spec.rows))
-        out.append(
-            f'<line x1="{_fmt(sx(0))}" y1="{y}" x2="{_fmt(sx(1))}" y2="{y}" '
-            f'stroke="#cccccc" stroke-width="0.8"/>'
-        )
-    for cell in spec.all_cells():
-        center = cell_center(cell, spec)
-        out.append(
-            f'<text x="{_fmt(sx(center.x))}" y="{_fmt(sy(center.y))}" '
-            f'font-family="Helvetica" font-size="12" fill="#c9c9c9" '
-            f'text-anchor="middle" dominant-baseline="central">{cell_label(cell)}</text>'
-        )
+    out.append(pitch)
 
     for i, (_, trace, color, width, dash, radius) in enumerate(drawn):
-        for p, q in zip(trace, trace[1:]):
+        for (p, px, py), (q, qx, qy) in zip(trace, trace[1:]):
             if p == q:
                 continue
             out.append(
-                f'<line x1="{_fmt(sx(p.x))}" y1="{_fmt(sy(p.y))}" '
-                f'x2="{_fmt(sx(q.x))}" y2="{_fmt(sy(q.y))}" '
+                f'<line x1="{px}" y1="{py}" x2="{qx}" y2="{qy}" '
                 f'stroke="{color}" stroke-width="{width}"{dash} '
                 f'marker-end="url(#arrow{i})"/>'
             )
-        for p in trace:
+        for _, px, py in trace:
             out.append(
-                f'<circle cx="{_fmt(sx(p.x))}" cy="{_fmt(sy(p.y))}" r="{radius}" '
+                f'<circle cx="{px}" cy="{py}" r="{radius}" '
                 f'fill="{color}" fill-opacity="0.85"/>'
             )
 
-    lx = pad_l + pw + 14
-    ly = pad_t + 6
+    lx = PAD_L + PLOT_W + 14
+    ly = PAD_T + 6
     for i, (oid, _, color, width, dash, _) in enumerate(drawn):
         out.append(
             f'<line x1="{lx}" y1="{ly + 18 * i}" x2="{lx + 26}" y2="{ly + 18 * i}" '

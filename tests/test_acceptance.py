@@ -214,7 +214,7 @@ def test_criterion_4_ocel_conformance(log, tmp_path):
     write_ocel_json(log, str(out))
     assert ocel_to_dict(read_ocel_json(str(out))) == ocel_to_dict(log)
 
-    index = log.object_index()
+    index = log.object_index
     ball_events = [e for e in log.events if e.attrs["event_class"] == "ball"]
     with_ball = [
         e for e in ball_events
@@ -358,7 +358,7 @@ def test_criterion_7_spatial_instance_fidelity(log, spans):
 def test_criterion_7_narrated_ball_trace():
     games = required_reference_matches()
     real_log, real_spans = convert_matches([games[0]], RunConfig())
-    index = real_log.object_index()
+    index = real_log.object_index
     expected = ["B3", "B4", "B3", "E1", "F2"]
     candidates = [s for s in real_spans["game1"]
                   if s.team == "Home" and s.outcome == "goal"]

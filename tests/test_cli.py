@@ -445,6 +445,21 @@ def test_importing_the_cli_loads_no_network_modules():
     assert done.stdout == "\n"
 
 
+def test_importing_footocel_adds_no_network_or_process_packages():
+    """Every benchmark set-up and every run pays for what `import footocel`
+    loads; none of these packages is needed to convert or query a log."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; bare = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+            "import footocel; "
+            "print(*sorted(m for m in set(sys.modules) - bare if m.split('.')[0] in {"
+            "'socket', 'ssl', 'http', 'urllib', 'email', 'xml', 'multiprocessing', "
+            "'concurrent'}))")
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+                          capture_output=True, text=True, encoding="utf-8")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "\n"
+
+
 def test_stats_subcommand(synth_paths, tmp_path, capsys):
     out = tmp_path / "log.json"
     main(convert_args(synth_paths, out))

@@ -96,6 +96,7 @@ def test_parse_tracking_header_errors(mutate, message):
     (tracking_lines()[:2], "h.csv:2: truncated header: expected 3 header lines"),
     (tracking_lines()[:2] + ["Period,Frame,Time [s],Player1,,Ball\n"],
      "h.csv:3: odd coordinate column count"),
+    ([], "h.csv:1: truncated header: expected 3 header lines"),
 ])
 def test_parse_tracking_header_errors_are_located(lines, message):
     with pytest.raises(ParseError) as err:

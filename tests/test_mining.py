@@ -142,7 +142,7 @@ def test_filter_by_possession_team(log):
     filtered = filter_log(log, LogFilter("possession", (("team", "Home"),)))
     validate_log(filtered)
     assert 0 < len(filtered.events) < len(log.events)
-    index = log.object_index()
+    index = log.object_index
     home_possessions = {o.oid for o in log.objects
                         if o.otype == "possession" and o.attrs["team"] == "Home"}
     for e in filtered.events:

@@ -89,7 +89,7 @@ def test_object_universe_of_the_synthetic_match(log, spans):
         "ball": 1, "grid_position": 24, "match": 1,
         "player": 10, "team": 2, "possession": len(spans),
     }
-    index = log.object_index()
+    index = log.object_index
     assert index["A1"].attrs == {"column": "A", "row": 1}
     assert index["F4"].attrs == {"column": "F", "row": 4}
     assert index["game1"].attrs["kickoff"] == "2020-07-01T15:00:00.000Z"
@@ -145,7 +145,7 @@ def test_ball_events_relate_to_the_ball(log):
 
 
 def test_position_events_relate_one_player_and_two_cells(log):
-    index = log.object_index()
+    index = log.object_index
     moves = [e for e in log.events if e.attrs["event_class"] == "position_based"]
     assert moves
     for e in moves:

@@ -1,5 +1,6 @@
 """DOT and SVG emitters: structure, escaping, determinism."""
 
+import dataclasses
 import xml.etree.ElementTree as ET
 from collections import Counter
 from datetime import datetime, timedelta, timezone
@@ -10,7 +11,7 @@ from footocel.cli import main
 from footocel.errors import QueryError
 from footocel.mining import DirectlyFollows, OcDfg, discover_ocdfg
 from footocel.ocel import OcelEvent, OcelLog, OcelObject, write_ocel_json
-from footocel.render import RenderOptions, dfg_to_dot, spatial_instance_svg
+from footocel.render import RenderOptions, _grid_drawing, dfg_to_dot, spatial_instance_svg
 from footocel.spatial import GridSpec
 
 T0 = datetime(2020, 7, 1, 15, 0, 0, tzinfo=timezone.utc)
@@ -189,6 +190,52 @@ def test_svg_error_cases():
     with pytest.raises(QueryError, match="e5"):
         spatial_instance_svg(OcelLog(log.objects, [*log.events, bad_cell]), "P1", ["ball"],
                              GridSpec())
+
+
+def test_svg_cell_outside_a_smaller_grid_names_its_event():
+    """A label that is not one of the grid's cells is still checked."""
+    log = OcelLog(
+        [OcelObject("P1", "possession", {}), OcelObject("HomeP1", "player", {})],
+        [OcelEvent("e1", "Player changes position", T0, {"to_cell": "E3"},
+                   (("HomeP1", "executing_player"), ("P1", "possession")))],
+    )
+    assert spatial_instance_svg(log, "P1", ["player"], GridSpec()).count("<circle") == 1
+    with pytest.raises(QueryError) as err:
+        spatial_instance_svg(log, "P1", ["player"], GridSpec(cols=3, rows=2))
+    assert str(err.value) == "event 'e1': cell label 'E3' outside the 3x2 grid"
+
+
+def test_svg_lowercase_cell_plots_at_its_cell_center():
+    log = tiny_spatial_log()
+    e2 = dataclasses.replace(log.events[1], attrs={"to_cell": "d3", "from_cell": "C3"})
+    lowered = dataclasses.replace(log, events=(log.events[0], e2, *log.events[2:]))
+    svg = spatial_instance_svg(lowered, "P1", ["player"], GridSpec())
+    assert f'<circle cx="{30 + (3.5 / 6) * 660:.2f}" cy="{46 + (1.5 / 4) * 438:.2f}"' in svg
+    assert svg == spatial_instance_svg(log, "P1", ["player"], GridSpec())
+
+
+def test_svg_grids_drawn_in_turn_each_give_their_own_bytes(log):
+    pid = next(o.oid for o in log.objects if o.otype == "possession")
+    default, wide = GridSpec(), GridSpec(cols=7, rows=5)
+    cold = {}  # each grid drawn with no grid cached
+    for spec in (default, wide):
+        _grid_drawing.cache_clear()
+        cold[spec] = spatial_instance_svg(log, pid, ["ball", "player"], spec)
+    assert ">F4<" in cold[default] and ">G5<" not in cold[default]
+    assert ">G5<" in cold[wide]
+    for spec in (default, wide, default):
+        assert spatial_instance_svg(log, pid, ["ball", "player"], spec) == cold[spec]
+
+
+def test_replaced_log_builds_its_own_object_index():
+    log = tiny_spatial_log()
+    assert "possession P1 (Home, goal)" in spatial_instance_svg(log, "P1", ["ball"], GridSpec())
+    away = OcelObject("P1", "possession", {"team": "Away", "outcome": "lost"})
+    replaced = dataclasses.replace(log, objects=(away, *log.objects[1:]))
+    assert replaced.object_index["P1"] is away
+    assert "possession P1 (Away, lost)" in spatial_instance_svg(replaced, "P1", ["ball"],
+                                                                GridSpec())
+    assert log.object_index["P1"].attrs["team"] == "Home"
 
 
 def test_svg_on_converted_log(log, spans):
