@@ -18,9 +18,9 @@ possession's own trace, read from the frozen log's trace index
 What depends on the grid alone, the pitch drawing and each cell label's
 center on the canvas, is built on a grid's first render and kept for the
 last few grids (GridSpec is frozen, so it keys the cache).  A cell label not
-in that map, lowercase or outside the grid, is parsed as before, so it plots
-at its cell or fails the query naming its event.  A call formats each of its
-plotted points once, however many traces pass through it.
+in that map, lowercase or outside the grid, goes through parse_cell_label,
+so it plots at its cell or fails the query naming its event.  A call formats
+each of its plotted points once, however many traces pass through it.
 
 Text is escaped for XML here (&, > and <): xml.sax.saxutils would import the
 network stack into every process that renders.  Every attribute value is a
@@ -115,6 +115,10 @@ def dfg_to_dot(dfg: OcDfg, opts: Optional[RenderOptions] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fmt(v: float) -> str:
+    return f"{v:.2f}"
+
+
 def _placed(p: Point) -> tuple[Point, str, str]:
     """A pitch point with its canvas coordinates, formatted."""
     return p, _fmt(PAD_L + p.x * PLOT_W), _fmt(PAD_T + p.y * PLOT_H)
@@ -123,7 +127,8 @@ def _placed(p: Point) -> tuple[Point, str, str]:
 @lru_cache(maxsize=8)
 def _grid_drawing(spec: GridSpec) -> tuple[str, dict[str, tuple[Point, str, str]]]:
     """The pitch of one grid as SVG lines (frame, grid lines, cell labels), and
-    each cell label's center placed on the canvas; built on a grid's first render."""
+    each cell label's center placed on the canvas; built on a grid's first
+    render and shared by every later one, which only reads it."""
     left, top, right, bottom = _fmt(PAD_L), _fmt(PAD_T), _fmt(PAD_L + PLOT_W), _fmt(PAD_T + PLOT_H)
     out = [
         f'<rect x="{left}" y="{top}" width="{_fmt(PLOT_W)}" height="{_fmt(PLOT_H)}" '
@@ -170,10 +175,6 @@ def _event_point(
     except ValueError as exc:
         raise QueryError(f"event {event.eid!r}: {exc}") from None
     return None
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
 
 
 def spatial_instance_svg(
