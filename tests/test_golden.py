@@ -1,7 +1,8 @@
 """Golden hashes: `convert` output stays byte-identical across refactors.
 
-Each hash pins the `log.json` of one small synthetic conversion, or every
-possession SVG drawn from the session's converted log.  A change
+Each hash pins the `log.json` of one small synthetic conversion, every
+possession SVG drawn from the session's converted log, or the DOT graphs
+discovered on that log.  A change
 that moves a hash changed the log; it must be a change the log is meant to
 get, and the new hash is then recorded here with the reason.
 """
@@ -11,8 +12,9 @@ import hashlib
 import pytest
 
 from footocel.cli import main
+from footocel.mining import LogFilter, discover_ocdfg, filter_log
 from footocel.ocel import OBJECT_TYPE_POSSESSION, OBJECT_TYPES
-from footocel.render import spatial_instance_svg
+from footocel.render import dfg_to_dot, spatial_instance_svg
 from footocel.spatial import GridSpec
 from footocel.synth import write_synth_match
 
@@ -75,3 +77,14 @@ def _sha256_of_svgs(log, object_types, spec):
 ])
 def test_possession_svgs_hash(log, object_types, spec, expected):
     assert _sha256_of_svgs(log, object_types, spec) == expected
+
+
+def test_dfg_dot_hash(log):
+    """The graphs the benchmark's dfg_s draws: every type over the whole log,
+    and the ball over the goal possessions' events."""
+    goals = filter_log(log, LogFilter("possession", (("outcome", "goal"),)))
+    assert any(o.otype == OBJECT_TYPE_POSSESSION for o in goals.objects)
+    digest = hashlib.sha256()
+    digest.update(dfg_to_dot(discover_ocdfg(log, sorted(OBJECT_TYPES))).encode("utf-8"))
+    digest.update(dfg_to_dot(discover_ocdfg(goals, ["ball"])).encode("utf-8"))
+    assert digest.hexdigest() == "82ec3f3ac47a90122a7341bd3b6aa68a8bd8eb2e09d0e8790e4e6b70eae698d1"
