@@ -24,9 +24,9 @@ from typing import Optional, Sequence
 from .errors import ConsistencyError, ParseError, QueryError, read_json
 from .mining import LogFilter, discover_ocdfg, filter_log
 from .ocel import (
-    OBJECT_TYPE_GRID,
     OBJECT_TYPE_POSSESSION,
     OcelLog,
+    grid_from_log,
     read_ocel_json,
     stats,
     write_ocel_json,
@@ -38,7 +38,6 @@ from .pipeline import (
     convert_matches,
 )
 from .render import RenderOptions, dfg_to_dot, spatial_instance_svg
-from .spatial import GridSpec
 
 
 def _add_config_options(parser: argparse.ArgumentParser) -> None:
@@ -126,21 +125,6 @@ def _object_types(arg: str, log: OcelLog, parser: argparse.ArgumentParser) -> li
     return types
 
 
-def _grid_from_log(log: OcelLog) -> GridSpec:
-    """Recover grid dimensions from the log's grid objects (default grid if none)."""
-    cols = rows = 0
-    for o in log.objects:
-        if o.otype == OBJECT_TYPE_GRID:
-            column, row = o.attrs.get("column", "A"), o.attrs.get("row", 1)
-            if not (isinstance(column, str) and len(column) == 1 and "A" <= column <= "Z"
-                    and type(row) is int and row >= 1):
-                raise QueryError(f"grid object {o.oid!r} has no grid address "
-                                 f"(column {column!r}, row {row!r})")
-            cols = max(cols, ord(column) - ord("A") + 1)
-            rows = max(rows, row)
-    return GridSpec(cols=cols, rows=rows) if cols and rows else GridSpec()
-
-
 def _write_text(text: str, out: Optional[str]) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -194,7 +178,7 @@ def cmd_dfg(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def cmd_spatial(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     log = read_ocel_json(args.ocel)
     types = _object_types(args.types, log, parser)
-    svg = spatial_instance_svg(log, args.possession, types, _grid_from_log(log))
+    svg = spatial_instance_svg(log, args.possession, types, grid_from_log(log))
     _write_text(svg, args.out)
     return 0
 

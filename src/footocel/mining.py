@@ -4,25 +4,25 @@ A filter keeps the events related to an object of one type whose
 attributes match, with all their relations, and drops objects no kept
 event references.
 
-Per object type, each object induces a trace (object_traces): its related
-events in log order, every event counted once per object no matter how
-many qualifiers tie them together.  Traces come from the log's own index
-(OcelLog.traces), built once per log, and a filter keeps the union of the
-matching objects' traces.  The directly-follows graph counts
-consecutive trace pairs; start/end counts tally which activity
-opens/closes each non-empty trace, so their totals both equal the number
-of objects that appear in at least one event.  A requested type without
-objects yields an empty graph.
+Each object induces a trace: its related events in log order, every event
+counted once per object no matter how many qualifiers tie them together.
+Traces are the log's own index (OcelLog.traces, built once per log by
+ocel.object_traces); this module builds none.  A filter keeps the union of
+the matching objects' traces.  The directly-follows graph of an object
+type counts consecutive pairs in the traces of that type's objects;
+start/end counts tally which activity opens/closes each non-empty trace,
+so their totals both equal the number of objects that appear in at least
+one event.  A requested type without objects yields an empty graph.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import QueryError
-from .ocel import OcelEvent, OcelLog
+from .ocel import OcelLog
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ def _value_matches(attr_value, query: str) -> bool:
         return True
     if isinstance(attr_value, (int, float)) and not isinstance(attr_value, bool):
         try:
-            return float(query) == float(attr_value)
+            return float(query) == attr_value  # exact for an int beyond the float range
         except ValueError:
             return False
     return False
@@ -91,23 +91,15 @@ class OcDfg:
     per_type: dict[str, DirectlyFollows]
 
 
-def object_traces(log: OcelLog, object_types: Iterable[str]) -> dict[str, tuple[OcelEvent, ...]]:
-    """Object id -> the object's trace, for each object of the given types
-    that at least one event relates to (keys in order of first event)."""
-    wanted = set(object_types)
-    oids = {o.oid for o in log.objects if o.otype in wanted}
-    return {oid: trace for oid, trace in log.traces.items() if oid in oids}
-
-
 def discover_ocdfg(log: OcelLog, object_types: Sequence[str]) -> OcDfg:
     """Discover one directly-follows graph per requested object type."""
-    traces = object_traces(log, object_types)
     result = OcDfg(per_type={t: DirectlyFollows() for t in object_types})
+    traces = log.traces
     for o in log.objects:  # object list order keeps discovery deterministic
+        g = result.per_type.get(o.otype)
         trace = traces.get(o.oid)
-        if trace is None:
+        if g is None or trace is None:
             continue
-        g = result.per_type[o.otype]
         g.n_objects += 1
         g.start_counts[trace[0].etype] += 1
         g.end_counts[trace[-1].etype] += 1

@@ -15,7 +15,8 @@ that cannot be written leaves an existing file as it was.
 The reader checks the parsed JSON in document order.  Every array entry
 must be an object with exactly its layout's keys, ids and type names must be
 non-empty and unique, attribute values must match their declared type (an
-integer is a valid float; a number beyond the float range is not),
+integer of any size is a valid float; a float literal beyond the float
+range, such as 1e999, is not),
 relationships must name a known object and qualifier, and events must be
 sorted by (time, id).  Each rule of an object or event entry is checked
 once, and a JSON path is formatted only for the violation raised.  An
@@ -23,17 +24,19 @@ attributes or relationships array is checked in bulk; one that fails is
 walked again check by check, which raises its first violation with its path.
 
 A log is a frozen value: its objects and events are tuples, and every
-event's relations a tuple.  On first use it builds one index from each
-object id to the object's trace, its related events in log order, and the
-query paths (mining's traces, filters and graphs, render's possession view)
-all read that index instead of scanning the events.  Its index from object
-id to object is likewise built once, on first use.  A log made from another
-by dataclasses.replace is a new value and builds its own indexes.
+event's relations a tuple.  On first use it builds its object index and
+its trace index, each object id's related events in log order, which
+object_traces, the one trace builder, makes; mining's filters and graphs
+read that index, and render's possession view runs object_traces on
+its plotted events.  A log made from another by dataclasses.replace is a
+new value and builds its own indexes.
 
 Object universe per converted match bundle: the match itself, both teams,
 all rostered players, one ball, every grid cell and one object per
 possession span.  Team/player/ball/grid identities are either shared
-across matches (global scope, the default) or namespaced per match.
+across matches (global scope, the default) or namespaced per match, with a
+"match" attribute.  grid_from_log reads the grid back from the grid
+objects' column and row.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .derive import BALL, EVENT_CLASSES, ActivityEvent
-from .errors import ConsistencyError, ParseError, read_json
+from .errors import ConsistencyError, ParseError, QueryError, read_json
 from .possession import PossessionSpan
 from .spatial import GridSpec, cell_label
 
@@ -116,17 +119,22 @@ class OcelLog:
 
     @cached_property
     def traces(self) -> dict[str, tuple[OcelEvent, ...]]:
-        """Object id -> its related events in log order, each event once however
-        many qualifiers tie it to the object; keys in order of first event."""
-        traces: dict[str, list[OcelEvent]] = {}
-        for e in self.events:
-            for oid, _ in e.relations:
-                trace = traces.get(oid)
-                if trace is None:
-                    traces[oid] = [e]
-                elif trace[-1] is not e:  # a second qualifier of the same event
-                    trace.append(e)
-        return {oid: tuple(trace) for oid, trace in traces.items()}
+        """Object id -> its trace (object_traces of the log's events)."""
+        return object_traces(self.events)
+
+
+def object_traces(events: Sequence[OcelEvent]) -> dict[str, tuple[OcelEvent, ...]]:
+    """Object id -> its related events in the given order, each event once
+    however many qualifiers tie it to the object; keys in order of first event."""
+    traces: dict[str, list[OcelEvent]] = {}
+    for e in events:
+        for oid, _ in e.relations:
+            trace = traces.get(oid)
+            if trace is None:
+                traces[oid] = [e]
+            elif trace[-1] is not e:  # a second qualifier of the same event
+                trace.append(e)
+    return {oid: tuple(trace) for oid, trace in traces.items()}
 
 
 def match_epoch(match_index: int) -> datetime:
@@ -198,30 +206,24 @@ def build_objects(
             return
         objects[obj.oid] = obj
 
+    def add_scoped(match_id: str, base: str, otype: str, attrs: dict) -> None:
+        """A team, player, ball or grid object; a per-match one also names its match."""
+        if scope is IdentityScope.PER_MATCH:
+            attrs["match"] = match_id
+        add(OcelObject(scoped_id(scope, match_id, base), otype, attrs))
+
     for index, (match_id, rosters) in enumerate(bundles_rosters):
         add(OcelObject(match_id, OBJECT_TYPE_MATCH, {
             "kickoff": format_time(match_epoch(index)),
         }))
         for side in sorted(rosters):
-            team_attrs = {"side": side}
-            player_extra = {}
-            if scope is IdentityScope.PER_MATCH:
-                team_attrs["match"] = match_id
-                player_extra = {"match": match_id}
-            add(OcelObject(scoped_id(scope, match_id, side), OBJECT_TYPE_TEAM, team_attrs))
+            add_scoped(match_id, side, OBJECT_TYPE_TEAM, {"side": side})
             for label in rosters[side]:
-                add(OcelObject(
-                    scoped_id(scope, match_id, label), OBJECT_TYPE_PLAYER,
-                    {"side": side, **player_extra},
-                ))
-        ball_attrs = {"match": match_id} if scope is IdentityScope.PER_MATCH else {}
-        add(OcelObject(scoped_id(scope, match_id, "ball"), OBJECT_TYPE_BALL, ball_attrs))
+                add_scoped(match_id, label, OBJECT_TYPE_PLAYER, {"side": side})
+        add_scoped(match_id, "ball", OBJECT_TYPE_BALL, {})
         for cell in spec.all_cells():
             label = cell_label(cell)
-            cell_attrs = {"column": label[0], "row": cell.row + 1}
-            if scope is IdentityScope.PER_MATCH:
-                cell_attrs["match"] = match_id
-            add(OcelObject(scoped_id(scope, match_id, label), OBJECT_TYPE_GRID, cell_attrs))
+            add_scoped(match_id, label, OBJECT_TYPE_GRID, {"column": label[0], "row": cell.row + 1})
         for span in spans_by_match.get(match_id, ()):
             add(OcelObject(span.span_id, OBJECT_TYPE_POSSESSION, {
                 "team": span.team,
@@ -233,6 +235,21 @@ def build_objects(
             }))
 
     return sorted(objects.values(), key=lambda o: (o.otype, o.oid))
+
+
+def grid_from_log(log: OcelLog) -> GridSpec:
+    """The grid of the log's grid objects' column and row (default grid if none)."""
+    cols = rows = 0
+    for o in log.objects:
+        if o.otype == OBJECT_TYPE_GRID:
+            column, row = o.attrs.get("column", "A"), o.attrs.get("row", 1)
+            if not (isinstance(column, str) and len(column) == 1 and "A" <= column <= "Z"
+                    and type(row) is int and row >= 1):
+                raise QueryError(f"grid object {o.oid!r} has no grid address "
+                                 f"(column {column!r}, row {row!r})")
+            cols = max(cols, ord(column) - ord("A") + 1)
+            rows = max(rows, row)
+    return GridSpec(cols=cols, rows=rows) if cols and rows else GridSpec()
 
 
 # the attrs key each cell relation's label is read from, in relation order

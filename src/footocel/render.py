@@ -10,10 +10,10 @@ The spatial view draws the grid with cell A1 bottom-left (grid rows count
 up from the bottom while screen y grows downward, so row indices are
 flipped at draw time); events with exact coordinates are plotted there,
 events that only know a cell (movement events) sit at the cell's center.
-Each object's points follow its trace (mining.object_traces), restricted to
-the possession's events that have a point.  Those events are the
-possession's own trace, read from the frozen log's trace index
-(OcelLog.traces), so a call does not visit the rest of the log.
+The possession's events are its trace in the frozen log's index
+(OcelLog.traces), so a call does not visit the rest of the log.  Each
+drawn object's points follow its trace (ocel.object_traces) over those of
+the events that have a point.
 
 What depends on the grid alone, the pitch drawing and each cell label's
 center on the canvas, is built on a grid's first render and kept for the
@@ -36,8 +36,8 @@ from typing import Optional, Sequence
 
 from .derive import snap_to_pitch
 from .errors import QueryError
-from .mining import OcDfg, object_traces
-from .ocel import OBJECT_TYPE_BALL, OBJECT_TYPE_POSSESSION, OcelEvent, OcelLog
+from .mining import OcDfg
+from .ocel import OBJECT_TYPE_BALL, OBJECT_TYPE_POSSESSION, OcelEvent, OcelLog, object_traces
 from .spatial import GridSpec, Point, cell_center, cell_label, parse_cell_label
 
 TYPE_COLORS = {
@@ -172,7 +172,7 @@ def _event_point(
                 label = attrs[key]
                 center = centers.get(label) if isinstance(label, str) else None
                 return center or _placed(cell_center(parse_cell_label(label, spec), spec))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond the float range
         raise QueryError(f"event {event.eid!r}: {exc}") from None
     return None
 
@@ -200,7 +200,9 @@ def spatial_instance_svg(
         if point is not None:
             plotted.append(e)
             points[e.eid] = point
-    traces = object_traces(OcelLog(log.objects, plotted), object_types)
+    wanted = set(object_types)
+    traces = {oid: trace for oid, trace in object_traces(plotted).items()
+              if oid in index and index[oid].otype in wanted}  # an id the log lacks: not drawn
 
     # ball first, then everything else by (type, id); colors follow this order
     def trace_order(oid: str):

@@ -673,3 +673,35 @@ def test_spatial_rejects_integer_cell_label(log_file, tmp_path, capsys):
     capsys.readouterr()
     assert main(["spatial", "--ocel", str(bad), "--possession", "AA001"]) == 1
     assert f"event {eid!r}: malformed cell label 5" in capsys.readouterr().err
+
+
+def test_dfg_where_on_an_integer_beyond_the_float_range(log_file, tmp_path, capsys):
+    def huge_period(data):
+        first = next(o for o in data["objects"] if o["type"] == "possession")
+        next(a for a in first["attributes"] if a["name"] == "period")["value"] = 10**400
+    bad = mutated(log_file, tmp_path, huge_period)
+    assert read_ocel_json(str(bad)).object_index["AA001"].attrs["period"] == 10**400
+    capsys.readouterr()
+    assert main(["dfg", "--ocel", str(bad), "--types", "ball",
+                 "--where", "possession.period=5"]) == 0
+    assert capsys.readouterr().out.startswith("digraph ocdfg {")
+    # the exact decimal still matches it
+    assert main(["dfg", "--ocel", str(bad), "--types", "possession",
+                 "--where", f"possession.period={10**400}"]) == 0
+    assert "possession:" in capsys.readouterr().out
+
+
+def test_spatial_names_the_event_of_an_integer_x_beyond_the_float_range(
+        log_file, tmp_path, capsys):
+    def huge_x(data):
+        for e in data["events"]:
+            if ({"objectId": "AA001", "qualifier": "possession"} in e["relationships"]
+                    and any(a["name"] == "x" for a in e["attributes"])):
+                next(a for a in e["attributes"] if a["name"] == "x")["value"] = 10**400
+                return
+        raise AssertionError("no AA001 event has an x")
+    bad = mutated(log_file, tmp_path, huge_x)
+    eid = next(e.eid for e in read_ocel_json(str(bad)).events if e.attrs.get("x") == 10**400)
+    capsys.readouterr()
+    assert main(["spatial", "--ocel", str(bad), "--possession", "AA001"]) == 1
+    assert f"error: event {eid!r}: " in capsys.readouterr().err

@@ -8,7 +8,7 @@ from datetime import datetime, timezone
 import pytest
 
 from footocel.errors import QueryError
-from footocel.mining import LogFilter, discover_ocdfg, filter_log, object_traces
+from footocel.mining import LogFilter, discover_ocdfg, filter_log
 from footocel.ocel import OcelEvent, OcelLog, OcelObject, validate_log
 
 T0 = datetime(2020, 7, 1, 15, 0, 0, tzinfo=timezone.utc)
@@ -51,7 +51,8 @@ def brute_force(log, object_types):
 
 
 def assert_matches_brute_force(log, object_types):
-    traces = object_traces(log, object_types)
+    wanted = {o.oid for o in log.objects if o.otype in object_types}
+    traces = {oid: trace for oid, trace in log.traces.items() if oid in wanted}
     want_traces = {}
     for o in log.objects:
         if o.otype in object_types:

@@ -588,8 +588,15 @@ def test_reader_agrees_with_its_reference_on_mutated_logs(
     path.write_text(data.draw(mutated_texts(mutation_base_text)), encoding="utf-8")
     # an exception other than ParseError escapes and fails the test
     assert read_outcome(read_ocel_json, path) == read_outcome(reference_read_ocel, path)
+    # so does one from a command that reads and queries the log
+    commands = [
+        ["stats"],
+        ["dfg", "--types", "ball,player", "--where", "player.number=7"],
+        ["spatial", "--possession", "AA001", "--types", "ball,player"],
+    ]
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        assert main(["stats", "--ocel", str(path)]) in (0, 1)
+        for command in commands:
+            assert main([*command, "--ocel", str(path)]) in (0, 1), command
 
 
 def test_valid_logs_never_take_the_located_walk(log, tmp_path, monkeypatch):

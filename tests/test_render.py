@@ -214,6 +214,17 @@ def test_svg_lowercase_cell_plots_at_its_cell_center():
     assert svg == spatial_instance_svg(log, "P1", ["player"], GridSpec())
 
 
+def test_svg_skips_a_relation_to_an_object_the_log_lacks():
+    log = tiny_spatial_log()
+    e1 = log.events[0]
+    ghosted = dataclasses.replace(e1, relations=(*e1.relations, ("ghost", "executing_player")))
+    with_ghost = dataclasses.replace(log, events=(ghosted, *log.events[1:]))
+    for types in (["ball", "player"], ["player"]):
+        assert (spatial_instance_svg(with_ghost, "P1", types, GridSpec())
+                == spatial_instance_svg(log, "P1", types, GridSpec()))
+    assert "ghost" not in spatial_instance_svg(with_ghost, "P1", ["player"], GridSpec())
+
+
 def test_svg_grids_drawn_in_turn_each_give_their_own_bytes(log):
     pid = next(o.oid for o in log.objects if o.otype == "possession")
     default, wide = GridSpec(), GridSpec(cols=7, rows=5)
