@@ -222,7 +222,6 @@ def test_svg_skips_a_relation_to_an_object_the_log_lacks():
     for types in (["ball", "player"], ["player"]):
         assert (spatial_instance_svg(with_ghost, "P1", types, GridSpec())
                 == spatial_instance_svg(log, "P1", types, GridSpec()))
-    assert "ghost" not in spatial_instance_svg(with_ghost, "P1", ["player"], GridSpec())
 
 
 def test_svg_grids_drawn_in_turn_each_give_their_own_bytes(log):
