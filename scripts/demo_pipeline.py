@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from footocel.mining import discover_ocdfg
-from footocel.ocel import stats, write_ocel_json
+from footocel.ocel import OBJECT_TYPE_POSSESSION, stats, write_ocel_json
 from footocel.pipeline import MatchPaths, RunConfig, convert_matches
 from footocel.render import dfg_to_dot, spatial_instance_svg
 from footocel.synth import write_synth_match
@@ -58,7 +58,7 @@ def main(argv=None) -> int:
         print(f"generated synthetic match under {raw_dir}")
 
     config = RunConfig()
-    log, spans_by_match = convert_matches([match], config)
+    log = convert_matches([match], config)
 
     log_path = out / "log.json"
     write_ocel_json(log, str(log_path))
@@ -73,14 +73,15 @@ def main(argv=None) -> int:
     dot_path.write_text(dfg_to_dot(dfg), encoding="utf-8")
     print(f"wrote {dot_path} (render with: dot -Tsvg {dot_path})")
 
-    spans = spans_by_match[match.match_id]
-    goal_spans = [s for s in spans if s.outcome == "goal"] or spans
-    pid = goal_spans[0].span_id
-    svg_path = out / f"possession_{pid}.svg"
-    svg_path.write_text(spatial_instance_svg(log, pid, ["ball", "player"], config.grid),
+    # the first goal possession in match time, else the first possession
+    possessions = sorted((o for o in log.objects if o.otype == OBJECT_TYPE_POSSESSION),
+                         key=lambda o: (o.attrs["period"], o.attrs["start_time_s"]))
+    shown = next((o for o in possessions if o.attrs["outcome"] == "goal"), possessions[0])
+    svg_path = out / f"possession_{shown.oid}.svg"
+    svg_path.write_text(spatial_instance_svg(log, shown.oid, ["ball", "player"], config.grid),
                         encoding="utf-8")
-    print(f"wrote {svg_path} ({goal_spans[0].team} possession, "
-          f"outcome {goal_spans[0].outcome})")
+    print(f"wrote {svg_path} ({shown.attrs['team']} possession, "
+          f"outcome {shown.attrs['outcome']})")
 
     per_type = dfg.per_type["ball"]
     top_edges = sorted(per_type.edge_counts.items(), key=lambda kv: -kv[1])[:5]

@@ -37,7 +37,7 @@ from .pipeline import (
     config_from_dict,
     convert_matches,
 )
-from .render import RenderOptions, dfg_to_dot, spatial_instance_svg
+from .render import dfg_to_dot, spatial_instance_svg
 
 
 def _add_config_options(parser: argparse.ArgumentParser) -> None:
@@ -54,7 +54,8 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--min-dwell", dest="min_dwell_s", type=float, metavar="S",
                    help="debounce: min seconds in a new cell before a movement event")
     g.add_argument("--normalize-direction", action="store_const", const=True, default=None,
-                   help="flip all period-2 coordinates so attack directions stay constant")
+                   help="flip the coordinates of period 2 and every later period "
+                        "so attack directions stay constant")
     g.add_argument("--scope", metavar="global|per-match",
                    help="share team/player/ball/grid objects across matches or not")
     g.add_argument("--activity-map", dest="activity_map_path", metavar="JSON",
@@ -136,7 +137,7 @@ def _write_text(text: str, out: Optional[str]) -> None:
 def cmd_convert(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     config = _resolve_config(args)
     matches = _resolve_matches(args, parser)
-    log, _ = convert_matches(matches, config)
+    log = convert_matches(matches, config)
     write_ocel_json(log, args.out)
     print(stats(log).to_text())
     print(f"wrote {args.out}")
@@ -170,8 +171,9 @@ def cmd_dfg(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         by_type.setdefault(otype, []).append((attr, value))
     for otype, conditions in by_type.items():
         log = filter_log(log, LogFilter(object_type=otype, where=tuple(conditions)))
-    opts = RenderOptions(node_labels=not args.no_node_labels, edge_labels=not args.no_edge_labels)
-    _write_text(dfg_to_dot(discover_ocdfg(log, types), opts), args.out)
+    dot = dfg_to_dot(discover_ocdfg(log, types),
+                     node_labels=not args.no_node_labels, edge_labels=not args.no_edge_labels)
+    _write_text(dot, args.out)
     return 0
 
 

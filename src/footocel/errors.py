@@ -25,8 +25,6 @@ class ParseError(ValueError):
         if line is not None:
             loc += f":{line}" if loc else f"line {line}"
         super().__init__(f"{loc}: {message}" if loc else message)
-        self.source = source
-        self.line = line
 
 
 class ConsistencyError(ValueError):

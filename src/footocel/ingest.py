@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import groupby
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -108,7 +108,7 @@ class MatchBundle:
     match_id: str
     frames: Tracking
     events: list[RawEventRecord]
-    rosters: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    rosters: dict[str, tuple[str, ...]]
 
 
 def qualify_player(side: str, token: str) -> str:
@@ -406,13 +406,13 @@ def load_match(
 def normalize_direction(
     tracking: Tracking, events: list[RawEventRecord]
 ) -> tuple[Tracking, list[RawEventRecord]]:
-    """Flip every period-2 position (x,y) -> (1-x, 1-y).
+    """Flip every position (x,y) -> (1-x, 1-y) of period 2 and every later period.
 
     Sides swap ends at half time while raw coordinates stay absolute; the
     flip applies to all objects at once so each team attacks a constant
     direction and relative geometry is preserved.  Coordinate columns come
-    back as copies with their period-2 slices flipped; frame columns are
-    shared.
+    back as copies with the slices of period 2 and every later period
+    flipped; frame columns are shared.
     """
     runs: list[tuple[int, int]] = []
     start = 0

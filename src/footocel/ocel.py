@@ -53,7 +53,7 @@ from typing import Sequence
 from .derive import BALL, EVENT_CLASSES, ActivityEvent
 from .errors import ConsistencyError, ParseError, QueryError, read_json
 from .possession import PossessionSpan
-from .spatial import GridSpec, cell_label
+from .spatial import MAX_GRID_ROWS, GridSpec, cell_label
 
 OBJECT_TYPE_MATCH = "match"
 OBJECT_TYPE_TEAM = "team"
@@ -244,9 +244,9 @@ def grid_from_log(log: OcelLog) -> GridSpec:
         if o.otype == OBJECT_TYPE_GRID:
             column, row = o.attrs.get("column", "A"), o.attrs.get("row", 1)
             if not (isinstance(column, str) and len(column) == 1 and "A" <= column <= "Z"
-                    and type(row) is int and row >= 1):
+                    and type(row) is int and 1 <= row <= MAX_GRID_ROWS):
                 raise QueryError(f"grid object {o.oid!r} has no grid address "
-                                 f"(column {column!r}, row {row!r})")
+                                 f"(column {_shown(column)}, row {_shown(row)})")
             cols = max(cols, ord(column) - ord("A") + 1)
             rows = max(rows, row)
     return GridSpec(cols=cols, rows=rows) if cols and rows else GridSpec()
@@ -700,8 +700,6 @@ class OcelStats:
     events_by_class: dict
     events_by_activity: dict
     objects_by_type: dict
-    n_possessions: int
-    n_matches: int
 
     def to_text(self) -> str:
         lines = [f"events            {self.n_events}"]
@@ -712,8 +710,8 @@ class OcelStats:
         lines.append(f"objects           {self.n_objects}")
         for t in sorted(self.objects_by_type):
             lines.append(f"  type {t:<15} {self.objects_by_type[t]}")
-        lines.append(f"possessions       {self.n_possessions}")
-        lines.append(f"matches           {self.n_matches}")
+        lines.append(f"possessions       {self.objects_by_type.get(OBJECT_TYPE_POSSESSION, 0)}")
+        lines.append(f"matches           {self.objects_by_type.get(OBJECT_TYPE_MATCH, 0)}")
         return "\n".join(lines)
 
 
@@ -724,13 +722,10 @@ def stats(log: OcelLog) -> OcelStats:
     for e in log.events:
         by_activity[e.etype] += 1
         by_class[e.attrs.get("event_class", "unknown")] += 1
-    by_type: Counter = Counter(o.otype for o in log.objects)
     return OcelStats(
         n_events=len(log.events),
         n_objects=len(log.objects),
         events_by_class=dict(by_class),
         events_by_activity=dict(by_activity),
-        objects_by_type=dict(by_type),
-        n_possessions=by_type.get(OBJECT_TYPE_POSSESSION, 0),
-        n_matches=by_type.get(OBJECT_TYPE_MATCH, 0),
+        objects_by_type=dict(Counter(o.otype for o in log.objects)),
     )

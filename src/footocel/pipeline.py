@@ -162,7 +162,7 @@ def convert_one(
 
 def convert_matches(
     matches: Sequence[MatchPaths], config: Optional[RunConfig] = None
-) -> tuple[OcelLog, dict[str, list[PossessionSpan]]]:
+) -> OcelLog:
     """Convert a set of matches into one object-centric log."""
     config = config or RunConfig()
     if not matches:
@@ -180,10 +180,9 @@ def convert_matches(
     )
     artifacts = [convert_one(m, i, config, mapping) for i, m in enumerate(matches)]
 
-    spans_by_match = {a.match_id: a.spans for a in artifacts}
     objects = build_objects(
         [(a.match_id, a.rosters) for a in artifacts],
-        spans_by_match, config.grid, config.scope,
+        {a.match_id: a.spans for a in artifacts}, config.grid, config.scope,
     )
     # event ids pad to the width of the log's total, so wiring waits for every match
     total = sum(len(a.events) for a in artifacts)
@@ -193,5 +192,4 @@ def convert_matches(
         groups.append(events_to_ocel(a.events, a.match_id, match_epoch(index), config.scope,
                                      first=first, total=total))
         first += len(a.events)
-    log = concat_logs(objects, groups)
-    return log, spans_by_match
+    return concat_logs(objects, groups)

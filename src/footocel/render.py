@@ -30,7 +30,6 @@ literal or a color from the tables below, so none needs escaping.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -62,12 +61,6 @@ PLOT_W = WIDTH - PAD_L - LEGEND_W - 10
 PLOT_H = HEIGHT - PAD_T - PAD_B
 
 
-@dataclass(frozen=True)
-class RenderOptions:
-    node_labels: bool = True   # annotate DFG nodes with per-type counts
-    edge_labels: bool = True   # annotate DFG edges with "<type>:<count>"
-
-
 def _escape(text: str) -> str:
     """XML character data: &, > and < as entities, in that order."""
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
@@ -77,13 +70,13 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
 
 
-def dfg_to_dot(dfg: OcDfg, opts: Optional[RenderOptions] = None) -> str:
+def dfg_to_dot(dfg: OcDfg, *, node_labels: bool = True, edge_labels: bool = True) -> str:
     """Emit the multi-type directly-follows graph as a DOT digraph.
 
     One node per activity (shared across types), one edge per
-    (type, a -> b) colored by type and labeled "<type>:<count>".
+    (type, a -> b) colored by type.  Node labels add the per-type counts
+    and edge labels read "<type>:<count>", unless turned off.
     """
-    opts = opts or RenderOptions()
     types = sorted(dfg.per_type)
     # types outside TYPE_COLORS take the palette colors it leaves free, in order
     spare = itertools.cycle([c for c in TRACE_PALETTE if c not in TYPE_COLORS.values()])
@@ -95,7 +88,7 @@ def dfg_to_dot(dfg: OcDfg, opts: Optional[RenderOptions] = None) -> str:
     lines = ["digraph ocdfg {", "  rankdir=LR;", '  node [shape=box, fontname="Helvetica"];']
     for a in activities:
         label = a
-        if opts.node_labels:
+        if node_labels:
             counts = ", ".join(
                 f"{t}:{dfg.per_type[t].activity_counts[a]}"
                 for t in types if a in dfg.per_type[t].activity_counts
@@ -107,7 +100,7 @@ def dfg_to_dot(dfg: OcDfg, opts: Optional[RenderOptions] = None) -> str:
         for (a, b) in sorted(dfg.per_type[t].edge_counts):
             count = dfg.per_type[t].edge_counts[(a, b)]
             parts = [f"color={_dot_quote(colors[t])}"]
-            if opts.edge_labels:
+            if edge_labels:
                 parts.insert(0, f"label={_dot_quote(f'{t}:{count}')}")
                 parts.append(f"fontcolor={_dot_quote(colors[t])}")
             lines.append(f"  {node_id[a]} -> {node_id[b]} [{', '.join(parts)}];")

@@ -25,6 +25,11 @@ class Point(NamedTuple):
     y: float
 
 
+# the most grid rows: 0.68 m per row on a 68 m pitch, and a bound on the
+# cells movement detection and the SVG pitch drawing list
+MAX_GRID_ROWS = 100
+
+
 class GridCell(NamedTuple):
     """Zero-based grid address: col counts from the left, row from the bottom."""
 
@@ -47,6 +52,8 @@ class GridSpec:
         if self.cols > 26:
             # column labels are single letters A..Z
             raise ValueError(f"at most 26 grid columns supported, got {self.cols}")
+        if self.rows > MAX_GRID_ROWS:
+            raise ValueError(f"at most {MAX_GRID_ROWS} grid rows supported, got {self.rows}")
         if not (self.pitch_length_m > 0 and self.pitch_width_m > 0):
             raise ValueError("pitch dimensions must be positive")
         for name in ("pitch_length_m", "pitch_width_m"):

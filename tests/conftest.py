@@ -4,6 +4,7 @@ import pytest
 
 from footocel.ingest import load_match
 from footocel.pipeline import MatchPaths, RunConfig, convert_matches
+from footocel.possession import CONTROL_TYPES, match_prefix, segment_possessions
 from footocel.synth import write_synth_match
 
 
@@ -25,15 +26,11 @@ def bundle(synth_paths):
 
 
 @pytest.fixture(scope="session")
-def converted(synth_paths):
+def log(synth_paths):
     return convert_matches([synth_paths], RunConfig())
 
 
 @pytest.fixture(scope="session")
-def log(converted):
-    return converted[0]
-
-
-@pytest.fixture(scope="session")
-def spans(converted):
-    return converted[1]["game1"]
+def spans(bundle):
+    """The match's possessions, segmented apart from the conversion."""
+    return segment_possessions(bundle.events, match_prefix(0), CONTROL_TYPES)

@@ -295,6 +295,7 @@ def test_config_value_of_wrong_type_exit_1(small_match, tmp_path, capsys, config
     (["--min-dwell", "inf"], "min_dwell_s must be finite, got inf"),
     (["--pitch-length", "inf"], "grid.pitch_length_m must be finite, got inf"),
     (["--pitch-width", "inf"], "grid.pitch_width_m must be finite, got inf"),
+    (["--grid-rows", "1000000000"], "at most 100 grid rows supported, got 1000000000"),
 ])
 def test_setting_out_of_range_exit_2(small_match, tmp_path, capsys, extra, message):
     assert convert_small(small_match, tmp_path, *extra) == 2
@@ -313,6 +314,7 @@ def test_setting_out_of_range_exit_2(small_match, tmp_path, capsys, extra, messa
     ({"min_dwell_s": 10 ** 400}, 2, "error: min_dwell_s must be finite, got inf"),
     ({"grid": {"pitch_length_m": 10 ** 400}}, 2,
      "error: grid.pitch_length_m must be finite, got inf"),
+    ({"grid": {"rows": 10 ** 400}}, 2, f"error: at most 100 grid rows supported, got {10 ** 400}"),
 ])
 def test_config_non_finite_and_out_of_range(small_match, tmp_path, capsys, config, rc, err):
     cfg = tmp_path / "cfg.json"
@@ -446,11 +448,12 @@ def test_importing_the_cli_loads_no_network_modules():
 
 
 def test_importing_footocel_adds_no_network_or_process_packages():
-    """Every benchmark set-up and every run pays for what `import footocel`
-    loads; none of these packages is needed to convert or query a log."""
+    """Every run pays for what the command line imports, and footocel.cli
+    imports every module; none of these packages is needed to convert or
+    query a log."""
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import sys; bare = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
-            "import footocel; "
+            "import footocel.cli; "
             "print(*sorted(m for m in set(sys.modules) - bare if m.split('.')[0] in {"
             "'socket', 'ssl', 'http', 'urllib', 'email', 'xml', 'multiprocessing', "
             "'concurrent'}))")
@@ -655,6 +658,18 @@ def test_spatial_rejects_grid_object_without_column(log_file, tmp_path, capsys):
     capsys.readouterr()
     assert main(["spatial", "--ocel", str(bad), "--possession", "AA001"]) == 1
     assert "grid object 'B2' has no grid address" in capsys.readouterr().err
+
+
+def test_spatial_rejects_grid_object_beyond_the_row_bound(log_file, tmp_path, capsys):
+    def huge_row(data):
+        cell = next(o for o in data["objects"] if o["id"] == "B2")
+        next(a for a in cell["attributes"] if a["name"] == "row")["value"] = 10**400
+    bad = mutated(log_file, tmp_path, huge_row)
+    capsys.readouterr()
+    assert main(["spatial", "--ocel", str(bad), "--possession", "AA001"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: grid object 'B2' has no grid address "
+                   f"(column 'B', row {str(10**400)[:80]}...)\n")
 
 
 def test_spatial_rejects_integer_cell_label(log_file, tmp_path, capsys):

@@ -514,7 +514,7 @@ def test_renamed_goal_activity_keeps_the_score(synth_paths, log, tmp_path):
     table["SHOT"]["goal_end_activity"] = "Tor"
     map_path = tmp_path / "map.json"
     map_path.write_text(json.dumps(table), encoding="utf-8")
-    renamed, _ = convert_matches([synth_paths], RunConfig(activity_map_path=str(map_path)))
+    renamed = convert_matches([synth_paths], RunConfig(activity_map_path=str(map_path)))
 
     assert any(e.etype == "Tor" for e in renamed.events)
     assert log.events[-1].attrs["score_home"] + log.events[-1].attrs["score_away"] > 0

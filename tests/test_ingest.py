@@ -484,3 +484,22 @@ def test_normalize_direction_flips_second_period_only():
     assert out_events[0].start_pos == Point(0.2, 0.3)
     assert out_events[1].start_pos == Point(0.8, 0.7)
     assert out_events[1].end_pos == Point(1.0 - 0.4, 0.5)
+
+
+def test_normalize_direction_flips_every_period_from_the_second():
+    frames = parse_tracking(tracking_lines(tokens=("P1",), rows=[
+        "1,1,0.04,0.2,0.3,0.1,0.1",
+        "2,2,0.08,0.2,0.3,0.1,0.1",
+        "3,3,0.12,0.2,0.3,0.1,0.1",
+    ]), "Home")
+    events = parse_events(events_lines([
+        "Home,PASS,,1,1,0.04,2,0.08,P1,P1,0.2,0.3,0.4,0.5",
+        "Home,PASS,,3,3,0.12,4,0.16,P1,P1,0.2,0.3,0.4,0.5",
+    ]))
+    out_frames, out_events = normalize_direction(frames, events)
+    assert out_frames[0].positions["HomeP1"] == Point(0.2, 0.3)
+    assert out_frames[1].positions["HomeP1"] == Point(0.8, 0.7)
+    assert out_frames[2].positions["HomeP1"] == Point(0.8, 0.7)
+    assert out_frames[2].ball == Point(0.9, 0.9)
+    assert out_events[0].start_pos == Point(0.2, 0.3)
+    assert out_events[1].start_pos == Point(0.8, 0.7)

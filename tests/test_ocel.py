@@ -700,7 +700,7 @@ def test_convert_builds_each_event_once(synth_paths, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(ocel_module, "OcelEvent", counting)
-    log, _ = convert_matches([synth_paths, replace(synth_paths, match_id="game2")])
+    log = convert_matches([synth_paths, replace(synth_paths, match_id="game2")])
     assert len(built) == len(log.events)
     assert all(a is b for a, b in zip(built, log.events))
     assert all(e.eid for e in built)
@@ -714,9 +714,9 @@ def test_stats_totals_are_consistent(log):
     assert s.n_objects == len(log.objects)
     assert sum(s.events_by_class.values()) == s.n_events
     assert sum(s.events_by_activity.values()) == s.n_events
-    assert s.n_matches == 1
-    assert s.n_possessions == s.objects_by_type["possession"]
+    assert s.objects_by_type["match"] == 1
     text = s.to_text()
+    assert f"\npossessions       {s.objects_by_type['possession']}\n" in text
     assert text.splitlines()[0] == f"events            {s.n_events}"
     assert "type possession" in text
 
@@ -724,4 +724,4 @@ def test_stats_totals_are_consistent(log):
 def test_stats_of_an_empty_log():
     s = stats(OcelLog([], []))
     assert s.n_events == 0 and s.n_objects == 0
-    assert s.n_matches == 0 and s.n_possessions == 0
+    assert s.to_text().endswith("\npossessions       0\nmatches           0")

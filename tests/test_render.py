@@ -11,7 +11,7 @@ from footocel.cli import main
 from footocel.errors import QueryError
 from footocel.mining import DirectlyFollows, OcDfg, discover_ocdfg
 from footocel.ocel import OcelEvent, OcelLog, OcelObject, write_ocel_json
-from footocel.render import RenderOptions, _grid_drawing, dfg_to_dot, spatial_instance_svg
+from footocel.render import _grid_drawing, dfg_to_dot, spatial_instance_svg
 from footocel.spatial import GridSpec
 
 T0 = datetime(2020, 7, 1, 15, 0, 0, tzinfo=timezone.utc)
@@ -51,7 +51,7 @@ def test_dot_structure():
 
 
 def test_dot_label_options():
-    bare = dfg_to_dot(small_dfg(), RenderOptions(node_labels=False, edge_labels=False))
+    bare = dfg_to_dot(small_dfg(), node_labels=False, edge_labels=False)
     assert '  n1 [label="Shot"];' in bare
     assert "fontcolor" not in bare
     assert '  n0 -> n1 [color="#1b9e77"];' in bare
@@ -65,7 +65,7 @@ def test_dot_escapes_special_characters():
         end_counts=Counter({'Say "hi"\\now': 1}),
         n_objects=1,
     )})
-    dot = dfg_to_dot(dfg, RenderOptions(node_labels=False))
+    dot = dfg_to_dot(dfg, node_labels=False)
     assert '[label="Say \\"hi\\"\\\\now"];' in dot
 
 

@@ -127,6 +127,8 @@ def test_grid_spec_validation():
         GridSpec(cols=27)  # labels are single letters A..Z
     with pytest.raises(ValueError):
         GridSpec(pitch_length_m=0.0)
+    with pytest.raises(ValueError):
+        GridSpec(rows=101)
 
 
 def test_all_cells_enumerates_the_full_grid():
