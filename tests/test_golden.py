@@ -1,8 +1,9 @@
 """Golden hashes: `convert` output stays byte-identical across refactors.
 
 Each hash pins the `log.json` of one small synthetic conversion, every
-possession SVG drawn from the session's converted log, or the DOT graphs
-discovered on that log.  A change
+possession SVG drawn from the session's converted log, the DOT graphs
+discovered on that log, or the three CSV texts the synthetic generator
+writes, which every other hash and the benchmark's inputs rest on.  A change
 that moves a hash changed the log; it must be a change the log is meant to
 get, and the new hash is then recorded here with the reason.
 """
@@ -16,7 +17,7 @@ from footocel.mining import LogFilter, discover_ocdfg, filter_log
 from footocel.ocel import OBJECT_TYPE_POSSESSION, OBJECT_TYPES
 from footocel.render import dfg_to_dot, spatial_instance_svg
 from footocel.spatial import GridSpec
-from footocel.synth import write_synth_match
+from footocel.synth import synth_match, write_synth_match
 
 
 @pytest.fixture(scope="module")
@@ -88,3 +89,21 @@ def test_dfg_dot_hash(log):
     digest.update(dfg_to_dot(discover_ocdfg(log, sorted(OBJECT_TYPES))).encode("utf-8"))
     digest.update(dfg_to_dot(discover_ocdfg(goals, ["ball"])).encode("utf-8"))
     assert digest.hexdigest() == "82ec3f3ac47a90122a7341bd3b6aa68a8bd8eb2e09d0e8790e4e6b70eae698d1"
+
+
+@pytest.mark.parametrize("kwargs, expected", [
+    ({"seed": 7}, (
+        "eed38ae7bf498c238847ca4449c49690f233a3443a670d058d06d3525ec0a6fb",
+        "dc2c394e740ea333fa4ce19c57e403fdc99ae1514dbe4506db13fb2c915b5d3b",
+        "ca4b834cce6ec576798778eb407125cd7c16d77128a5088dab5f56f231515936",
+    )),
+    ({"seed": 11, "period_s": 60.0}, (
+        "47979ae184b2c6a1433d0b635d1087c11891811c223668e47a32c2c036135a9c",
+        "3abfa2c61225573ee01ed15fdb8d5657e2d9acb86a76ff18a723ea8f406bdda7",
+        "aa82c32a1fc71b22914a26f0a8276c2fbfa826b74a9dac3bdc516031d898bd49",
+    )),
+])
+def test_synth_match_texts_hash(kwargs, expected):
+    """The home tracking, away tracking and event texts of two generated matches."""
+    texts = synth_match(**kwargs)
+    assert tuple(hashlib.sha256(t.encode("utf-8")).hexdigest() for t in texts) == expected
