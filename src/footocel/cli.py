@@ -50,7 +50,6 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
                    help="pitch length in meters")
     g.add_argument("--pitch-width", dest="grid.pitch_width_m", type=float, metavar="M",
                    help="pitch width in meters")
-    g.add_argument("--sample-rate", type=float, metavar="HZ", help="tracking frames per second")
     g.add_argument("--min-dwell", dest="min_dwell_s", type=float, metavar="S",
                    help="debounce: min seconds in a new cell before a movement event")
     g.add_argument("--normalize-direction", action="store_const", const=True, default=None,

@@ -30,8 +30,8 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Collection, Optional, Sequence
 
-from .errors import ConsistencyError, ParseError, read_json
-from .ingest import RawEventRecord, Tracking, qualify_player
+from .errors import ConsistencyError, ParseError, read_json, shown
+from .ingest import SIDES, RawEventRecord, Tracking, qualify_player
 from .possession import PossessionSpan, goal_marked, possession_lookup
 from .spatial import GridSpec, Point, cell_label, cell_of, metric_distance
 
@@ -61,7 +61,8 @@ class MappingEntry:
 
     def __post_init__(self) -> None:
         if self.event_class not in (GAME_BASED, BALL):
-            raise ValueError(f"mapped class must be game_based or ball, got {self.event_class!r}")
+            raise ValueError(
+                f"mapped class must be game_based or ball, got {shown(self.event_class)}")
 
 
 @dataclass(frozen=True)
@@ -113,14 +114,14 @@ def _mapping_from_dict(data, source: str) -> dict[str, MappingEntry]:
                 raise ValueError("must be an object")
             unknown = set(raw) - _MAPPING_KEYS
             if unknown:
-                raise ValueError(f"has unknown keys {sorted(unknown)}")
+                raise ValueError(f"has unknown keys {shown(sorted(unknown))}")
             if not isinstance(raw.get("activity"), str) or not raw["activity"]:
                 raise ValueError("needs a string 'activity', not empty")
             for key, kind, what in (("end_activity", str, "a string"),
                                     ("goal_end_activity", str, "a string"),
                                     ("at_end", bool, "true or false")):
                 if key in raw and not isinstance(raw[key], kind):
-                    raise ValueError(f"{key} must be {what}, got {raw[key]!r}")
+                    raise ValueError(f"{key} must be {what}, got {shown(raw[key])}")
                 if raw.get(key) == "":
                     raise ValueError(f"{key} must not be empty")
             mapping[provider_type] = MappingEntry(
@@ -131,7 +132,7 @@ def _mapping_from_dict(data, source: str) -> dict[str, MappingEntry]:
                 at_end=raw.get("at_end", False),
             )
         except ValueError as exc:
-            raise ParseError(f"entry {provider_type!r}: {exc}", source=source) from None
+            raise ParseError(f"entry {shown(provider_type)}: {exc}", source=source) from None
     return mapping
 
 
@@ -166,7 +167,7 @@ def decompose_events(
         if entry is None:
             if on_unknown == UNKNOWN_REJECT:
                 raise ConsistencyError(
-                    f"unknown event type {record.event_type!r}"
+                    f"unknown event type {shown(record.event_type)}"
                     " (extend the activity map or run with unknown events passed through)"
                 )
             entry = MappingEntry(activity=f"Other:{record.event_type}", event_class=GAME_BASED)
@@ -254,7 +255,7 @@ def detect_movement_events(
 
     for label in sorted(tracking.players):
         xs, ys = tracking.players[label]
-        team = next((side for side in ("Home", "Away") if label.startswith(side)), None)
+        team = next((side for side in SIDES if label.startswith(side)), None)
         confirmed = -1                 # cell index; -1 = none yet this period
         entry_time = 0.0
         acc = 0.0                      # path length since entering `confirmed`
@@ -346,7 +347,7 @@ def enrich(
     possession_id.  Teams, cells and coordinates are left as derive made them.
     """
     span_at = possession_lookup(spans)
-    score = {"Home": 0, "Away": 0}
+    score = dict.fromkeys(SIDES, 0)
     out: list[ActivityEvent] = []
     for e in merge_streams(game_stream, movement_stream):
         attrs = dict(e.attrs)

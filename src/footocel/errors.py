@@ -27,6 +27,13 @@ class ParseError(ValueError):
         super().__init__(f"{loc}: {message}" if loc else message)
 
 
+def shown(value) -> str:
+    """An input value as an error message echoes it: its repr, cut to 80
+    characters with a trailing "..." when longer."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 class ConsistencyError(ValueError):
     """Individually well-formed data that contradicts itself or an invariant."""
 

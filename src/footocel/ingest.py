@@ -2,9 +2,10 @@
 
 A match arrives as three CSVs: one tracking file per side plus one shared
 event file.  Tracking files carry a 3-line header (team name row, jersey
-row, column-title row) followed by 25 Hz frames; every player contributes
-an x/y column pair and the final pair is the ball.  Event rows are discrete
-on-ball/game actions with start/end frames, times and positions.
+row, column-title row) followed by frames at SAMPLE_RATE_HZ (25 Hz); every
+player contributes an x/y column pair and the final pair is the ball.  Event
+rows are discrete on-ball/game actions with start/end frames, times and
+positions.
 
 Player identity: tracking column titles and event From/To fields use bare
 tokens like "Player9" that are only unique within a side, so every label is
@@ -20,10 +21,13 @@ from dataclasses import dataclass, replace
 from itertools import groupby
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .errors import ConsistencyError, ParseError
+from .errors import ConsistencyError, ParseError, shown
 from .spatial import Point
 
 SIDES = ("Home", "Away")
+
+# tracking frames per second; time = frame / SAMPLE_RATE_HZ in every row
+SAMPLE_RATE_HZ = 25.0
 
 TRACKING_TITLE_PREFIX = ("Period", "Frame", "Time [s]")
 
@@ -39,7 +43,7 @@ FLOAT_TOLERANCE = 1e-6
 
 @dataclass(frozen=True)
 class TrackingFrame:
-    """One 25 Hz snapshot: qualified player label -> position (None = not tracked)."""
+    """One tracking snapshot: qualified player label -> position (None = not tracked)."""
 
     period: int
     frame: int
@@ -124,11 +128,11 @@ def _opt_float(token: str, what: str) -> Optional[float]:
     try:
         value = float(token)
     except ValueError:
-        raise ParseError(f"non-numeric {what} {token!r}") from None
+        raise ParseError(f"non-numeric {what} {shown(token)}") from None
     if math.isnan(value):
         return None
     if math.isinf(value):
-        raise ParseError(f"non-finite {what} {token!r}")
+        raise ParseError(f"non-finite {what} {shown(token)}")
     return value
 
 
@@ -136,7 +140,7 @@ def _req_int(token: str, what: str) -> int:
     try:
         return int(token.strip())
     except ValueError:
-        raise ParseError(f"non-numeric {what} {token!r}") from None
+        raise ParseError(f"non-numeric {what} {shown(token)}") from None
 
 
 def _req_float(token: str, what: str) -> float:
@@ -156,30 +160,25 @@ def _opt_pair(xs: str, ys: str, what: str) -> Optional[Point]:
     return Point(x, y)
 
 
-def parse_tracking(
-    lines: Iterable[str],
-    side: str,
-    sample_rate: float = 25.0,
-    source: str = "<tracking>",
-) -> Tracking:
+def parse_tracking(lines: Iterable[str], side: str, source: str = "<tracking>") -> Tracking:
     """Parse one side's tracking file into a columnar fragment.
 
     Fragments hold only this side's players (labels already qualified) plus
     the ball; merge_tracking joins the two sides.  The header is validated
     structurally and every data row is checked for field count, numeric
-    sanity, strictly increasing frame numbers and time = frame / sample_rate.
+    sanity, strictly increasing frame numbers and time = frame / SAMPLE_RATE_HZ.
     Errors, the csv module's own too, name source and the reader's line.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     reader = csv.reader(lines)
     try:
-        return _tracking_rows(reader, side, sample_rate)
+        return _tracking_rows(reader, side)
     except (ParseError, csv.Error) as exc:  # an empty file has read no line: its header is line 1
         raise ParseError(str(exc), source=source, line=reader.line_num or 1) from None
 
 
-def _tracking_rows(reader, side: str, sample_rate: float) -> Tracking:
+def _tracking_rows(reader, side: str) -> Tracking:
     header = []
     for row in reader:
         header.append(row)
@@ -197,7 +196,7 @@ def _tracking_rows(reader, side: str, sample_rate: float) -> Tracking:
         raise ParseError("no coordinate columns (not even a ball pair)")
     pair_tokens = [titles[3 + 2 * k] for k in range(n_pairs)]
     if pair_tokens[-1].lower() != "ball":
-        raise ParseError(f"last coordinate pair must be titled Ball, got {pair_tokens[-1]!r}")
+        raise ParseError(f"last coordinate pair must be titled Ball, got {shown(pair_tokens[-1])}")
     for token in pair_tokens[:-1]:
         if not token:
             raise ParseError("unnamed player coordinate pair")
@@ -206,6 +205,7 @@ def _tracking_rows(reader, side: str, sample_rate: float) -> Tracking:
     periods, frames, times = array("q"), array("q"), array("d")
     coords = array("d")  # row-major: x, y of each player, then of the ball
     width = len(titles)
+    rate = SAMPLE_RATE_HZ
     prev_frame: Optional[int] = None
     for row in reader:
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -214,19 +214,20 @@ def _tracking_rows(reader, side: str, sample_rate: float) -> Tracking:
             raise ParseError(f"expected {width} fields, got {len(row)}")
         period = _req_int(row[0], "period")
         if period < 1:
-            raise ParseError(f"period must be >= 1, got {period}")
+            raise ParseError(f"period must be >= 1, got {shown(period)}")
         frame = _req_int(row[1], "frame")
         time_s = _req_float(row[2], "time")
         if prev_frame is not None and frame <= prev_frame:
-            raise ParseError(f"frame {frame} not greater than previous frame {prev_frame}")
+            raise ParseError(f"frame {shown(frame)} not greater than previous frame {prev_frame}")
         prev_frame = frame
         try:
             periods.append(period)
             frames.append(frame)
-        except OverflowError:  # beyond 64 bits; frame / sample_rate may not even be a float
-            raise ParseError(f"period {period} or frame {frame} out of range") from None
-        if abs(time_s - frame / sample_rate) > FLOAT_TOLERANCE:
-            raise ParseError(f"time {time_s} inconsistent with frame {frame} at {sample_rate} Hz")
+        except OverflowError:  # beyond 64 bits; frame / rate may not even be a float
+            raise ParseError(
+                f"period {shown(period)} or frame {shown(frame)} out of range") from None
+        if abs(time_s - frame / rate) > FLOAT_TOLERANCE:
+            raise ParseError(f"time {time_s} inconsistent with frame {frame} at {rate} Hz")
         # blank and NaN tokens both read as NaN; a row that holds any other
         # non-number, an infinity or a half-present pair is converted again
         # pair by pair, which raises the error for its first bad pair
@@ -332,14 +333,14 @@ def _event_rows(reader) -> list[RawEventRecord]:
             raise ParseError(f"expected {len(EVENTS_HEADER)} fields, got {len(row)}")
         team = row[0].strip()
         if team not in SIDES:
-            raise ParseError(f"unknown team {team!r}")
+            raise ParseError(f"unknown team {shown(team)}")
         event_type = row[1].strip()
         if not event_type:
             raise ParseError("missing event type")
         subtype = row[2].strip() or None
         period = _req_int(row[3], "period")
         if period < 1:
-            raise ParseError(f"period must be >= 1, got {period}")
+            raise ParseError(f"period must be >= 1, got {shown(period)}")
         start_frame = _req_int(row[4], "start frame")
         start_time = _req_float(row[5], "start time")
         end_frame = _req_int(row[6], "end frame")
@@ -369,20 +370,14 @@ def _read_csv(path, parse, *args):
         ) from None
 
 
-def load_match(
-    home_tracking_path,
-    away_tracking_path,
-    events_path,
-    match_id: str,
-    sample_rate: float = 25.0,
-) -> MatchBundle:
+def load_match(home_tracking_path, away_tracking_path, events_path, match_id: str) -> MatchBundle:
     """Load and merge one match's three files.
 
     Rosters start from the tracking column titles and are extended by any
     player label an event references (tolerates event-only data slices).
     """
-    home = _read_csv(home_tracking_path, parse_tracking, "Home", sample_rate)
-    away = _read_csv(away_tracking_path, parse_tracking, "Away", sample_rate)
+    home = _read_csv(home_tracking_path, parse_tracking, "Home")
+    away = _read_csv(away_tracking_path, parse_tracking, "Away")
     frames = merge_tracking(home, away)
     events = _read_csv(events_path, parse_events)
 

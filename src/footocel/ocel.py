@@ -51,7 +51,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .derive import BALL, EVENT_CLASSES, ActivityEvent
-from .errors import ConsistencyError, ParseError, QueryError, read_json
+from .errors import ConsistencyError, ParseError, QueryError, read_json, shown
 from .possession import PossessionSpan
 from .spatial import MAX_GRID_ROWS, GridSpec, cell_label
 
@@ -154,26 +154,19 @@ def format_time(dt: datetime) -> str:
     return f"{dt.year:04d}-{dt:%m-%dT%H:%M:%S}.{dt.microsecond // 1000:03d}Z"
 
 
-def _shown(value) -> str:
-    """An input value as an error message echoes it: its repr, cut to 80
-    characters with a trailing "..." when longer."""
-    text = repr(value)
-    return text if len(text) <= 80 else text[:80] + "..."
-
-
 def parse_time(text: str) -> datetime:
     """The UTC instant of an ISO-8601 time with an offset; errors carry no location."""
     normalized = text[:-1] + "+00:00" if text.endswith("Z") else text
     try:
         dt = datetime.fromisoformat(normalized)
     except ValueError:
-        raise ParseError(f"invalid ISO-8601 time {_shown(text)}") from None
+        raise ParseError(f"invalid ISO-8601 time {shown(text)}") from None
     if dt.tzinfo is None:
-        raise ParseError(f"time {_shown(text)} lacks a UTC offset")
+        raise ParseError(f"time {shown(text)} lacks a UTC offset")
     try:
         return dt.astimezone(timezone.utc)
     except OverflowError:  # a UTC instant before year 1 or after year 9999
-        raise ParseError(f"time {_shown(text)} out of range") from None
+        raise ParseError(f"time {shown(text)} out of range") from None
 
 
 def scoped_id(scope: IdentityScope, match_id: str, base: str) -> str:
@@ -246,7 +239,7 @@ def grid_from_log(log: OcelLog) -> GridSpec:
             if not (isinstance(column, str) and len(column) == 1 and "A" <= column <= "Z"
                     and type(row) is int and 1 <= row <= MAX_GRID_ROWS):
                 raise QueryError(f"grid object {o.oid!r} has no grid address "
-                                 f"(column {_shown(column)}, row {_shown(row)})")
+                                 f"(column {shown(column)}, row {shown(row)})")
             cols = max(cols, ord(column) - ord("A") + 1)
             rows = max(rows, row)
     return GridSpec(cols=cols, rows=rows) if cols and rows else GridSpec()
@@ -504,7 +497,7 @@ def _keys_problem(obj, keys: set[str]) -> str | None:
     missing = keys - obj.keys()
     if missing:
         return f"missing key(s) {sorted(missing)}"
-    return f"unexpected key(s) {_shown(sorted(obj.keys() - keys))}"
+    return f"unexpected key(s) {shown(sorted(obj.keys() - keys))}"
 
 
 def _id_problem(value, seen, what: str) -> str | None:
@@ -512,7 +505,7 @@ def _id_problem(value, seen, what: str) -> str | None:
     if not isinstance(value, str) or not value:
         return "expected a non-empty string"
     if value in seen:
-        return f"duplicate {what} {_shown(value)}"
+        return f"duplicate {what} {shown(value)}"
     return None
 
 
@@ -539,9 +532,9 @@ def _read_type_section(data, key: str) -> dict[str, dict[str, str]]:
             if not isinstance(aname, str):
                 raise ParseError(f"{apath}.name: expected a string")
             if not isinstance(atype, str) or atype not in _VALUE_TYPES:
-                raise ParseError(f"{apath}.type: unsupported type {_shown(atype)}")
+                raise ParseError(f"{apath}.type: unsupported type {shown(atype)}")
             if aname in attrs:
-                raise ParseError(f"{apath}.name: duplicate attribute {_shown(aname)}")
+                raise ParseError(f"{apath}.name: duplicate attribute {shown(aname)}")
             attrs[aname] = atype
         schema[name] = attrs
     return schema
@@ -573,11 +566,11 @@ def _read_attributes(array, schema: dict[str, str], path: str) -> dict:
     for apath, attr in _entries(array, path, {"name", "value"}):
         name, value = attr["name"], attr["value"]
         if not isinstance(name, str) or name not in schema:
-            raise ParseError(f"{apath}.name: undeclared attribute {_shown(name)}")
+            raise ParseError(f"{apath}.name: undeclared attribute {shown(name)}")
         if type(value) not in _VALUE_TYPES[schema[name]] or value in _INFINITIES:
-            raise ParseError(f"{apath}.value: expected {schema[name]}, got {_shown(value)}")
+            raise ParseError(f"{apath}.value: expected {schema[name]}, got {shown(value)}")
         if name in attrs:
-            raise ParseError(f"{apath}.name: duplicate attribute {_shown(name)}")
+            raise ParseError(f"{apath}.name: duplicate attribute {shown(name)}")
         attrs[name] = value
     return attrs
 
@@ -602,9 +595,9 @@ def _read_relationships(array, objects, path: str) -> tuple[tuple[str, str], ...
     for rpath, rel in _entries(array, path, {"objectId", "qualifier"}):
         oid, qualifier = rel["objectId"], rel["qualifier"]
         if not isinstance(oid, str) or oid not in objects:
-            raise ParseError(f"{rpath}.objectId: unknown object {_shown(oid)}")
+            raise ParseError(f"{rpath}.objectId: unknown object {shown(oid)}")
         if not isinstance(qualifier, str) or qualifier not in QUALIFIERS:
-            raise ParseError(f"{rpath}.qualifier: unknown qualifier {_shown(qualifier)}")
+            raise ParseError(f"{rpath}.qualifier: unknown qualifier {shown(qualifier)}")
         rels.append((oid, qualifier))
     return tuple(rels)
 
@@ -626,7 +619,7 @@ def _read_objects(array, schema) -> dict[str, OcelObject]:
         if problem := _id_problem(oid, objects, "object id"):
             raise ParseError(f"$.objects[{i}].id: {problem}")
         if not isinstance(otype, str) or otype not in schema:
-            raise ParseError(f"$.objects[{i}].type: undeclared object type {_shown(otype)}")
+            raise ParseError(f"$.objects[{i}].type: undeclared object type {shown(otype)}")
         attrs = _bulk_attributes(entry["attributes"], value_types[otype])
         if attrs is None:
             attrs = _read_attributes(entry["attributes"], schema[otype],
@@ -648,7 +641,7 @@ def _read_events(array, schema, objects) -> tuple[OcelEvent, ...]:
         if problem := _id_problem(eid, events, "event id"):
             raise ParseError(f"$.events[{i}].id: {problem}")
         if not isinstance(etype, str) or etype not in schema:
-            raise ParseError(f"$.events[{i}].type: undeclared event type {_shown(etype)}")
+            raise ParseError(f"$.events[{i}].type: undeclared event type {shown(etype)}")
         if not isinstance(text, str):
             raise ParseError(f"$.events[{i}].time: expected a string")
         try:

@@ -25,7 +25,7 @@ from .derive import (
     enrich,
     load_activity_mapping,
 )
-from .errors import ParseError
+from .errors import ParseError, shown
 from .ocel import (
     IdentityScope,
     OcelEvent,
@@ -53,7 +53,6 @@ class RunConfig:
     field is a config key, read in the JSON form of its annotation."""
 
     grid: GridSpec = field(default_factory=GridSpec)
-    sample_rate: float = 25.0
     scope: IdentityScope = IdentityScope.GLOBAL
     min_dwell_s: float = 0.0
     normalize_direction: bool = False
@@ -62,16 +61,15 @@ class RunConfig:
     control_types: tuple[str, ...] = tuple(sorted(CONTROL_TYPES))
 
     def __post_init__(self) -> None:
-        if not 0 < self.sample_rate < math.inf:
-            raise ValueError(f"sample_rate must be positive and finite, got {self.sample_rate!r}")
         if not isinstance(self.scope, IdentityScope):
-            raise ValueError(f"scope must be 'global' or 'per-match', got {self.scope!r}")
+            raise ValueError(f"scope must be 'global' or 'per-match', got {shown(self.scope)}")
         if not self.min_dwell_s >= 0:
-            raise ValueError(f"min_dwell_s must be >= 0, got {self.min_dwell_s!r}")
+            raise ValueError(f"min_dwell_s must be >= 0, got {shown(self.min_dwell_s)}")
         if self.min_dwell_s == math.inf:
             raise ValueError("min_dwell_s must be finite, got inf")
         if self.unknown_events not in (UNKNOWN_REJECT, UNKNOWN_PASS):
-            raise ValueError(f"unknown_events must be 'reject' or 'pass', got {self.unknown_events!r}")
+            raise ValueError(
+                f"unknown_events must be 'reject' or 'pass', got {shown(self.unknown_events)}")
         if not self.control_types:
             raise ValueError("control_types must not be empty")
 
@@ -106,13 +104,13 @@ def _checked(cls, data, source: str, prefix: str = ""):
     values = {}
     for key, value in data.items():
         if key not in annotations:
-            raise ParseError(f"unknown config key {prefix + key!r}", source=source)
+            raise ParseError(f"unknown config key {shown(prefix + key)}", source=source)
         if annotations[key] == "GridSpec":
             values[key] = _checked(GridSpec, value, source, f"{key}.")
             continue
         what, fits, convert = _JSON_FORMS[annotations[key]]
         if not fits(value):
-            raise ParseError(f"{prefix}{key} must be {what}, got {value!r}", source=source)
+            raise ParseError(f"{prefix}{key} must be {what}, got {shown(value)}", source=source)
         values[key] = convert(value)
     return cls(**values)
 
@@ -143,8 +141,7 @@ def convert_one(
     paths: MatchPaths, match_index: int, config: RunConfig, mapping: dict[str, MappingEntry]
 ) -> MatchArtifacts:
     bundle = ingest.load_match(
-        paths.home_tracking, paths.away_tracking, paths.events,
-        match_id=paths.match_id, sample_rate=config.sample_rate,
+        paths.home_tracking, paths.away_tracking, paths.events, match_id=paths.match_id,
     )
     frames, events = bundle.frames, bundle.events
     if config.normalize_direction:

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .errors import shown
+
 
 class Point(NamedTuple):
     """A normalized pitch position."""
@@ -48,12 +50,13 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         if self.cols < 1 or self.rows < 1:
-            raise ValueError(f"grid must have positive dimensions, got {self.cols}x{self.rows}")
+            raise ValueError(
+                f"grid must have positive dimensions, got {shown(self.cols)}x{shown(self.rows)}")
         if self.cols > 26:
             # column labels are single letters A..Z
-            raise ValueError(f"at most 26 grid columns supported, got {self.cols}")
+            raise ValueError(f"at most 26 grid columns supported, got {shown(self.cols)}")
         if self.rows > MAX_GRID_ROWS:
-            raise ValueError(f"at most {MAX_GRID_ROWS} grid rows supported, got {self.rows}")
+            raise ValueError(f"at most {MAX_GRID_ROWS} grid rows supported, got {shown(self.rows)}")
         if not (self.pitch_length_m > 0 and self.pitch_width_m > 0):
             raise ValueError("pitch dimensions must be positive")
         for name in ("pitch_length_m", "pitch_width_m"):

@@ -2,8 +2,8 @@
 
 No real match data ships with this package, so tests and demos build their
 own: a short two-period match with scripted plays (kickoffs, pass chains,
-shots, goals, recoveries, throw-ins, fouls, a booking), full 25 Hz waypoint
-tracking for both sides, a substitution at half time and a short tracking
+shots, goals, recoveries, throw-ins, fouls, a booking), waypoint tracking
+at the reader's frame rate for both sides, a substitution at half time and a short tracking
 gap.  Everything derives from one seed; the same seed always produces
 byte-identical files.
 """
@@ -15,13 +15,13 @@ import io
 from pathlib import Path
 from random import Random
 
-from .ingest import EVENTS_HEADER
+from .ingest import EVENTS_HEADER, SAMPLE_RATE_HZ, TRACKING_TITLE_PREFIX
 
 _TERMINALS = ("lost", "out", "goal", "saved", "offtarget")
 
 
-def _fmt_time(frame: int, rate: float) -> str:
-    return f"{frame / rate:.2f}"
+def _fmt_time(frame: int) -> str:
+    return f"{frame / SAMPLE_RATE_HZ:.2f}"
 
 
 def _interp(a: float, b: float, t: float) -> float:
@@ -31,17 +31,17 @@ def _interp(a: float, b: float, t: float) -> float:
 class _EventScript:
     """Builds the event rows of the scripted match."""
 
-    def __init__(self, rng: Random, rate: float, rosters: dict):
+    def __init__(self, rng: Random, rosters: dict):
         self.rng = rng
-        self.rate = rate
         self.rosters = rosters  # side -> list of on-pitch tokens per period
         self.rows: list[list[str]] = []
         self.ball_anchors: list[tuple[int, float, float]] = []  # frame, x, y
         self.fouls = 0
 
     def pick(self, side: str, period: int, not_token: str | None = None) -> str:
-        options = [t for t in self.rosters[side][period] if t != not_token]
-        return self.rng.choice(options)
+        on_pitch = self.rosters[side][period]
+        # a side of one player passes to itself
+        return self.rng.choice([t for t in on_pitch if t != not_token] or on_pitch)
 
     def add(self, side, etype, subtype, period, f0, f1, frm, to, p0, p1):
         def fmt(pos):
@@ -50,7 +50,7 @@ class _EventScript:
         x1, y1 = fmt(p1)
         self.rows.append([
             side, etype, subtype or "", str(period),
-            str(f0), _fmt_time(f0, self.rate), str(f1), _fmt_time(f1, self.rate),
+            str(f0), _fmt_time(f0), str(f1), _fmt_time(f1),
             frm or "", to or "", x0, y0, x1, y1,
         ])
         for frame, pos in ((f0, p0), (f1, p1)):
@@ -135,8 +135,7 @@ class _EventScript:
 
 
 def _player_track(
-    rng: Random, n_frames_per_period: int, periods: list[int], rate: float,
-    gap: tuple[int, int] | None = None,
+    rng: Random, n_frames_per_period: int, periods: list[int], gap: tuple[int, int] | None = None,
 ) -> list[tuple[float, float] | None]:
     """Piecewise-linear waypoint walk, evaluated at every frame."""
     out: list[tuple[float, float] | None] = []
@@ -145,7 +144,7 @@ def _player_track(
             out.extend([None] * n_frames_per_period)
             continue
         x, y = rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9)
-        wp_frames = int(rate * 10)  # a new waypoint every 10 s
+        wp_frames = int(SAMPLE_RATE_HZ * 10)  # a new waypoint every 10 s
         remaining = n_frames_per_period
         while remaining > 0:
             seg = min(wp_frames, remaining)
@@ -163,8 +162,7 @@ def _player_track(
 
 
 def _tracking_csv(
-    side_name: str, tokens: list[str], tracks: dict, ball: list,
-    n_frames_per_period: int, rate: float,
+    side_name: str, tokens: list[str], tracks: dict, ball: list, n_frames_per_period: int,
 ) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -177,7 +175,7 @@ def _tracking_csv(
         row2 += [token.removeprefix("Player"), ""]
     row2 += ["", ""]
     writer.writerow(row2)
-    row3 = ["Period", "Frame", "Time [s]"]
+    row3 = list(TRACKING_TITLE_PREFIX)
     for token in tokens:
         row3 += [token, ""]
     row3 += ["Ball", ""]
@@ -187,7 +185,7 @@ def _tracking_csv(
     for i in range(total):
         frame = i + 1
         period = 1 if i < n_frames_per_period else 2
-        row = [str(period), str(frame), _fmt_time(frame, rate)]
+        row = [str(period), str(frame), _fmt_time(frame)]
         for token in tokens:
             p = tracks[token][i]
             row += ["", ""] if p is None else [f"{p[0]:.5f}", f"{p[1]:.5f}"]
@@ -198,15 +196,12 @@ def _tracking_csv(
 
 
 def synth_match(
-    seed: int = 7,
-    period_s: float = 120.0,
-    players_per_side: int = 4,
-    sample_rate: float = 25.0,
+    seed: int = 7, period_s: float = 120.0, players_per_side: int = 4,
 ) -> tuple[str, str, str]:
     """Generate one deterministic match (two periods of period_s seconds):
     the home tracking, away tracking and event CSV texts."""
     rng = Random(seed)
-    n_frames = int(round(period_s * sample_rate))
+    n_frames = int(round(period_s * SAMPLE_RATE_HZ))
 
     home_tokens = [f"Player{i + 1}" for i in range(players_per_side + 1)]
     away_tokens = [f"Player{i + 21}" for i in range(players_per_side + 1)]
@@ -216,7 +211,7 @@ def synth_match(
         "Away": {1: away_tokens[:-1], 2: [t for t in away_tokens if t != away_tokens[1]]},
     }
 
-    script = _EventScript(rng, sample_rate, on_pitch)
+    script = _EventScript(rng, on_pitch)
     for period, kicker_side in ((1, "Home"), (2, "Away")):
         first = (period - 1) * n_frames + 1
         last = period * n_frames
@@ -245,10 +240,9 @@ def synth_match(
             gap = None
             if side == "Home" and j == 2:
                 # a 2 s mid-half tracking dropout
-                gap = (n_frames // 2, n_frames // 2 + int(2 * sample_rate))
+                gap = (n_frames // 2, n_frames // 2 + int(2 * SAMPLE_RATE_HZ))
             tracks[token] = _player_track(
-                Random(seed * 1000 + side_index * 100 + j),
-                n_frames, periods_of(side, token), sample_rate, gap,
+                Random(seed * 1000 + side_index * 100 + j), n_frames, periods_of(side, token), gap,
             )
 
     anchors = sorted(script.ball_anchors)
@@ -268,8 +262,8 @@ def synth_match(
             ball.append((cur[1], cur[2]))
 
     return (
-        _tracking_csv("SynthHome", home_tokens, tracks, ball, n_frames, sample_rate),
-        _tracking_csv("SynthAway", away_tokens, tracks, ball, n_frames, sample_rate),
+        _tracking_csv("SynthHome", home_tokens, tracks, ball, n_frames),
+        _tracking_csv("SynthAway", away_tokens, tracks, ball, n_frames),
         events_buf.getvalue(),
     )
 

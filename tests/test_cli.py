@@ -1,22 +1,27 @@
 """End-to-end CLI behavior: subcommands, exit codes, option precedence."""
 
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import footocel.ingest as ingest_module
 import footocel.pipeline as pipeline_module
 from footocel.cli import main
-from footocel.ocel import OBJECT_TYPES, IdentityScope, read_ocel_json
+from footocel.ocel import OBJECT_TYPES, IdentityScope, read_ocel_json, write_ocel_json
 from footocel.pipeline import RunConfig, convert_matches
-from footocel.synth import write_synth_match
+from footocel.synth import synth_match, write_synth_match
 
 
 def convert_args(synth_paths, out, extra=()):
@@ -182,7 +187,6 @@ SETTINGS = [
     (["--pitch-length", "110"], {"grid": GRID_FILE}, ("grid", "pitch_length_m"), 100.0, 110.0,
      None),
     (["--pitch-width", "70"], {"grid": GRID_FILE}, ("grid", "pitch_width_m"), 64.0, 70.0, None),
-    (["--sample-rate", "12.5"], {"sample_rate": 50.0}, ("sample_rate",), 50.0, 12.5, None),
     (["--min-dwell", "0.5"], {"min_dwell_s": 0.2}, ("min_dwell_s",), 0.2, 0.5, None),
     (["--normalize-direction"], {"normalize_direction": True}, ("normalize_direction",),
      True, True, {"normalize_direction": False}),
@@ -259,7 +263,7 @@ def convert_small(small_match, tmp_path, *extra):
 
 
 @pytest.mark.parametrize("config, message", [
-    ({"sample_rate": "25"}, "sample_rate must be a number, got '25'"),
+    ({"sample_rate": 25.0}, "unknown config key 'sample_rate'"),  # tracking is read at 25 Hz
     ({"min_dwell_s": "x"}, "min_dwell_s must be a number, got 'x'"),
     ({"grid": {"cols": "6"}}, "grid.cols must be an integer, got '6'"),
     ({"grid": {"cols": 1.5}}, "grid.cols must be an integer, got 1.5"),
@@ -283,9 +287,9 @@ def test_config_value_of_wrong_type_exit_1(small_match, tmp_path, capsys, config
 
 
 @pytest.mark.parametrize("extra, message", [
-    (["--sample-rate", "nan"], "sample_rate must be positive and finite, got nan"),
-    (["--sample-rate", "inf"], "sample_rate must be positive and finite, got inf"),
-    (["--sample-rate", "0"], "sample_rate must be positive and finite, got 0.0"),
+    (["--grid-cols", "27"], "at most 26 grid columns supported, got 27"),
+    (["--pitch-width", "0"], "pitch dimensions must be positive"),
+    (["--min-dwell=-inf"], "min_dwell_s must be >= 0, got -inf"),
     (["--min-dwell", "nan"], "min_dwell_s must be >= 0, got nan"),
     (["--min-dwell", "-1"], "min_dwell_s must be >= 0, got -1.0"),
     (["--control-types", ","], "control_types must not be empty"),
@@ -305,22 +309,52 @@ def test_setting_out_of_range_exit_2(small_match, tmp_path, capsys, extra, messa
 
 # a token JSON does not have is unreadable input (exit 1); a value out of range exits 2
 @pytest.mark.parametrize("config, rc, err", [
-    ({"sample_rate": float("inf")}, 1, "error: {cfg}: $: Infinity is not a JSON number"),
-    ({"sample_rate": float("nan")}, 1, "error: {cfg}: $: NaN is not a JSON number"),
-    ({"sample_rate": 10 ** 400}, 2, "error: sample_rate must be positive and finite, got inf"),
+    ({"min_dwell_s": float("inf")}, 1, "error: {cfg}: $: Infinity is not a JSON number"),
+    ({"min_dwell_s": float("nan")}, 1, "error: {cfg}: $: NaN is not a JSON number"),
+    ({"grid": {"rows": -10 ** 400}}, 2,
+     "error: grid must have positive dimensions, got 6x-1" + "0" * 78 + "..."),
     ({"min_dwell_s": -10 ** 400}, 2, "error: min_dwell_s must be >= 0, got -inf"),
     ({"scope": "both"}, 2, "error: scope must be 'global' or 'per-match', got 'both'"),
     ({"unknown_events": "drop"}, 2, "error: unknown_events must be 'reject' or 'pass', got 'drop'"),
     ({"min_dwell_s": 10 ** 400}, 2, "error: min_dwell_s must be finite, got inf"),
     ({"grid": {"pitch_length_m": 10 ** 400}}, 2,
      "error: grid.pitch_length_m must be finite, got inf"),
-    ({"grid": {"rows": 10 ** 400}}, 2, f"error: at most 100 grid rows supported, got {10 ** 400}"),
+    ({"grid": {"rows": 10 ** 400}}, 2,
+     "error: at most 100 grid rows supported, got 1" + "0" * 79 + "..."),
 ])
 def test_config_non_finite_and_out_of_range(small_match, tmp_path, capsys, config, rc, err):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))  # writes NaN and Infinity tokens
     assert convert_small(small_match, tmp_path, "--config", str(cfg)) == rc
     assert capsys.readouterr().err == err.format(cfg=cfg) + "\n"
+
+
+# an input value too long to echo in full, where it goes and the exit code
+@pytest.mark.parametrize("where, data, value, rc", [
+    ("events", None, "T" * 5000, 1),
+    ("--config", {"control_types": [1] * 3000}, [1] * 3000, 1),
+    ("--config", {"scope": "y" * 5000}, "y" * 5000, 2),
+    ("--config", {"grid": {"rows": 10 ** 400}}, 10 ** 400, 2),
+    ("--activity-map", {"K" * 5000: 1}, "K" * 5000, 1),
+], ids=["team_cell", "control_types", "scope", "grid_rows", "activity_map_key"])
+def test_long_input_values_are_echoed_cut(small_match, tmp_path, capsys, where, data, value, rc):
+    """An error echoes an input value as its repr cut to 80 characters and "..."."""
+    home, away, events = map(str, small_match)
+    extra = []
+    if where == "events":  # the Team cell of the first event row
+        lines = Path(events).read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = value + lines[1][lines[1].index(","):]
+        events = tmp_path / "events.csv"
+        events.write_text("".join(lines), encoding="utf-8")
+    else:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        extra = [where, str(path)]
+    assert main(["convert", "--match", home, away, str(events),
+                 "--out", str(tmp_path / "x.json"), *extra]) == rc
+    err = capsys.readouterr().err
+    assert repr(value)[:80] + "..." in err
+    assert len(err) < 80 + len(str(tmp_path)) + 100
 
 
 @pytest.mark.parametrize("option", ["--config", "--activity-map"])
@@ -720,3 +754,78 @@ def test_spatial_names_the_event_of_an_integer_x_beyond_the_float_range(
     capsys.readouterr()
     assert main(["spatial", "--ocel", str(bad), "--possession", "AA001"]) == 1
     assert f"error: event {eid!r}: " in capsys.readouterr().err
+
+
+# --- whatever convert writes, the reader accepts ---
+
+# match ids: whitespace, non-ASCII text, ':' and the ids of other objects
+_MATCH_IDS = st.one_of(
+    st.text(alphabet=" \t\n\u00a0:é⚽Ωab1-", max_size=6),
+    st.sampled_from(["game1", "ball", "Home", "Away", "HomePlayer1", "AwayPlayer21", "A1",
+                     "AA001", "game1:ball"]),
+)
+
+
+def _mutated(text: str, data) -> str:
+    """text with at most one cell blanked or duplicated in place."""
+    rows = list(csv.reader(io.StringIO(text)))
+    edit = data.draw(st.sampled_from(["none", "blank", "duplicate"]))
+    if edit != "none":
+        row = rows[data.draw(st.integers(0, len(rows) - 1))]
+        col = data.draw(st.integers(0, len(row) - 1))
+        if edit == "blank":
+            row[col] = ""
+        else:
+            row.insert(col, row[col])
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def _run(argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2), err.getvalue()
+    return rc, out.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_whatever_convert_writes_the_reader_accepts(data):
+    settings_argv = [
+        "--grid-cols", str(data.draw(st.integers(1, 26))),
+        "--grid-rows", str(data.draw(st.integers(1, 100))),
+        f"--min-dwell={data.draw(st.floats(0, 3))}",
+        "--scope", data.draw(st.sampled_from(["global", "per-match"])),
+        "--unknown-events", data.draw(st.sampled_from(["reject", "pass"])),
+    ]
+    if data.draw(st.booleans()):
+        settings_argv.append("--normalize-direction")
+    n_matches = data.draw(st.integers(1, 2))
+    ids = [data.draw(_MATCH_IDS) for _ in range(n_matches)]
+    mutated_match = data.draw(st.integers(0, n_matches - 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["convert"]
+        for k in range(n_matches):
+            texts = synth_match(seed=data.draw(st.integers(0, 2 ** 32)),
+                                period_s=data.draw(st.integers(20, 40)),
+                                players_per_side=data.draw(st.integers(1, 3)))
+            if k == mutated_match:
+                which = data.draw(st.integers(0, 2))
+                texts = [_mutated(t, data) if i == which else t for i, t in enumerate(texts)]
+            paths = [os.path.join(tmp, f"m{k}_{name}.csv") for name in ("home", "away", "events")]
+            for path, text in zip(paths, texts):
+                Path(path).write_text(text, encoding="utf-8")
+            argv += ["--match", *paths]
+        out = os.path.join(tmp, "log.json")
+        rc, printed = _run([*argv, f"--match-ids={','.join(ids)}", *settings_argv, "--out", out])
+        event(f"convert exits {rc}")
+        if rc != 0:
+            return
+        log = read_ocel_json(out)
+        again = os.path.join(tmp, "again.json")
+        write_ocel_json(log, again)
+        assert Path(again).read_bytes() == Path(out).read_bytes()
+        # convert printed the stats of the log it held in memory
+        assert _run(["stats", "--ocel", out]) == (0, printed.removesuffix(f"wrote {out}\n"))

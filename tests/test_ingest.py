@@ -146,11 +146,11 @@ def test_parse_error_carries_source_and_line():
 
 
 def test_parse_tracking_obeys_sample_rate():
+    """Tracking is read at the provider's 25 Hz: a 10 Hz row fails where it stands."""
     rows = ["1,1,0.1,0.4,0.5,0.5,0.5"]
-    frames = parse_tracking(tracking_lines(tokens=("P1",), rows=rows), "Home", sample_rate=10.0)
-    assert frames[0].time_s == pytest.approx(0.1)
-    with pytest.raises(ParseError, match="inconsistent"):
-        parse_tracking(tracking_lines(tokens=("P1",), rows=rows), "Home", sample_rate=25.0)
+    with pytest.raises(ParseError) as err:
+        parse_tracking(tracking_lines(tokens=("P1",), rows=rows), "Home", source="h.csv")
+    assert str(err.value) == "h.csv:4: time 0.1 inconsistent with frame 1 at 25.0 Hz"
 
 
 def reference_parse_tracking(lines, side, sample_rate=25.0, source="<tracking>"):
