@@ -3,9 +3,9 @@
 No real match data ships with this package, so tests and demos build their
 own: a short two-period match with scripted plays (kickoffs, pass chains,
 shots, goals, recoveries, throw-ins, fouls, a booking), waypoint tracking
-at the reader's frame rate for both sides, a substitution at half time and a short tracking
-gap.  Everything derives from one seed; the same seed always produces
-byte-identical files.
+for both sides at the reader's frame rate, a substitution at half time and
+a short tracking gap.  Everything derives from one seed; the same seed
+always produces byte-identical files.
 """
 
 from __future__ import annotations
