@@ -21,7 +21,7 @@ import sys
 from dataclasses import fields
 from typing import Optional, Sequence
 
-from .errors import ConsistencyError, ParseError, QueryError, read_json
+from .errors import ConsistencyError, ParseError, QueryError, read_json, shown
 from .mining import LogFilter, discover_ocdfg, filter_log
 from .ocel import (
     OBJECT_TYPE_POSSESSION,
@@ -108,7 +108,7 @@ def _parse_where(clauses: Sequence[str], parser: argparse.ArgumentParser) -> lis
         head, eq, value = clause.partition("=")
         otype, dot, attr = head.partition(".")
         if not eq or not dot or not otype or not attr:
-            parser.error(f"--where must look like TYPE.ATTR=VALUE, got {clause!r}")
+            parser.error(f"--where must look like TYPE.ATTR=VALUE, got {shown(clause)}")
         out.append((otype, attr, value))
     return out
 
@@ -121,7 +121,7 @@ def _object_types(arg: str, log: OcelLog, parser: argparse.ArgumentParser) -> li
     present = {o.otype for o in log.objects}
     unknown = [t for t in types if t not in present]
     if unknown:
-        raise QueryError(f"no objects of type {', '.join(map(repr, unknown))} in the log")
+        raise QueryError(f"no objects of type {', '.join(map(shown, unknown))} in the log")
     return types
 
 
@@ -157,7 +157,7 @@ def cmd_possessions(args: argparse.Namespace, parser: argparse.ArgumentParser) -
             continue
         missing = [k for k in _SPAN_COLUMNS if k not in o.attrs]
         if missing:
-            raise QueryError(f"possession {o.oid!r} lacks {', '.join(missing)}")
+            raise QueryError(f"possession {shown(o.oid)} lacks {', '.join(missing)}")
         print("\t".join([o.oid, *(str(o.attrs[k]) for k in _SPAN_COLUMNS)]))
     return 0
 

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import QueryError
+from .errors import QueryError, shown
 from .ocel import OcelLog
 
 
@@ -56,11 +56,11 @@ def filter_log(log: OcelLog, flt: LogFilter) -> OcelLog:
     """
     candidates = [o for o in log.objects if o.otype == flt.object_type]
     if not candidates:
-        raise QueryError(f"no objects of type {flt.object_type!r} in the log")
+        raise QueryError(f"no objects of type {shown(flt.object_type)} in the log")
     for attr, _ in flt.where:
         if not any(attr in o.attrs for o in candidates):
             raise QueryError(
-                f"unknown attribute {attr!r} for object type {flt.object_type!r}"
+                f"unknown attribute {shown(attr)} for object type {shown(flt.object_type)}"
             )
     matching = {
         o.oid for o in candidates

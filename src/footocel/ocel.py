@@ -12,7 +12,18 @@ streams it one object or event at a time rather than building a tree of the
 whole log.  Every check of a write runs before the file is opened, so a log
 that cannot be written leaves an existing file as it was.
 
-The reader checks the parsed JSON in document order.  Every array entry
+The reader holds the file text and the log it builds, but no JSON tree: it
+decodes the three small sections whole, then reads the events one at a time,
+each checked and converted before the next is decoded.  The log shares
+repeated values: one relation tuple per (object id, qualifier) on the object's
+own id string, the schema's string for each event type, and one string per
+distinct attribute name and string value.  Any other top-level layout, and
+any error (bad UTF-8 or JSON, NaN, nesting too deep, a failed check), takes
+the whole-tree path: json.load, then the same checks.  So every message, and
+which one wins, is that of a whole-document parse: a JSON syntax error
+anywhere beats every check.
+
+The reader checks the JSON in document order.  Every array entry
 must be an object with exactly its layout's keys, ids and type names must be
 non-empty and unique, attribute values must match their declared type (an
 integer of any size is a valid float; a float literal beyond the float
@@ -193,9 +204,9 @@ def build_objects(
                 if OBJECT_TYPE_MATCH in (existing.otype, obj.otype):
                     other = existing.otype if obj.otype == OBJECT_TYPE_MATCH else obj.otype
                     raise ConsistencyError(
-                        f"match id {obj.oid!r} is also the id of a {other} object"
+                        f"match id {shown(obj.oid)} is also the id of a {other} object"
                     )
-                raise ConsistencyError(f"conflicting definitions for object {obj.oid!r}")
+                raise ConsistencyError(f"conflicting definitions for object {shown(obj.oid)}")
             return
         objects[obj.oid] = obj
 
@@ -238,7 +249,7 @@ def grid_from_log(log: OcelLog) -> GridSpec:
             column, row = o.attrs.get("column", "A"), o.attrs.get("row", 1)
             if not (isinstance(column, str) and len(column) == 1 and "A" <= column <= "Z"
                     and type(row) is int and 1 <= row <= MAX_GRID_ROWS):
-                raise QueryError(f"grid object {o.oid!r} has no grid address "
+                raise QueryError(f"grid object {shown(o.oid)} has no grid address "
                                  f"(column {shown(column)}, row {shown(row)})")
             cols = max(cols, ord(column) - ord("A") + 1)
             rows = max(rows, row)
@@ -295,7 +306,7 @@ def events_to_ocel(
         if out and time < out[-1].time:
             prev = events[seq - first - 2]  # the event out[-1] was made from
             raise ConsistencyError(
-                f"match {match_id!r}: period {e.period} time {e.time_s} s comes before "
+                f"match {shown(match_id)}: period {e.period} time {e.time_s} s comes before "
                 f"period {prev.period} time {prev.time_s} s; each period's clock must "
                 "continue from the one before"
             )
@@ -575,19 +586,24 @@ def _read_attributes(array, schema: dict[str, str], path: str) -> dict:
     return attrs
 
 
-def _bulk_relationships(array, objects) -> tuple[tuple[str, str], ...] | None:
+def _bulk_relationships(array, objects, shared) -> tuple[tuple[str, str], ...] | None:
+    """shared maps each (object id, qualifier) pair already accepted to its one
+    relation tuple, built on the object's own id string; new pairs join it."""
     if type(array) is not list:
         return None
     try:
-        rels = tuple([(r["objectId"], r["qualifier"]) for r in array])
         if sum(map(len, array)) != 2 * len(array):
             return None
-        for oid, qualifier in rels:
-            if oid not in objects or qualifier not in QUALIFIERS:
-                return None
+        pairs = [(r["objectId"], r["qualifier"]) for r in array]
+        for pair in pairs:
+            if pair not in shared:
+                oid, qualifier = pair
+                if oid not in objects or qualifier not in QUALIFIERS:
+                    return None
+                shared[pair] = (objects[oid].oid, qualifier)
     except (KeyError, TypeError):
         return None
-    return rels
+    return tuple([shared[pair] for pair in pairs])
 
 
 def _read_relationships(array, objects, path: str) -> tuple[tuple[str, str], ...]:
@@ -628,13 +644,16 @@ def _read_objects(array, schema) -> dict[str, OcelObject]:
     return objects
 
 
-def _read_events(array, schema, objects) -> tuple[OcelEvent, ...]:
-    if not isinstance(array, list):
-        raise ParseError("$.events: expected an array")
+def _read_events(entries, schema, objects) -> tuple[OcelEvent, ...]:
+    """Check the events entries one at a time, in document order, and build
+    their events, which share repeated values as the module docstring says."""
     value_types = _value_types(schema)
+    etypes = {name: name for name in schema}
+    relations: dict = {}
+    share = {}.setdefault
     events: dict[str, OcelEvent] = {}
     prev_key = None
-    for i, entry in enumerate(array):
+    for i, entry in enumerate(entries):
         if problem := _keys_problem(entry, _EVENT_KEYS):
             raise ParseError(f"$.events[{i}]: {problem}")
         eid, etype, text = entry["id"], entry["type"], entry["time"]
@@ -649,7 +668,7 @@ def _read_events(array, schema, objects) -> tuple[OcelEvent, ...]:
         except ParseError as exc:
             raise ParseError(f"$.events[{i}].time: {exc}") from None
         attrs = _bulk_attributes(entry["attributes"], value_types[etype])
-        rels = _bulk_relationships(entry["relationships"], objects)
+        rels = _bulk_relationships(entry["relationships"], objects, relations)
         if attrs is None or rels is None:
             path = f"$.events[{i}]"
             attrs = _read_attributes(entry["attributes"], schema[etype], f"{path}.attributes")
@@ -658,13 +677,93 @@ def _read_events(array, schema, objects) -> tuple[OcelEvent, ...]:
         if prev_key is not None and key < prev_key:
             raise ParseError(f"$.events[{i}]: events not sorted by (time, id)")
         prev_key = key
-        events[eid] = OcelEvent(eid, etype, time, attrs, rels)
+        attrs = {share(k, k): share(v, v) if type(v) is str else v for k, v in attrs.items()}
+        events[eid] = OcelEvent(eid, etypes[etype], time, attrs, rels)
     return tuple(events.values())
 
 
 def read_ocel_json(path) -> OcelLog:
     """Load and check a log.  The first violation in document order is raised as
-    a ParseError naming the file and a JSON path such as $.events[3].time."""
+    a ParseError naming the file and a JSON path such as $.events[3].time.
+
+    It holds the file text and the log, but no JSON tree: after the three
+    small sections, decoded whole, the events are read one at a time, and the
+    log shares repeated object ids, qualifiers and strings.  Any other
+    top-level layout, and any error at all, takes the whole-tree path
+    (read_json, then the same checks), so the messages and the order in
+    which they take precedence are those of a whole-document parse.
+    """
+    log = _streamed_log(path)
+    return _whole_tree_log(path) if log is None else log
+
+
+_SECTIONS = ("objectTypes", "eventTypes", "objects")
+_skip_ws = json.decoder.WHITESPACE.match
+
+
+def _not_a_number(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def _streamed_log(path) -> OcelLog | None:
+    """The log of a file laid out as the three sections, in any order, then
+    a final events array; None for any other layout or any error.  A section
+    given twice keeps its last value, as json.load keeps it; an events key
+    before the last section, or events given twice, is another layout."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        decode = json.JSONDecoder(parse_constant=_not_a_number).raw_decode
+        pos = _skip_ws(text).end()
+        if not text.startswith("{", pos):
+            return None
+        sections: dict = {}
+        while True:
+            key, pos = decode(text, _skip_ws(text, pos + 1).end())
+            pos = _skip_ws(text, pos).end()
+            if not text.startswith(":", pos):
+                return None
+            pos = _skip_ws(text, pos + 1).end()
+            if key == "events" and len(sections) == 3:
+                break
+            if key not in _SECTIONS:
+                return None
+            sections[key], pos = decode(text, pos)
+            pos = _skip_ws(text, pos).end()
+            if not text.startswith(",", pos):
+                return None
+        if not text.startswith("[", pos):
+            return None
+        object_schema = _read_type_section(sections, "objectTypes")
+        event_schema = _read_type_section(sections, "eventTypes")
+        objects = _read_objects(sections.pop("objects"), object_schema)
+        events = _read_events(_last_array_entries(text, pos + 1, decode), event_schema, objects)
+    except (OSError, ValueError, RecursionError):  # bad UTF-8 or JSON, or a failed check
+        return None
+    return OcelLog(objects=tuple(objects.values()), events=events)
+
+
+def _last_array_entries(text: str, pos: int, decode):
+    """Decode the entries of the array opened just before pos, one at a time.
+    After the last, raise ValueError unless only the document's closing brace
+    and whitespace follow the array."""
+    pos = _skip_ws(text, pos).end()
+    if not text.startswith("]", pos):
+        while True:
+            entry, pos = decode(text, pos)
+            yield entry
+            pos = _skip_ws(text, pos).end()
+            if text.startswith("]", pos):
+                break
+            if not text.startswith(",", pos):
+                raise ValueError("expected ',' or ']'")
+            pos = _skip_ws(text, pos + 1).end()
+    pos = _skip_ws(text, pos + 1).end()
+    if not text.startswith("}", pos) or _skip_ws(text, pos + 1).end() != len(text):
+        raise ValueError("expected the document to end after the events array")
+
+
+def _whole_tree_log(path) -> OcelLog:
     data = read_json(path)
     try:
         return _log_from_dict(data)
@@ -680,6 +779,8 @@ def _log_from_dict(data) -> OcelLog:
     object_schema = _read_type_section(data, "objectTypes")
     event_schema = _read_type_section(data, "eventTypes")
     objects = _read_objects(data["objects"], object_schema)
+    if not isinstance(data["events"], list):
+        raise ParseError("$.events: expected an array")
     events = _read_events(data["events"], event_schema, objects)
     return OcelLog(objects=tuple(objects.values()), events=events)
 

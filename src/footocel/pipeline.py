@@ -166,9 +166,9 @@ def convert_matches(
         raise ValueError("at least one match is required")
     ids = [m.match_id for m in matches]
     if "" in ids:
-        raise ValueError(f"match ids must not be empty: {ids}")
+        raise ValueError(f"match ids must not be empty: {shown(ids)}")
     if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate match ids: {ids}")
+        raise ValueError(f"duplicate match ids: {shown(ids)}")
 
     # one activity map for every match, read before any match file
     mapping = (

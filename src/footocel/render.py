@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .derive import snap_to_pitch
-from .errors import QueryError
+from .errors import QueryError, shown
 from .mining import OcDfg
 from .ocel import OBJECT_TYPE_BALL, OBJECT_TYPE_POSSESSION, OcelEvent, OcelLog, object_traces
 from .spatial import GridSpec, Point, cell_center, cell_label, parse_cell_label
@@ -166,7 +166,7 @@ def _event_point(
                 center = centers.get(label) if isinstance(label, str) else None
                 return center or _placed(cell_center(parse_cell_label(label, spec), spec))
     except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond the float range
-        raise QueryError(f"event {event.eid!r}: {exc}") from None
+        raise QueryError(f"event {shown(event.eid)}: {exc}") from None
     return None
 
 
@@ -180,7 +180,7 @@ def spatial_instance_svg(
     index = log.object_index
     possession = index.get(possession_id)
     if possession is None or possession.otype != OBJECT_TYPE_POSSESSION:
-        raise QueryError(f"unknown possession id {possession_id!r}")
+        raise QueryError(f"unknown possession id {shown(possession_id)}")
     if not object_types:
         raise QueryError("at least one object type must be rendered")
     pitch, centers = _grid_drawing(spec)

@@ -94,11 +94,11 @@ def parse_cell_label(label: str, spec: GridSpec) -> GridCell:
     """Inverse of cell_label; rejects addresses outside the grid."""
     if (not isinstance(label, str) or len(label) < 2
             or not label[0].isalpha() or not label[1:].isdigit()):
-        raise ValueError(f"malformed cell label {label!r}")
+        raise ValueError(f"malformed cell label {shown(label)}")
     col = ord(label[0].upper()) - ord("A")
     row = int(label[1:]) - 1
     if not (0 <= col < spec.cols and 0 <= row < spec.rows):
-        raise ValueError(f"cell label {label!r} outside the {spec.cols}x{spec.rows} grid")
+        raise ValueError(f"cell label {shown(label)} outside the {spec.cols}x{spec.rows} grid")
     return GridCell(col, row)
 
 

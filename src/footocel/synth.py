@@ -205,10 +205,12 @@ def synth_match(
 
     home_tokens = [f"Player{i + 1}" for i in range(players_per_side + 1)]
     away_tokens = [f"Player{i + 21}" for i in range(players_per_side + 1)]
-    # the last token is a substitute: on for period 2, replacing starter #2
+    # the last token is a substitute: on for period 2, replacing starter #2,
+    # or the lone starter at one player per side
+    off = 1 if players_per_side > 1 else 0
     on_pitch = {
-        "Home": {1: home_tokens[:-1], 2: [t for t in home_tokens if t != home_tokens[1]]},
-        "Away": {1: away_tokens[:-1], 2: [t for t in away_tokens if t != away_tokens[1]]},
+        "Home": {1: home_tokens[:-1], 2: [t for t in home_tokens if t != home_tokens[off]]},
+        "Away": {1: away_tokens[:-1], 2: [t for t in away_tokens if t != away_tokens[off]]},
     }
 
     script = _EventScript(rng, on_pitch)

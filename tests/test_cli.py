@@ -357,6 +357,69 @@ def test_long_input_values_are_echoed_cut(small_match, tmp_path, capsys, where, 
     assert len(err) < 80 + len(str(tmp_path)) + 100
 
 
+@pytest.mark.parametrize("ids, value", [
+    (["M" * 5000, "M" * 5000], ["M" * 5000, "M" * 5000]),
+    (["", "M" * 5000], ["", "M" * 5000]),
+], ids=["duplicate", "empty"])
+def test_long_match_ids_are_echoed_cut(small_match, tmp_path, capsys, ids, value):
+    match = ["--match", *map(str, small_match)]
+    assert main(["convert", *match, *match, "--match-ids", ",".join(ids),
+                 "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert repr(value)[:80] + "..." in err
+    assert len(err) < 200
+
+
+def exit_code(argv) -> int:
+    """main's return value, or the exit code of a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+LONG = "L" * 5000
+MOVED = "Player changes position"
+
+
+def added_object(otype, attributes):
+    return lambda data: data["objects"].append(
+        {"id": LONG, "type": otype, "attributes": attributes})
+
+
+def moved_to(label):
+    def mutate(data):
+        for e in data["events"]:
+            if e["type"] == MOVED:
+                next(a for a in e["attributes"] if a["name"] == "to_cell")["value"] = label
+    return mutate
+
+
+# a log or query value too long to echo in full: the command, the log edit,
+# the value and the exit code
+@pytest.mark.parametrize("argv, mutate, value, rc", [
+    (["dfg", "--where", LONG], None, LONG, 2),
+    (["dfg", "--where", f"{LONG}.team=Home"], None, LONG, 1),
+    (["dfg", "--where", f"possession.{LONG}=1"], None, LONG, 1),
+    (["dfg", "--types", LONG], None, LONG, 1),
+    (["spatial", "--possession", LONG], None, LONG, 1),
+    (["possessions"], added_object("possession", []), LONG, 1),
+    (["spatial", "--possession", "AA001"],
+     added_object("grid_position", [{"name": "column", "value": ""}]), LONG, 1),
+    (["spatial", "--possession", "AA001"], moved_to(LONG), LONG, 1),
+    (["spatial", "--possession", "AA001"], moved_to("A" + "9" * 100), "A" + "9" * 100, 1),
+], ids=["where_clause", "where_type", "where_attribute", "types", "possession",
+        "possession_object", "grid_object", "malformed_cell", "cell_outside_grid"])
+def test_long_log_and_query_values_are_echoed_cut(
+        log_file, tmp_path, capsys, argv, mutate, value, rc):
+    path = log_file if mutate is None else mutated(log_file, tmp_path, mutate)
+    capsys.readouterr()
+    assert exit_code([*argv, "--ocel", str(path)]) == rc
+    err = capsys.readouterr().err
+    assert repr(value)[:80] + "..." in err
+    assert len(err.splitlines()[-1]) < 80 + len(str(path)) + 100
+
+
 @pytest.mark.parametrize("option", ["--config", "--activity-map"])
 def test_settings_files_that_are_not_utf8_exit_1(small_match, tmp_path, capsys, option):
     binary = tmp_path / "binary.json"

@@ -8,6 +8,7 @@ that moves a hash changed the log; it must be a change the log is meant to
 get, and the new hash is then recorded here with the reason.
 """
 
+import csv
 import hashlib
 
 import pytest
@@ -107,3 +108,13 @@ def test_synth_match_texts_hash(kwargs, expected):
     """The home tracking, away tracking and event texts of two generated matches."""
     texts = synth_match(**kwargs)
     assert tuple(hashlib.sha256(t.encode("utf-8")).hexdigest() for t in texts) == expected
+
+
+def test_one_player_per_side_is_substituted_at_half_time():
+    # the columns of the starter and the substitute, then the ball's
+    for text in synth_match(period_s=10.0, players_per_side=1)[:2]:
+        rows = list(csv.reader(text.splitlines()))[3:]
+        tracked = {period: [(bool(r[3]), bool(r[5])) for r in rows if r[0] == period]
+                   for period in ("1", "2")}
+        assert set(tracked["1"]) == {(True, False)}
+        assert set(tracked["2"]) == {(False, True)}

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import FrozenInstanceError, replace
@@ -114,6 +115,25 @@ def test_conflicting_object_definitions_are_rejected():
             {"m1": [span], "m2": [span]},  # same span id claimed by both
             GridSpec(),
         )
+
+
+def test_a_long_match_id_is_echoed_cut():
+    long = "M" * 5000
+    cut = repr(long)[:80] + "..."
+    with pytest.raises(ConsistencyError) as err:
+        build_objects([(long, {"Home": (long,), "Away": ()})], {}, GridSpec())
+    assert str(err.value) == f"match id {cut} is also the id of a player object"
+    with pytest.raises(ConsistencyError) as err:
+        build_objects([("m1", {"Home": (long,), "Away": (long,)})], {}, GridSpec())
+    assert str(err.value) == f"conflicting definitions for object {cut}"
+
+    def shot(time_s):
+        return ActivityEvent("Shot", BALL, time_s, 1, None, (), (), {})
+    with pytest.raises(ConsistencyError) as err:
+        events_to_ocel([shot(2.0), shot(1.0)], long, match_epoch(0), IdentityScope.GLOBAL,
+                       first=0, total=2)
+    assert str(err.value).startswith(
+        f"match {cut}: period 1 time 1.0 s comes before period 1 time 2.0 s")
 
 
 def test_per_match_scope_prefixes_shared_objects():
@@ -527,13 +547,23 @@ def json_nodes(node, path=()):
             yield from json_nodes(child, path + (key,))
 
 
+# what may happen to the whole text once its tree is mutated and laid out
+_TOP_LEVEL = [None, "reorder keys", "repeat key", "text after", "NaN", "syntax error"]
+
+
 @st.composite
 def mutated_texts(draw, text: str) -> str:
     """The JSON text with 1-2 mutations below its root.  Each is at a path drawn
     by its shape: the shape of the entry holding it and its key there (a name,
     or any index), all such pairs alike.  So the few paths of a shape such as
     $.events[].time are drawn as often as the many of $.objects[].attributes[].name,
-    and a key is renamed in one entry shape as often as it is deleted."""
+    and a key is renamed in one entry shape as often as it is deleted.
+
+    The tree is laid out compact or as the writer lays it out, and may then
+    take one top-level mutation: its keys reordered, a top-level key repeated
+    before or after the others, text after the closing brace, or a NaN or a
+    syntax error at the end of the last array, after any entry the mutations
+    above made fail a check."""
     tree = json.loads(text)
     for _ in range(draw(st.integers(1, 2))):
         nodes = dict(json_nodes(tree))
@@ -563,7 +593,25 @@ def mutated_texts(draw, text: str) -> str:
             scalars = [v for v in nodes.values() if not isinstance(v, (dict, list))]
             parent[path[-1]] = copy.deepcopy(draw(st.one_of(st.sampled_from(_OTHER_KINDS),
                                                             st.sampled_from(scalars))))
-    return json.dumps(tree).replace(json.dumps(_INF), "1e999")
+    top = draw(st.sampled_from(_TOP_LEVEL))
+    if top == "reorder keys":
+        tree = {key: tree[key] for key in draw(st.permutations(list(tree)))}
+    if draw(st.booleans()):
+        text = json.dumps(tree)
+    else:  # the writer's layout
+        text = json.dumps(tree, indent=2, ensure_ascii=False) + "\n"
+    if top == "repeat key":
+        key = draw(st.sampled_from(_KEYS[1:5]))
+        member = f'"{key}": ' + json.dumps(draw(st.sampled_from([[], tree.get(key, [])])))
+        end = text.rindex("}")
+        text = (text.replace("{", "{" + member + ",", 1) if draw(st.booleans())
+                else text[:end] + ", " + member + text[end:])
+    elif top == "text after":
+        text += draw(st.sampled_from(["x", "{}", "]", "0", " \n"]))
+    elif top in ("NaN", "syntax error"):
+        end = text.rindex("]")
+        text = text[:end] + (", NaN" if top == "NaN" else ",") + text[end:]
+    return text.replace(json.dumps(_INF), "1e999")
 
 
 def read_outcome(read, path):
@@ -618,6 +666,62 @@ def test_valid_logs_never_take_the_located_walk(log, tmp_path, monkeypatch):
     monkeypatch.setattr(ocel_module, "_read_attributes", located)
     monkeypatch.setattr(ocel_module, "_read_relationships", located)
     assert [read_ocel_json(converted), read_ocel_json(base)] == expected
+
+
+def test_valid_logs_are_streamed_not_read_whole(log, tmp_path, monkeypatch):
+    # the converted log, compact or as the writer lays it out, with its
+    # top-level keys in any order as long as events comes last: none may
+    # fall back to the whole-tree path
+    path = tmp_path / "log.json"
+    write_ocel_json(log, path)
+    tree = json.loads(path.read_text(encoding="utf-8"))
+    expected = ocel_module._whole_tree_log(path)
+    assert expected == log
+    layouts = [path]
+    for i, keys in enumerate([["objects", "eventTypes", "objectTypes", "events"],
+                              list(tree)]):
+        other = tmp_path / f"other{i}.json"
+        other.write_text(json.dumps({k: tree[k] for k in keys}), encoding="utf-8")
+        layouts.append(other)
+
+    def whole(path):
+        raise AssertionError(f"{path} took the whole-tree path")
+    monkeypatch.setattr(ocel_module, "_whole_tree_log", whole)
+    for layout in layouts:
+        assert read_ocel_json(layout) == expected
+    again = tmp_path / "again.json"
+    write_ocel_json(read_ocel_json(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_a_streamed_log_shares_its_repeated_values(log, tmp_path):
+    path = tmp_path / "log.json"
+    write_ocel_json(log, path)
+    read = read_ocel_json(path)
+    ids = {o.oid: o.oid for o in read.objects}
+    relations, strings = {}, {}
+    for e in read.events:
+        for rel in e.relations:
+            assert relations.setdefault(rel, rel) is rel
+            assert rel[0] is ids[rel[0]]
+        for value in [e.etype, *e.attrs, *e.attrs.values()]:
+            if isinstance(value, str):
+                assert strings.setdefault(value, value) is value
+    assert len(relations) < sum(len(e.relations) for e in read.events) / 10
+
+
+def test_reading_a_log_peaks_below_three_times_its_file(log, tmp_path):
+    # the text and the log, but no JSON tree: a whole-tree read peaks at
+    # about 4.5 times the file, the streamed one at about 2
+    path = tmp_path / "log.json"
+    write_ocel_json(log, path)
+    tracemalloc.start()
+    try:
+        read_ocel_json(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * path.stat().st_size
 
 
 # --- invariant checking and concatenation ---

@@ -190,6 +190,12 @@ def test_svg_error_cases():
     with pytest.raises(QueryError, match="e5"):
         spatial_instance_svg(OcelLog(log.objects, [*log.events, bad_cell]), "P1", ["ball"],
                              GridSpec())
+    # a long event id is echoed cut to 80 characters of its repr
+    long_id = dataclasses.replace(bad_cell, eid="e" * 5000)
+    with pytest.raises(QueryError) as err:
+        spatial_instance_svg(OcelLog(log.objects, [*log.events, long_id]), "P1", ["ball"],
+                             GridSpec())
+    assert str(err.value) == "event '" + "e" * 79 + "...: cell label 'Z9' outside the 6x4 grid"
 
 
 def test_svg_cell_outside_a_smaller_grid_names_its_event():
