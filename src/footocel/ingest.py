@@ -18,7 +18,7 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass, replace
-from itertools import groupby
+from itertools import groupby, islice
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import ConsistencyError, ParseError, shown
@@ -43,26 +43,22 @@ FLOAT_TOLERANCE = 1e-6
 
 @dataclass(frozen=True)
 class TrackingFrame:
-    """One tracking snapshot: qualified player label -> position (None = not tracked)."""
+    """One tracking snapshot of the players: qualified label -> position (None = not tracked)."""
 
     period: int
     frame: int
     time_s: float
     positions: Mapping[str, Optional[Point]]
-    ball: Optional[Point]
-
-
-def _point(x: float, y: float) -> Optional[Point]:
-    return None if x != x else Point(x, y)
 
 
 @dataclass(eq=False)
 class Tracking:
-    """Tracking data as columns, one entry per frame in every array.
+    """Player tracking as columns, one entry per frame in every array.
 
-    period, frame and time_s are shared by all objects.  Each player label
-    maps to its (x, y) float columns, and ball holds the ball's; NaN in both
-    columns of a pair means "not tracked" (a pair is never half-present).
+    period, frame and time_s are shared by all players.  Each player label
+    maps to its (x, y) float columns; NaN in both columns of a pair means
+    "not tracked" (a pair is never half-present).  The ball is not held:
+    no output reads its track, so the files' ball columns are only checked.
     Indexing and iteration yield TrackingFrame rows built on demand.
     """
 
@@ -70,21 +66,22 @@ class Tracking:
     frame: array
     time_s: array
     players: dict[str, tuple[array, array]]
-    ball: tuple[array, array]
 
     def __len__(self) -> int:
         return len(self.frame)
 
     def __getitem__(self, i: int) -> TrackingFrame:
-        bx, by = self.ball
-        return TrackingFrame(
-            self.period[i], self.frame[i], self.time_s[i],
-            {label: _point(x[i], y[i]) for label, (x, y) in self.players.items()},
-            _point(bx[i], by[i]),
-        )
+        return TrackingFrame(self.period[i], self.frame[i], self.time_s[i], {
+            label: None if x[i] != x[i] else Point(x[i], y[i])
+            for label, (x, y) in self.players.items()
+        })
 
     def __iter__(self) -> Iterator[TrackingFrame]:
         return map(self.__getitem__, range(len(self)))
+
+
+# one side's players, and its ball's (x, y) columns for merge_tracking to check
+SideTracking = tuple[Tracking, tuple[array, array]]
 
 
 @dataclass(frozen=True)
@@ -160,14 +157,15 @@ def _opt_pair(xs: str, ys: str, what: str) -> Optional[Point]:
     return Point(x, y)
 
 
-def parse_tracking(lines: Iterable[str], side: str, source: str = "<tracking>") -> Tracking:
-    """Parse one side's tracking file into a columnar fragment.
+def parse_tracking(lines: Iterable[str], side: str, source: str = "<tracking>") -> SideTracking:
+    """Parse one side's tracking file into a columnar fragment and its ball columns.
 
-    Fragments hold only this side's players (labels already qualified) plus
-    the ball; merge_tracking joins the two sides.  The header is validated
-    structurally and every data row is checked for field count, numeric
-    sanity, strictly increasing frame numbers and time = frame / SAMPLE_RATE_HZ.
-    Errors, the csv module's own too, name source and the reader's line.
+    The fragment holds this side's players (labels already qualified); the
+    ball's columns (NaN = absent) are for merge_tracking to check.  The
+    header is validated structurally and every data row is checked for
+    field count, numeric sanity, strictly increasing frame numbers and
+    time = frame / SAMPLE_RATE_HZ.  Errors, the csv module's own too, name
+    source and the reader's line.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
@@ -178,12 +176,8 @@ def parse_tracking(lines: Iterable[str], side: str, source: str = "<tracking>") 
         raise ParseError(str(exc), source=source, line=reader.line_num or 1) from None
 
 
-def _tracking_rows(reader, side: str) -> Tracking:
-    header = []
-    for row in reader:
-        header.append(row)
-        if len(header) == 3:
-            break
+def _tracking_rows(reader, side: str) -> SideTracking:
+    header = list(islice(reader, 3))
     if len(header) < 3:
         raise ParseError("truncated header: expected 3 header lines")
     titles = [t.strip() for t in header[2]]
@@ -197,9 +191,11 @@ def _tracking_rows(reader, side: str) -> Tracking:
     pair_tokens = [titles[3 + 2 * k] for k in range(n_pairs)]
     if pair_tokens[-1].lower() != "ball":
         raise ParseError(f"last coordinate pair must be titled Ball, got {shown(pair_tokens[-1])}")
-    for token in pair_tokens[:-1]:
+    for k, token in enumerate(pair_tokens[:-1]):
         if not token:
             raise ParseError("unnamed player coordinate pair")
+        if token in pair_tokens[:k]:
+            raise ParseError(f"repeated player column {shown(token)}")
     labels = [qualify_player(side, token) for token in pair_tokens[:-1]]
 
     periods, frames, times = array("q"), array("q"), array("d")
@@ -244,7 +240,7 @@ def _tracking_rows(reader, side: str) -> Tracking:
     players = {
         label: (coords[2 * k::n], coords[2 * k + 1::n]) for k, label in enumerate(labels)
     }
-    return Tracking(periods, frames, times, players, (coords[n - 2::n], coords[n - 1::n]))
+    return Tracking(periods, frames, times, players), (coords[n - 2::n], coords[n - 1::n])
 
 
 def _checked_coords(row: list[str], labels: list[str]) -> list[float]:
@@ -256,9 +252,9 @@ def _checked_coords(row: list[str], labels: list[str]) -> list[float]:
     return values
 
 
-def _check_alignment(home: Tracking, away: Tracking) -> None:
-    """Raise on the first frame where the two sides' fragments disagree."""
-    (hx, hy), (ax, ay) = home.ball, away.ball
+def _check_alignment(home_side: SideTracking, away_side: SideTracking) -> None:
+    """Raise on the first frame where the two sides' fragments or balls disagree."""
+    (home, (hx, hy)), (away, (ax, ay)) = home_side, away_side
     for i in range(max(len(home), len(away))):
         if i >= len(home):
             raise ConsistencyError(f"frame {away.frame[i]} missing from home tracking")
@@ -276,29 +272,24 @@ def _check_alignment(home: Tracking, away: Tracking) -> None:
             raise ConsistencyError(f"ball position disagreement at frame {frame}")
 
 
-def merge_tracking(home: Tracking, away: Tracking) -> Tracking:
-    """Join the two sides' fragments into full frames.
+def merge_tracking(home_side: SideTracking, away_side: SideTracking) -> Tracking:
+    """Join the two sides' fragments into one Tracking of every player.
 
     Both files must describe exactly the same frame sequence; the first
-    diverging frame is reported.  Ball positions may come from either file
-    and must agree where both report one.  The merged value shares the
-    home fragment's frame columns.  A player label in both fragments is
-    refused whatever their frame count.
+    diverging frame is reported.  A ball may be absent from either file and
+    must agree where both report one; it is checked, then dropped.  The
+    merged value shares the home fragment's frame columns.  A player label
+    in both fragments is refused whatever their frame count.
     """
+    (home, (hx, hy)), (away, (ax, ay)) = home_side, away_side
     overlap = home.players.keys() & away.players.keys()
     if overlap:
         raise ConsistencyError(f"duplicate player labels across sides: {sorted(overlap)}")
-    (hx, hy), (ax, ay) = home.ball, away.ball
-    same_ball = hx.tobytes() == ax.tobytes() and hy.tobytes() == ay.tobytes()
     if not (home.frame == away.frame and home.period == away.period
-            and home.time_s.tobytes() == away.time_s.tobytes() and same_ball):
-        _check_alignment(home, away)
-    ball = home.ball
-    if not same_ball:  # take the away file's ball where the home file has none
-        ball = (array("d", [a if h != h else h for h, a in zip(hx, ax)]),
-                array("d", [a if h != h else y for h, y, a in zip(hx, hy, ay)]))
-    return Tracking(home.period, home.frame, home.time_s,
-                    {**home.players, **away.players}, ball)
+            and home.time_s.tobytes() == away.time_s.tobytes()
+            and hx.tobytes() == ax.tobytes() and hy.tobytes() == ay.tobytes()):
+        _check_alignment(home_side, away_side)
+    return Tracking(home.period, home.frame, home.time_s, {**home.players, **away.players})
 
 
 def parse_events(lines: Iterable[str], source: str = "<events>") -> list[RawEventRecord]:
@@ -381,11 +372,10 @@ def load_match(home_tracking_path, away_tracking_path, events_path, match_id: st
     frames = merge_tracking(home, away)
     events = _read_csv(events_path, parse_events)
 
-    rosters: dict[str, set[str]] = {side: set() for side in SIDES}
-    if len(home):
-        rosters["Home"].update(home.players)
-    if len(away):
-        rosters["Away"].update(away.players)
+    rosters: dict[str, set[str]] = {
+        side: set(fragment.players if len(fragment) else ())
+        for side, (fragment, _) in zip(SIDES, (home, away))
+    }
     for record in events:
         for token in (record.from_player, record.to_player):
             if token is not None:
@@ -404,10 +394,10 @@ def normalize_direction(
     """Flip every position (x,y) -> (1-x, 1-y) of period 2 and every later period.
 
     Sides swap ends at half time while raw coordinates stay absolute; the
-    flip applies to all objects at once so each team attacks a constant
-    direction and relative geometry is preserved.  Coordinate columns come
-    back as copies with the slices of period 2 and every later period
-    flipped; frame columns are shared.
+    flip applies to every player and every event position at once so each
+    team attacks a constant direction and relative geometry is preserved.
+    Player columns come back as copies with the slices of period 2 and
+    every later period flipped; frame columns are shared.
     """
     runs: list[tuple[int, int]] = []
     start = 0
@@ -423,21 +413,15 @@ def normalize_direction(
             out[start:stop] = array("d", [1.0 - v for v in column[start:stop]])
         return out
 
-    def flip_pair(xy: tuple[array, array]) -> tuple[array, array]:
-        return flip_column(xy[0]), flip_column(xy[1])
-
     def flip(p: Optional[Point]) -> Optional[Point]:
         return None if p is None else Point(1.0 - p.x, 1.0 - p.y)
 
     out_tracking = Tracking(
         tracking.period, tracking.frame, tracking.time_s,
-        {label: flip_pair(xy) for label, xy in tracking.players.items()},
-        flip_pair(tracking.ball),
+        {label: (flip_column(x), flip_column(y)) for label, (x, y) in tracking.players.items()},
     )
-    out_events = []
-    for e in events:
-        if e.period < 2:
-            out_events.append(e)
-        else:
-            out_events.append(replace(e, start_pos=flip(e.start_pos), end_pos=flip(e.end_pos)))
+    out_events = [
+        e if e.period < 2 else replace(e, start_pos=flip(e.start_pos), end_pos=flip(e.end_pos))
+        for e in events
+    ]
     return out_tracking, out_events

@@ -279,7 +279,9 @@ def events_to_ocel(
     `first` events before it and pad to the width of the log's `total`
     events; reruns over identical input produce identical ids.  An event
     earlier than the one before it, as when a period's clock restarts,
-    raises ConsistencyError naming the match and both periods.
+    raises ConsistencyError naming the match and both periods; a time out
+    of the calendar's range or a non-finite float attribute names the
+    match, period, time, activity and executing player.
     """
     width = max(6, len(str(total)))
     out: list[OcelEvent] = []
@@ -302,7 +304,19 @@ def events_to_ocel(
             rels.append((scoped_id(scope, match_id, "ball"), "ball"))
 
         attrs = {**e.attrs, "period": e.period, "event_class": e.event_class}
-        time = event_time(epoch, e.time_s)
+        try:
+            time = event_time(epoch, e.time_s)
+        except OverflowError:
+            problem = "time out of the calendar's range"
+        else:
+            problem = next((f"attribute {name!r} has non-finite value {value!r}"
+                            for name, value in e.attrs.items()
+                            if isinstance(value, float) and not math.isfinite(value)), None)
+        if problem is not None:
+            who = f" by {shown(e.players[0])}" if e.players else ""
+            raise ConsistencyError(
+                f"match {shown(match_id)}: period {e.period} time {e.time_s} s: "
+                f"{shown(e.activity)}{who}: {problem}")
         if out and time < out[-1].time:
             prev = events[seq - first - 2]  # the event out[-1] was made from
             raise ConsistencyError(

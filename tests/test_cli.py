@@ -143,6 +143,48 @@ def test_convert_restarted_period_clock_names_the_match_exit_2(tmp_path, capsys)
     assert "period 1 time " in err
 
 
+def _cells(row, col, *values):
+    """An edit of a CSV's rows: values written from one cell on."""
+    def edit(rows):
+        rows[row][col:col + len(values)] = values
+    return edit
+
+
+# the last frame 6.4e12 s into the match, its first player moved to a far cell
+_far_frame = _cells(-1, 1, "160000000000000", "6400000000000.0", "0.99", "0.99")
+
+
+@pytest.mark.parametrize("edits, message", [
+    # the first pass starts and ends 10^12 s into the match
+    ({2: _cells(2, 5, "1e12", "71", "1e12")},
+     "match 'probe': period 1 time 1000000000000.0 s: 'Pass received' by 'HomePlayer1': "
+     "time out of the calendar's range"),
+    ({0: _far_frame, 1: _far_frame},
+     "match 'probe': period 2 time 6400000000000.0 s: 'Player changes position' by "
+     "'AwayPlayer21': time out of the calendar's range"),
+    # finite coordinates whose distance is not: the pass's start x and end x
+    ({2: _cells(2, 10, "1e308", "0.43", "-1e308")},
+     "match 'probe': period 1 time 1.76 s: 'Pass' by 'HomePlayer2': "
+     "attribute 'distance_m' has non-finite value inf"),
+    ({0: _cells(99, 3, "-1e308")},
+     "match 'probe': period 1 time 3.88 s: 'Player changes position' by 'HomePlayer1': "
+     "attribute 'distance_m' has non-finite value inf"),
+], ids=["event time", "tracking time", "event coordinates", "tracking sample"])
+def test_convert_names_the_event_of_an_unwritable_value_exit_2(tmp_path, capsys, edits, message):
+    paths = write_synth_match(tmp_path, seed=3, period_s=60.0, players_per_side=2)
+    for which, edit in edits.items():
+        with open(paths[which], newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        edit(rows)
+        with open(paths[which], "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    out = tmp_path / "x.json"
+    rc = main(["convert", "--match", *map(str, paths), "--match-ids", "probe", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_match_ids_count_mismatch_is_a_usage_error(synth_paths, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(convert_args(synth_paths, tmp_path / "x.json",
@@ -830,16 +872,24 @@ _MATCH_IDS = st.one_of(
 
 
 def _mutated(text: str, data) -> str:
-    """text with at most one cell blanked or duplicated in place."""
+    """text with at most one edit: a cell blanked or duplicated in place, or a
+    whole row deleted or duplicated.  Half the draws pick among the first
+    four rows, so header rows are edited about as often as data rows."""
     rows = list(csv.reader(io.StringIO(text)))
-    edit = data.draw(st.sampled_from(["none", "blank", "duplicate"]))
+    edit = data.draw(st.sampled_from(["none", "blank", "duplicate", "delete", "repeat"]))
     if edit != "none":
-        row = rows[data.draw(st.integers(0, len(rows) - 1))]
-        col = data.draw(st.integers(0, len(row) - 1))
-        if edit == "blank":
-            row[col] = ""
+        at = data.draw(st.integers(0, min(3, len(rows) - 1)) | st.integers(0, len(rows) - 1))
+        row = rows[at]
+        if edit == "delete":
+            del rows[at]
+        elif edit == "repeat":
+            rows.insert(at, list(row))
         else:
-            row.insert(col, row[col])
+            col = data.draw(st.integers(0, len(row) - 1))
+            if edit == "blank":
+                row[col] = ""
+            else:
+                row.insert(col, row[col])
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()

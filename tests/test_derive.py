@@ -186,14 +186,12 @@ def tracking_of(rows):
         array("q", [row.frame for row in rows]),
         array("d", [row.time_s for row in rows]),
         {label: pair([row.positions.get(label) for row in rows]) for label in labels},
-        pair([row.ball for row in rows]),
     )
 
 
 def frames_from_walk(points, period=1, label="HomePlayer1", start_frame=1, rate=25.0):
     return tracking_of([
-        TrackingFrame(period, start_frame + i, (start_frame + i) / rate,
-                      {label: p}, None)
+        TrackingFrame(period, start_frame + i, (start_frame + i) / rate, {label: p})
         for i, p in enumerate(points)
     ])
 
@@ -415,7 +413,7 @@ def multi_player_walks(draw):
         frame += draw(st.integers(1, 3))
         positions = {label: points[i] for label, points in tracks.items()
                      if points[i] is not None or draw(st.booleans())}
-        rows.append(TrackingFrame(period, frame, frame / 25.0, positions, None))
+        rows.append(TrackingFrame(period, frame, frame / 25.0, positions))
     return rows
 
 

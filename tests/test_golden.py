@@ -62,6 +62,25 @@ def test_two_match_per_match_scope_hash(synth_paths, second_match, tmp_path):
     assert digest == "04437e4a4fb4573d4f294ec7107daeabc1daa8cabb062f22395ce5bd5ba44e0b"
 
 
+@pytest.mark.parametrize("normalize", [[], ["--normalize-direction"]])
+@pytest.mark.parametrize("side", [0, 1])
+def test_a_blanked_ball_track_leaves_the_log_unchanged(synth_paths, tmp_path, side, normalize):
+    """No log byte comes from the tracked ball: blanking either file's ball
+    columns, so that only the other file holds the ball, gives the same log."""
+    files = _first(synth_paths)
+    with open(files[side], newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert all(row[-2:] != ["", ""] for row in rows[3:])  # every frame has a ball
+    for row in rows[3:]:
+        row[-2:] = ["", ""]
+    blanked = tmp_path / "no_ball.csv"
+    with open(blanked, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    expected = _sha256_of_convert(tmp_path, ["--match", *files, *normalize])
+    files[side] = str(blanked)
+    assert _sha256_of_convert(tmp_path, ["--match", *files, *normalize]) == expected
+
+
 def _sha256_of_svgs(log, object_types, spec):
     """One hash over every possession's SVG, in object order."""
     digest = hashlib.sha256()

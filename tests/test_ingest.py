@@ -51,7 +51,7 @@ GOOD_ROWS = [
 
 
 def test_parse_tracking_happy_path():
-    frames = parse_tracking(tracking_lines(rows=GOOD_ROWS), "Home")
+    frames, (ball_x, ball_y) = parse_tracking(tracking_lines(rows=GOOD_ROWS), "Home")
     assert [f.frame for f in frames] == [1, 2, 3]
     assert [f.period for f in frames] == [1, 1, 2]
     assert frames[0].positions == {
@@ -59,8 +59,8 @@ def test_parse_tracking_happy_path():
         "HomePlayer2": Point(0.6, 0.55),
     }
     assert frames[1].positions["HomePlayer2"] is None  # blank pair = untracked
-    assert frames[0].ball == Point(0.5, 0.5)
-    assert frames[2].ball is None
+    assert (ball_x[0], ball_y[0]) == (0.5, 0.5)
+    assert math.isnan(ball_x[2]) and math.isnan(ball_y[2])
     # columnar layout: NaN in both columns marks the untracked sample
     assert isinstance(frames, Tracking) and len(frames) == 3
     x, y = frames.players["HomePlayer2"]
@@ -69,7 +69,7 @@ def test_parse_tracking_happy_path():
 
 def test_parse_tracking_skips_blank_lines():
     rows = GOOD_ROWS[:1] + [""] + GOOD_ROWS[1:2]
-    frames = parse_tracking(tracking_lines(rows=rows), "Home")
+    frames, _ = parse_tracking(tracking_lines(rows=rows), "Home")
     assert len(frames) == 2
 
 
@@ -85,6 +85,8 @@ def test_parse_tracking_rejects_bad_side():
     (lambda t: t[:2] + ["Period,Frame,Time [s]\n"], "no coordinate columns"),
     (lambda t: t[:2] + ["Period,Frame,Time [s],Player1,,Player2,\n"], "titled Ball"),
     (lambda t: t[:2] + ["Period,Frame,Time [s],,,Ball,\n"], "unnamed player"),
+    (lambda t: t[:2] + ["Period,Frame,Time [s],Player1,,Player1,,Ball,\n"],
+     "repeated player column 'Player1'"),
 ])
 def test_parse_tracking_header_errors(mutate, message):
     with pytest.raises(ParseError, match=message):
@@ -97,6 +99,8 @@ def test_parse_tracking_header_errors(mutate, message):
     (tracking_lines()[:2] + ["Period,Frame,Time [s],Player1,,Ball\n"],
      "h.csv:3: odd coordinate column count"),
     ([], "h.csv:1: truncated header: expected 3 header lines"),
+    (tracking_lines()[:2] + ["Period,Frame,Time [s],Player1,,Player1,,Ball,\n"],
+     "h.csv:3: repeated player column 'Player1'"),
 ])
 def test_parse_tracking_header_errors_are_located(lines, message):
     with pytest.raises(ParseError) as err:
@@ -155,8 +159,8 @@ def test_parse_tracking_obeys_sample_rate():
 
 def reference_parse_tracking(lines, side, sample_rate=25.0, source="<tracking>"):
     """Row-by-row parser building one TrackingFrame per row, as footocel did
-    before tracking became columnar: the oracle parse_tracking must equal,
-    rows and error messages alike."""
+    before tracking became columnar, and the ball's x and y lists: the
+    oracle parse_tracking must equal, rows, ball and error messages alike."""
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     reader = csv.reader(lines)
@@ -196,7 +200,7 @@ def reference_parse_tracking(lines, side, sample_rate=25.0, source="<tracking>")
         except ParseError as exc:
             raise ParseError(str(exc), source=source, line=line) from None
 
-    frames = []
+    frames, ball_x, ball_y = [], [], []
     width = len(titles)
     prev_frame = None
     for row in reader:
@@ -225,8 +229,10 @@ def reference_parse_tracking(lines, side, sample_rate=25.0, source="<tracking>")
         for k, label in enumerate(labels):
             positions[label] = at(line, _opt_pair, row[3 + 2 * k], row[4 + 2 * k], label)
         ball = at(line, _opt_pair, row[width - 2], row[width - 1], "ball")
-        frames.append(TrackingFrame(period, frame, time_s, positions, ball))
-    return frames
+        frames.append(TrackingFrame(period, frame, time_s, positions))
+        ball_x.append(math.nan if ball is None else ball.x)
+        ball_y.append(math.nan if ball is None else ball.y)
+    return frames, (ball_x, ball_y)
 
 
 _number = st.floats(-2, 3, allow_nan=False).map(repr) | st.just(" 0.5 ")
@@ -255,10 +261,12 @@ def _tracking_rows(draw):
 
 
 def _outcome(parse, rows):
+    """The rows and ball positions parse reads, or its error message."""
     try:
-        return list(parse(tracking_lines(rows=rows), "Home", source="h.csv"))
+        frames, ball = parse(tracking_lines(rows=rows), "Home", source="h.csv")
     except ParseError as exc:
         return str(exc)
+    return list(frames), [None if x != x else Point(x, y) for x, y in zip(*ball)]
 
 
 @settings(max_examples=400, deadline=None)
@@ -273,19 +281,12 @@ def _side_frames(side, rows, tokens=("Player1",)):
 
 def test_merge_tracking_combines_sides():
     home = _side_frames("Home", ["1,1,0.04,0.4,0.5,0.5,0.5"])
-    away = _side_frames("Away", ["1,1,0.04,0.7,0.6,,"])
+    away = _side_frames("Away", ["1,1,0.04,0.7,0.6,,"])  # the away file may omit the ball
     merged = merge_tracking(home, away)
     assert merged[0].positions == {
         "HomePlayer1": Point(0.4, 0.5),
         "AwayPlayer1": Point(0.7, 0.6),
     }
-    assert merged[0].ball == Point(0.5, 0.5)  # away file may omit the ball
-
-
-def test_merge_tracking_ball_from_away_only():
-    home = _side_frames("Home", ["1,1,0.04,0.4,0.5,,"])
-    away = _side_frames("Away", ["1,1,0.04,0.7,0.6,0.52,0.5"])
-    assert merge_tracking(home, away)[0].ball == Point(0.52, 0.5)
 
 
 _AGREED = ["1,1,0.04,0.4,0.5,0.5,0.5", "1,2,0.08,0.4,0.5,0.5,0.5"]
@@ -469,7 +470,7 @@ def test_qualify_player():
 
 
 def test_normalize_direction_flips_second_period_only():
-    frames = parse_tracking(tracking_lines(tokens=("P1",), rows=[
+    frames, _ = parse_tracking(tracking_lines(tokens=("P1",), rows=[
         "1,1,0.04,0.2,0.3,0.1,0.1",
         "2,2,0.08,0.2,0.3,,",
     ]), "Home")
@@ -480,14 +481,13 @@ def test_normalize_direction_flips_second_period_only():
     out_frames, out_events = normalize_direction(frames, events)
     assert out_frames[0].positions["HomeP1"] == Point(0.2, 0.3)
     assert out_frames[1].positions["HomeP1"] == Point(0.8, 0.7)
-    assert out_frames[1].ball is None
     assert out_events[0].start_pos == Point(0.2, 0.3)
     assert out_events[1].start_pos == Point(0.8, 0.7)
     assert out_events[1].end_pos == Point(1.0 - 0.4, 0.5)
 
 
 def test_normalize_direction_flips_every_period_from_the_second():
-    frames = parse_tracking(tracking_lines(tokens=("P1",), rows=[
+    frames, _ = parse_tracking(tracking_lines(tokens=("P1",), rows=[
         "1,1,0.04,0.2,0.3,0.1,0.1",
         "2,2,0.08,0.2,0.3,0.1,0.1",
         "3,3,0.12,0.2,0.3,0.1,0.1",
@@ -500,6 +500,5 @@ def test_normalize_direction_flips_every_period_from_the_second():
     assert out_frames[0].positions["HomeP1"] == Point(0.2, 0.3)
     assert out_frames[1].positions["HomeP1"] == Point(0.8, 0.7)
     assert out_frames[2].positions["HomeP1"] == Point(0.8, 0.7)
-    assert out_frames[2].ball == Point(0.9, 0.9)
     assert out_events[0].start_pos == Point(0.2, 0.3)
     assert out_events[1].start_pos == Point(0.8, 0.7)
