@@ -19,7 +19,8 @@ form the log stores: a game_based or ball event that has a position carries
 its raw coordinates as "x" and "y" and the label of the grid cell it snaps
 into as "cell"; a position_based event carries "from_cell" and "to_cell".
 The team is set when the event is made: the record's side for a mapped
-event, the side its label starts with for a movement event.
+event, the side its label starts with for a movement event.  merge_streams
+alone orders the events; neither stream is sorted where it is made.
 """
 
 from __future__ import annotations
@@ -153,11 +154,11 @@ def decompose_events(
     """Map raw records to activity events (one or two per record).
 
     Unknown provider types either abort (default) or pass through with an
-    "Other:<TYPE>" label, depending on on_unknown.  Output is time-ordered;
-    within one record the primary event precedes its end event.
+    "Other:<TYPE>" label, depending on on_unknown.  Output is in record
+    order, each record's primary event before its end events.
     """
     if on_unknown not in (UNKNOWN_REJECT, UNKNOWN_PASS):
-        raise ValueError(f"on_unknown must be 'reject' or 'pass', got {on_unknown!r}")
+        raise ValueError(f"on_unknown must be 'reject' or 'pass', got {shown(on_unknown)}")
     if mapping is None:
         mapping = default_activity_mapping()
 
@@ -217,8 +218,6 @@ def decompose_events(
         if entry.goal_end_activity is not None and goal_marked(record.subtype):
             out.append(event(entry.goal_end_activity, record.end_time_s, record.end_pos,
                              (executor,) if executor else (), (EXECUTING,) if executor else ()))
-
-    out.sort(key=lambda e: (e.period, e.time_s))  # stable: record order breaks ties
     return out
 
 
@@ -243,9 +242,10 @@ def detect_movement_events(
     Cells are computed as snap_to_pitch + cell_of would, as the integer
     col * rows + row, and path lengths as metric_distance would, so the
     results equal a per-frame evaluation of those functions bit for bit.
+    Output lists players in label order, each one's events in frame order.
     """
     if not min_dwell_s >= 0:
-        raise ValueError(f"min_dwell_s must be >= 0, got {min_dwell_s!r}")
+        raise ValueError(f"min_dwell_s must be >= 0, got {shown(min_dwell_s)}")
 
     cols, rows = spec.cols, spec.rows
     length_m, width_m = spec.pitch_length_m, spec.pitch_width_m
@@ -310,18 +310,17 @@ def detect_movement_events(
                         tentative = -1
             last_x, last_y = x, y
             prev_present = True
-
-    events.sort(key=lambda e: (e.period, e.time_s, e.players[0]))
     return events
 
 
 def merge_streams(
     game_stream: Sequence[ActivityEvent], movement_stream: Sequence[ActivityEvent]
 ) -> list[ActivityEvent]:
-    """Merge the decomposed and movement streams into one time-ordered stream.
+    """Merge the decomposed and movement streams into one time-ordered stream
+    (the only sort of either).
 
     Order: (period, time); ties put game/ball events before position-based
-    ones, then sort by first player label, then keep input order.
+    ones, then sort by first player label, then keep input (record) order.
     """
     return sorted([*game_stream, *movement_stream], key=lambda e: (
         e.period,

@@ -168,7 +168,7 @@ def parse_tracking(lines: Iterable[str], side: str, source: str = "<tracking>") 
     source and the reader's line.
     """
     if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+        raise ValueError(f"side must be one of {SIDES}, got {shown(side)}")
     reader = csv.reader(lines)
     try:
         return _tracking_rows(reader, side)

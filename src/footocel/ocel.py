@@ -161,7 +161,7 @@ def event_time(epoch: datetime, time_s: float) -> datetime:
 
 def format_time(dt: datetime) -> str:
     if dt.tzinfo is None or dt.utcoffset() != timedelta(0):
-        raise ConsistencyError(f"event times must be UTC, got {dt!r}")
+        raise ConsistencyError(f"event times must be UTC, got {shown(dt)}")
     return f"{dt.year:04d}-{dt:%m-%dT%H:%M:%S}.{dt.microsecond // 1000:03d}Z"
 
 
@@ -287,7 +287,7 @@ def events_to_ocel(
     out: list[OcelEvent] = []
     for seq, e in enumerate(events, start=first + 1):
         if e.event_class not in EVENT_CLASSES:
-            raise ConsistencyError(f"unknown event class {e.event_class!r}")
+            raise ConsistencyError(f"unknown event class {shown(e.event_class)}")
         rels: list[tuple[str, str]] = [(match_id, "match")]
         if e.team is not None:
             rels.append((scoped_id(scope, match_id, e.team), "team"))
@@ -309,7 +309,7 @@ def events_to_ocel(
         except OverflowError:
             problem = "time out of the calendar's range"
         else:
-            problem = next((f"attribute {name!r} has non-finite value {value!r}"
+            problem = next((f"attribute {shown(name)} has non-finite value {shown(value)}"
                             for name, value in e.attrs.items()
                             if isinstance(value, float) and not math.isfinite(value)), None)
         if problem is not None:
@@ -346,27 +346,29 @@ def validate_log(log: OcelLog) -> None:
     seen_objects: set[str] = set()
     for o in log.objects:
         if o.oid in seen_objects:
-            raise ConsistencyError(f"duplicate object id {o.oid!r}")
+            raise ConsistencyError(f"duplicate object id {shown(o.oid)}")
         seen_objects.add(o.oid)
         if o.otype not in OBJECT_TYPES:
-            raise ConsistencyError(f"object {o.oid!r} has unknown type {o.otype!r}")
+            raise ConsistencyError(f"object {shown(o.oid)} has unknown type {shown(o.otype)}")
     seen_events: set[str] = set()
     prev_key = None
     for e in log.events:
         if e.eid in seen_events:
-            raise ConsistencyError(f"duplicate event id {e.eid!r}")
+            raise ConsistencyError(f"duplicate event id {shown(e.eid)}")
         seen_events.add(e.eid)
         key = (e.time, e.eid)
         if prev_key is not None and key < prev_key:
-            raise ConsistencyError(f"event {e.eid!r} breaks (time, id) ordering")
+            raise ConsistencyError(f"event {shown(e.eid)} breaks (time, id) ordering")
         prev_key = key
         if not e.relations:
-            raise ConsistencyError(f"event {e.eid!r} relates to no objects")
+            raise ConsistencyError(f"event {shown(e.eid)} relates to no objects")
         for oid, qualifier in e.relations:
             if oid not in seen_objects:
-                raise ConsistencyError(f"event {e.eid!r} references unknown object {oid!r}")
+                raise ConsistencyError(
+                    f"event {shown(e.eid)} references unknown object {shown(oid)}")
             if qualifier not in QUALIFIERS:
-                raise ConsistencyError(f"event {e.eid!r} uses unknown qualifier {qualifier!r}")
+                raise ConsistencyError(
+                    f"event {shown(e.eid)} uses unknown qualifier {shown(qualifier)}")
 
 
 def _json_type(name: str, value) -> str:
@@ -376,11 +378,11 @@ def _json_type(name: str, value) -> str:
         return "integer"
     if isinstance(value, float):
         if not math.isfinite(value):  # NaN and infinities are not JSON
-            raise ConsistencyError(f"attribute {name!r} has non-finite value {value!r}")
+            raise ConsistencyError(f"attribute {shown(name)} has non-finite value {shown(value)}")
         return "float"
     if isinstance(value, str):
         return "string"
-    raise ConsistencyError(f"attribute {name!r} has unsupported value {value!r}")
+    raise ConsistencyError(f"attribute {shown(name)} has unsupported value {shown(value)}")
 
 
 def _attr_schema(rows: Sequence[tuple[str, dict]]) -> dict[str, dict[str, str]]:
@@ -397,7 +399,7 @@ def _attr_schema(rows: Sequence[tuple[str, dict]]) -> dict[str, dict[str, str]]:
                 bucket[name] = "float"
             else:
                 raise ConsistencyError(
-                    f"attribute {name!r} of {type_name!r} mixes {prev} and {jt} values"
+                    f"attribute {shown(name)} of {shown(type_name)} mixes {prev} and {jt} values"
                 )
     return schema
 

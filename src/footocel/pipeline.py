@@ -25,7 +25,7 @@ from .derive import (
     enrich,
     load_activity_mapping,
 )
-from .errors import ParseError, shown
+from .errors import ConsistencyError, ParseError, shown
 from .ocel import (
     IdentityScope,
     OcelEvent,
@@ -160,7 +160,8 @@ def convert_one(
 def convert_matches(
     matches: Sequence[MatchPaths], config: Optional[RunConfig] = None
 ) -> OcelLog:
-    """Convert a set of matches into one object-centric log."""
+    """Convert a set of matches into one object-centric log.  Each match lies
+    a day after the one before it, so it must begin after that one ends."""
     config = config or RunConfig()
     if not matches:
         raise ValueError("at least one match is required")
@@ -185,8 +186,19 @@ def convert_matches(
     total = sum(len(a.events) for a in artifacts)
     groups: list[list[OcelEvent]] = []
     first = 0
+    before = None  # the last earlier match with events, and its last event's time
     for index, a in enumerate(artifacts):
-        groups.append(events_to_ocel(a.events, a.match_id, match_epoch(index), config.scope,
-                                     first=first, total=total))
+        group = events_to_ocel(a.events, a.match_id, match_epoch(index), config.scope,
+                               first=first, total=total)
+        if group:
+            if before is not None and group[0].time < before[1]:
+                e, prev = a.events[0], before[0].events[-1]
+                raise ConsistencyError(
+                    f"match {shown(a.match_id)}: period {e.period} time {e.time_s} s comes "
+                    f"before period {prev.period} time {prev.time_s} s of match "
+                    f"{shown(before[0].match_id)}; matches lie a day apart, so each must "
+                    "end before the next begins")
+            before = a, group[-1].time
+        groups.append(group)
         first += len(a.events)
     return concat_logs(objects, groups)

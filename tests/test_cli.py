@@ -143,6 +143,36 @@ def test_convert_restarted_period_clock_names_the_match_exit_2(tmp_path, capsys)
     assert "period 1 time " in err
 
 
+@pytest.mark.parametrize("which, row, message", [
+    # the first match gains a recovery 90,000 s in, past the second's kickoff day
+    (0, "Home,RECOVERY,,2,2250000,90000.0,2250000,90000.0,Player1,,0.5,0.5,,",
+     "match 'g2': period 1 time 0.04 s comes before period 2 time 90000.0 s of match 'g1'"),
+    # the second match's kickoff moves 100,000 s back, before the first's day
+    (1, "Home,SET PIECE,KICK OFF,1,1,-100000.0,1,0.04,Player1,,,,,",
+     "match 'g2': period 1 time -100000.0 s comes before period 2 time 117.56 s of match 'g1'"),
+], ids=["first match runs late", "second match starts early"])
+def test_convert_overlapping_matches_name_both_exit_2(tmp_path, capsys, which, row, message):
+    matches = [write_synth_match(tmp_path / name, seed=3, period_s=60.0, players_per_side=2)
+               for name in ("g1", "g2")]
+    events = matches[which][2]
+    lines = events.read_text(encoding="utf-8").splitlines(keepends=True)
+    if which == 0:
+        lines.append(row + "\n")
+    else:
+        lines[1] = row + "\n"
+    events.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "x.json"
+    argv = ["convert", "--match-ids", "g1,g2", "--out", str(out)]
+    for paths in matches:
+        argv += ["--match", *map(str, paths)]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: {message}; matches lie a day apart, so each must end before the next begins\n")
+    # either match alone converts
+    assert main(["convert", "--match", *map(str, matches[which]), "--out", str(out)]) == 0
+
+
 def _cells(row, col, *values):
     """An edit of a CSV's rows: values written from one cell on."""
     def edit(rows):
@@ -872,11 +902,12 @@ _MATCH_IDS = st.one_of(
 
 
 def _mutated(text: str, data) -> str:
-    """text with at most one edit: a cell blanked or duplicated in place, or a
-    whole row deleted or duplicated.  Half the draws pick among the first
-    four rows, so header rows are edited about as often as data rows."""
+    """text with at most one edit: a cell blanked, duplicated in place or
+    removed (the row is one field short), or a whole row deleted or
+    duplicated.  Half the draws pick among the first four rows, so header
+    rows are edited about as often as data rows."""
     rows = list(csv.reader(io.StringIO(text)))
-    edit = data.draw(st.sampled_from(["none", "blank", "duplicate", "delete", "repeat"]))
+    edit = data.draw(st.sampled_from(["none", "blank", "duplicate", "drop", "delete", "repeat"]))
     if edit != "none":
         at = data.draw(st.integers(0, min(3, len(rows) - 1)) | st.integers(0, len(rows) - 1))
         row = rows[at]
@@ -888,11 +919,43 @@ def _mutated(text: str, data) -> str:
             col = data.draw(st.integers(0, len(row) - 1))
             if edit == "blank":
                 row[col] = ""
+            elif edit == "drop":
+                del row[col]
             else:
                 row.insert(col, row[col])
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
+
+
+def _activity_map(data):
+    """The packaged activity map with one edit: an entry dropped, a value or
+    entry of the wrong JSON type, an unknown key, or an entry's class or
+    at_end changed; or, in half the draws, None for no --activity-map at all."""
+    if data.draw(st.booleans()):
+        return None
+    edit = data.draw(st.sampled_from(["drop", "type", "key", "class", "at_end"]))
+    packaged = resources.files("footocel").joinpath("data/activity_map.json")
+    mapping = json.loads(packaged.read_text(encoding="utf-8"))
+    name = data.draw(st.sampled_from(sorted(mapping)))
+    entry = mapping[name]
+    if edit == "drop":
+        del mapping[name]
+    elif edit == "type":
+        key = data.draw(st.sampled_from(
+            [None, "activity", "end_activity", "goal_end_activity", "class", "at_end"]))
+        value = data.draw(st.sampled_from([5, 0.5, None, [], {}, "yes", True]))
+        if key is None:
+            mapping[name] = value
+        else:
+            entry[key] = value
+    elif edit == "key":
+        entry[data.draw(st.sampled_from(["activty", "team", ""]))] = "x"
+    elif edit == "class":
+        entry["class"] = data.draw(st.sampled_from(["ball", "game_based", "position_based"]))
+    else:
+        entry["at_end"] = not entry.get("at_end", False)
+    return mapping
 
 
 def _run(argv) -> tuple[int, str]:
@@ -918,8 +981,12 @@ def test_whatever_convert_writes_the_reader_accepts(data):
     n_matches = data.draw(st.integers(1, 2))
     ids = [data.draw(_MATCH_IDS) for _ in range(n_matches)]
     mutated_match = data.draw(st.integers(0, n_matches - 1))
+    mapping = _activity_map(data)
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["convert"]
+        if mapping is not None:
+            argv += ["--activity-map", os.path.join(tmp, "map.json")]
+            Path(argv[-1]).write_text(json.dumps(mapping), encoding="utf-8")
         for k in range(n_matches):
             texts = synth_match(seed=data.draw(st.integers(0, 2 ** 32)),
                                 period_s=data.draw(st.integers(20, 40)),

@@ -161,14 +161,17 @@ def test_unknown_types_can_pass_through():
         decompose_events([], SPEC, on_unknown="maybe")
 
 
-def test_decomposition_is_time_ordered():
+def test_decomposition_keeps_record_order_and_enrich_orders_by_time():
     records = [
         raw(etype="PASS", start=5.0, end=9.0, to_player="Player2"),
         raw(etype="RECOVERY", start=6.0, end=6.0),
     ]
     events = decompose_events(records, SPEC)
-    assert [e.activity for e in events] == ["Pass", "Recovery", "Pass received"]
-    assert [e.time_s for e in events] == [5.0, 6.0, 9.0]
+    assert [e.activity for e in events] == ["Pass", "Pass received", "Recovery"]
+    assert [e.time_s for e in events] == [5.0, 9.0, 6.0]
+    ordered = enrich(events, [], [], {"Goal"})
+    assert [e.activity for e in ordered] == ["Pass", "Recovery", "Pass received"]
+    assert [e.time_s for e in ordered] == [5.0, 6.0, 9.0]
 
 
 def tracking_of(rows):
@@ -385,8 +388,6 @@ def reference_movement_events(frames, spec, min_dwell_s=0.0):
                         tentative = None
             last_point = p
             prev_present = True
-
-    events.sort(key=lambda e: (e.period, e.time_s, e.players[0]))
     return events
 
 

@@ -136,6 +136,28 @@ def test_a_long_match_id_is_echoed_cut():
         f"match {cut}: period 1 time 1.0 s comes before period 1 time 2.0 s")
 
 
+def test_long_ids_and_attribute_names_are_echoed_cut(tmp_path):
+    long = "E" * 5000
+    cut = repr(long)[:80] + "..."
+    log = tiny_log()
+    first, last = log.events
+    for events, message in (
+        ((replace(first, eid=long), replace(last, eid=long)), f"duplicate event id {cut}"),
+        ((replace(first, relations=((long, "match"),)), last),
+         f"event 'e1' references unknown object {cut}"),
+        ((first, replace(last, relations=(("m1", long),))),
+         f"event 'e2' uses unknown qualifier {cut}"),
+    ):
+        with pytest.raises(ConsistencyError) as err:
+            validate_log(replace(log, events=events))
+        assert str(err.value) == message
+    last = replace(last, attrs={"period": 1, long: math.inf})
+    with pytest.raises(ConsistencyError) as err:
+        write_ocel_json(replace(log, events=(first, last)), tmp_path / "log.json")
+    assert str(err.value) == f"attribute {cut} has non-finite value inf"
+    assert not (tmp_path / "log.json").exists()
+
+
 def test_per_match_scope_prefixes_shared_objects():
     rosters = {"Home": ("HomePlayer1",), "Away": ("AwayPlayer21",)}
     objects = build_objects([("m1", rosters)], {}, GridSpec(),
