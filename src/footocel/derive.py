@@ -34,7 +34,7 @@ from typing import Collection, Optional, Sequence
 from .errors import ConsistencyError, ParseError, read_json, shown
 from .ingest import SIDES, RawEventRecord, Tracking, qualify_player
 from .possession import PossessionSpan, goal_marked, possession_lookup
-from .spatial import GridSpec, Point, cell_label, cell_of, metric_distance
+from .spatial import GridSpec, cell_label, cell_of, metric_distance, snap_to_pitch
 
 GAME_BASED = "game_based"
 BALL = "ball"
@@ -135,14 +135,6 @@ def _mapping_from_dict(data, source: str) -> dict[str, MappingEntry]:
         except ValueError as exc:
             raise ParseError(f"entry {shown(provider_type)}: {exc}", source=source) from None
     return mapping
-
-
-def snap_to_pitch(p: Optional[Point]) -> Optional[Point]:
-    """Clamp a position into the unit square (off-pitch points keep their
-    raw value everywhere else; only cell mapping needs in-range input)."""
-    if p is None:
-        return None
-    return Point(min(max(p.x, 0.0), 1.0), min(max(p.y, 0.0), 1.0))
 
 
 def decompose_events(

@@ -48,6 +48,11 @@ possession span.  Team/player/ball/grid identities are either shared
 across matches (global scope, the default) or namespaced per match, with a
 "match" attribute.  grid_from_log reads the grid back from the grid
 objects' column and row.
+
+build_objects and events_to_ocel each take every match at once, in load
+order.  events_to_ocel places match i at match_epoch(i), a day after match
+i - 1, names the events of all matches in one sequence, and refuses an
+event earlier than the one wired before it, from whichever match.
 """
 
 from __future__ import annotations
@@ -185,16 +190,13 @@ def scoped_id(scope: IdentityScope, match_id: str, base: str) -> str:
 
 
 def build_objects(
-    bundles_rosters: Sequence[tuple[str, dict[str, tuple[str, ...]]]],
-    spans_by_match: dict[str, Sequence[PossessionSpan]],
+    matches: Sequence[tuple[str, dict[str, tuple[str, ...]], Sequence[PossessionSpan]]],
     spec: GridSpec,
     scope: IdentityScope = IdentityScope.GLOBAL,
 ) -> list[OcelObject]:
-    """Materialize the object universe for a set of matches.
-
-    bundles_rosters pairs each match id with its side -> labels roster, in
-    load order (the order fixes each match's synthetic kickoff date).
-    """
+    """Materialize the object universe of a set of matches: (match id, its
+    side -> labels roster, its possession spans) triples in load order, the
+    order that fixes each match's synthetic kickoff date."""
     objects: dict[str, OcelObject] = {}
 
     def add(obj: OcelObject) -> None:
@@ -216,7 +218,7 @@ def build_objects(
             attrs["match"] = match_id
         add(OcelObject(scoped_id(scope, match_id, base), otype, attrs))
 
-    for index, (match_id, rosters) in enumerate(bundles_rosters):
+    for index, (match_id, rosters, spans) in enumerate(matches):
         add(OcelObject(match_id, OBJECT_TYPE_MATCH, {
             "kickoff": format_time(match_epoch(index)),
         }))
@@ -228,7 +230,7 @@ def build_objects(
         for cell in spec.all_cells():
             label = cell_label(cell)
             add_scoped(match_id, label, OBJECT_TYPE_GRID, {"column": label[0], "row": cell.row + 1})
-        for span in spans_by_match.get(match_id, ()):
+        for span in spans:
             add(OcelObject(span.span_id, OBJECT_TYPE_POSSESSION, {
                 "team": span.team,
                 "outcome": span.outcome,
@@ -261,82 +263,86 @@ _CELL_RELATIONS = (("cell", "at_cell"), ("from_cell", "from_cell"), ("to_cell", 
 
 
 def events_to_ocel(
-    events: Sequence[ActivityEvent],
-    match_id: str,
-    epoch: datetime,
+    matches: Sequence[tuple[str, Sequence[ActivityEvent]]],
     scope: IdentityScope,
-    *,
-    first: int,
-    total: int,
 ) -> list[OcelEvent]:
-    """Wire enriched activity events to their objects and name them.
+    """Wire every match's enriched activity events to their objects and name them.
 
-    Every event relates to its match; team, players (with their role
-    qualifier), possession and grid cell(s) follow when known; ball-class
-    events additionally relate to the ball object.  The events keep their
-    input order.  This is the one place events are named: the log's events
-    form one zero-padded sequence, so this group's ids start after the
-    `first` events before it and pad to the width of the log's `total`
-    events; reruns over identical input produce identical ids.  An event
-    earlier than the one before it, as when a period's clock restarts,
-    raises ConsistencyError naming the match and both periods; a time out
-    of the calendar's range or a non-finite float attribute names the
-    match, period, time, activity and executing player.
+    matches pairs each match id with its enriched events, in load order;
+    match i is placed at match_epoch(i).  Every event relates to its match;
+    team, players (with their role qualifier), possession and grid cell(s)
+    follow when known; ball-class events additionally relate to the ball
+    object.  The events keep their input order.  This is the one place
+    events are named: the log's events form one sequence, zero-padded to the
+    width of their total; reruns over identical input produce identical ids.
+
+    Each event is checked in turn, and the first failure raises
+    ConsistencyError: an unknown event class; a time out of the calendar's
+    range or a non-finite float attribute, naming the match, period, time,
+    activity and executing player; an event earlier than the one wired
+    before it, naming both.  Within a match that is a period's clock that
+    restarts; across matches, a match that does not end before the next,
+    a day later, begins.
     """
-    width = max(6, len(str(total)))
+    width = max(6, len(str(sum(len(events) for _, events in matches))))
     out: list[OcelEvent] = []
-    for seq, e in enumerate(events, start=first + 1):
-        if e.event_class not in EVENT_CLASSES:
-            raise ConsistencyError(f"unknown event class {shown(e.event_class)}")
-        rels: list[tuple[str, str]] = [(match_id, "match")]
-        if e.team is not None:
-            rels.append((scoped_id(scope, match_id, e.team), "team"))
-        for player, role in zip(e.players, e.roles):
-            rels.append((scoped_id(scope, match_id, player), role))
-        possession_id = e.attrs.get("possession_id")
-        if possession_id is not None:
-            rels.append((possession_id, "possession"))
-        for key, qualifier in _CELL_RELATIONS:
-            label = e.attrs.get(key)
-            if label is not None:
-                rels.append((scoped_id(scope, match_id, label), qualifier))
-        if e.event_class == BALL:
-            rels.append((scoped_id(scope, match_id, "ball"), "ball"))
+    for index, (match_id, events) in enumerate(matches):
+        epoch = match_epoch(index)
+        for e in events:
+            if e.event_class not in EVENT_CLASSES:
+                raise ConsistencyError(f"unknown event class {shown(e.event_class)}")
+            rels: list[tuple[str, str]] = [(match_id, "match")]
+            if e.team is not None:
+                rels.append((scoped_id(scope, match_id, e.team), "team"))
+            for player, role in zip(e.players, e.roles):
+                rels.append((scoped_id(scope, match_id, player), role))
+            possession_id = e.attrs.get("possession_id")
+            if possession_id is not None:
+                rels.append((possession_id, "possession"))
+            for key, qualifier in _CELL_RELATIONS:
+                label = e.attrs.get(key)
+                if label is not None:
+                    rels.append((scoped_id(scope, match_id, label), qualifier))
+            if e.event_class == BALL:
+                rels.append((scoped_id(scope, match_id, "ball"), "ball"))
 
-        attrs = {**e.attrs, "period": e.period, "event_class": e.event_class}
-        try:
-            time = event_time(epoch, e.time_s)
-        except OverflowError:
-            problem = "time out of the calendar's range"
-        else:
-            problem = next((f"attribute {shown(name)} has non-finite value {shown(value)}"
-                            for name, value in e.attrs.items()
-                            if isinstance(value, float) and not math.isfinite(value)), None)
-        if problem is not None:
-            who = f" by {shown(e.players[0])}" if e.players else ""
-            raise ConsistencyError(
-                f"match {shown(match_id)}: period {e.period} time {e.time_s} s: "
-                f"{shown(e.activity)}{who}: {problem}")
-        if out and time < out[-1].time:
-            prev = events[seq - first - 2]  # the event out[-1] was made from
-            raise ConsistencyError(
-                f"match {shown(match_id)}: period {e.period} time {e.time_s} s comes before "
-                f"period {prev.period} time {prev.time_s} s; each period's clock must "
-                "continue from the one before"
-            )
-        out.append(OcelEvent(
-            eid=f"e{seq:0{width}d}",
-            etype=e.activity,
-            time=time,
-            attrs=attrs,
-            relations=tuple(rels),
-        ))
+            attrs = {**e.attrs, "period": e.period, "event_class": e.event_class}
+            try:
+                time = event_time(epoch, e.time_s)
+            except OverflowError:
+                problem = "time out of the calendar's range"
+            else:
+                problem = next((f"attribute {shown(name)} has non-finite value {shown(value)}"
+                                for name, value in e.attrs.items()
+                                if isinstance(value, float) and not math.isfinite(value)), None)
+            if problem is not None:
+                who = f" by {shown(e.players[0])}" if e.players else ""
+                raise ConsistencyError(
+                    f"match {shown(match_id)}: period {e.period} time {e.time_s} s: "
+                    f"{shown(e.activity)}{who}: {problem}")
+            if out and time < out[-1].time:
+                if last_index == index:
+                    where, rule = "", "each period's clock must continue from the one before"
+                else:
+                    where = f" of match {shown(matches[last_index][0])}"
+                    rule = "matches lie a day apart, so each must end before the next begins"
+                raise ConsistencyError(
+                    f"match {shown(match_id)}: period {e.period} time {e.time_s} s comes before "
+                    f"period {last.period} time {last.time_s} s{where}; {rule}")
+            out.append(OcelEvent(
+                eid=f"e{len(out) + 1:0{width}d}",
+                etype=e.activity,
+                time=time,
+                attrs=attrs,
+                relations=tuple(rels),
+            ))
+            last_index, last = index, e  # the match and source of out[-1]
     return out
 
 
-def concat_logs(objects: list[OcelObject], event_groups: Sequence[list[OcelEvent]]) -> OcelLog:
-    """Assemble the final log from the objects and the named event groups, in order."""
-    log = OcelLog(objects=objects, events=[e for group in event_groups for e in group])
+def concat_logs(objects: list[OcelObject], events: Sequence[OcelEvent]) -> OcelLog:
+    """Assemble the final log from the objects and the named events, and validate it."""
+    log = OcelLog(objects=objects, events=events)
     validate_log(log)
     return log
 

@@ -3,8 +3,8 @@
 Per match: load + merge the three CSVs, optionally normalize attack
 direction, segment possessions, decompose events, derive movement events
 from tracking, and merge and enrich the streams.  Once every match is
-enriched, each match's events are wired to objects and given their global
-ids, and the matches concatenate into one log.
+enriched, ocel builds the objects of every match and wires and names the
+events of every match in one sequence, and the two make one log.
 """
 
 from __future__ import annotations
@@ -25,16 +25,8 @@ from .derive import (
     enrich,
     load_activity_mapping,
 )
-from .errors import ConsistencyError, ParseError, shown
-from .ocel import (
-    IdentityScope,
-    OcelEvent,
-    OcelLog,
-    build_objects,
-    concat_logs,
-    events_to_ocel,
-    match_epoch,
-)
+from .errors import ParseError, shown
+from .ocel import IdentityScope, OcelLog, build_objects, concat_logs, events_to_ocel
 from .possession import CONTROL_TYPES, PossessionSpan, match_prefix, segment_possessions
 from .spatial import GridSpec
 
@@ -117,14 +109,17 @@ def _checked(cls, data, source: str, prefix: str = ""):
 
 def config_from_dict(data, source: str = "<config>", overrides: Optional[dict] = None) -> RunConfig:
     """A RunConfig from a parsed config file; overrides (e.g. flags, same keys)
-    replace its values, grid's key by key.  A wrong key or JSON type raises
-    ParseError naming the key and source, an out-of-range value ValueError."""
-    if isinstance(data, dict) and overrides:
-        grid = data.get("grid")
-        data = {**data, **overrides}
-        if isinstance(grid, dict) and "grid" in overrides:
-            data["grid"] = {**grid, **overrides["grid"]}
-    return _checked(RunConfig, data, source)
+    replace its values, grid's key by key.  The file is checked whole before
+    any override, so a flag never hides a fault of the file.  A wrong key or
+    JSON type raises ParseError naming the key and source, an out-of-range
+    value ValueError."""
+    config = _checked(RunConfig, data, source)
+    if not overrides:
+        return config
+    merged = {**data, **overrides}
+    if "grid" in data and "grid" in overrides:
+        merged["grid"] = {**data["grid"], **overrides["grid"]}
+    return _checked(RunConfig, merged, source)
 
 
 @dataclass
@@ -161,7 +156,8 @@ def convert_matches(
     matches: Sequence[MatchPaths], config: Optional[RunConfig] = None
 ) -> OcelLog:
     """Convert a set of matches into one object-centric log.  Each match lies
-    a day after the one before it, so it must begin after that one ends."""
+    a day after the one before it, so it must begin after that one ends;
+    ocel.events_to_ocel checks this as it wires the events."""
     config = config or RunConfig()
     if not matches:
         raise ValueError("at least one match is required")
@@ -179,26 +175,6 @@ def convert_matches(
     artifacts = [convert_one(m, i, config, mapping) for i, m in enumerate(matches)]
 
     objects = build_objects(
-        [(a.match_id, a.rosters) for a in artifacts],
-        {a.match_id: a.spans for a in artifacts}, config.grid, config.scope,
-    )
-    # event ids pad to the width of the log's total, so wiring waits for every match
-    total = sum(len(a.events) for a in artifacts)
-    groups: list[list[OcelEvent]] = []
-    first = 0
-    before = None  # the last earlier match with events, and its last event's time
-    for index, a in enumerate(artifacts):
-        group = events_to_ocel(a.events, a.match_id, match_epoch(index), config.scope,
-                               first=first, total=total)
-        if group:
-            if before is not None and group[0].time < before[1]:
-                e, prev = a.events[0], before[0].events[-1]
-                raise ConsistencyError(
-                    f"match {shown(a.match_id)}: period {e.period} time {e.time_s} s comes "
-                    f"before period {prev.period} time {prev.time_s} s of match "
-                    f"{shown(before[0].match_id)}; matches lie a day apart, so each must "
-                    "end before the next begins")
-            before = a, group[-1].time
-        groups.append(group)
-        first += len(a.events)
-    return concat_logs(objects, groups)
+        [(a.match_id, a.rosters, a.spans) for a in artifacts], config.grid, config.scope)
+    return concat_logs(
+        objects, events_to_ocel([(a.match_id, a.events) for a in artifacts], config.scope))

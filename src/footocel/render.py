@@ -33,11 +33,10 @@ import itertools
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .derive import snap_to_pitch
 from .errors import QueryError, shown
 from .mining import OcDfg
 from .ocel import OBJECT_TYPE_BALL, OBJECT_TYPE_POSSESSION, OcelEvent, OcelLog, object_traces
-from .spatial import GridSpec, Point, cell_center, cell_label, parse_cell_label
+from .spatial import GridSpec, Point, cell_center, cell_label, parse_cell_label, snap_to_pitch
 
 TYPE_COLORS = {
     "ball": "#111111",

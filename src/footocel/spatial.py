@@ -85,6 +85,14 @@ def cell_of(point: Point, spec: GridSpec) -> GridCell:
     return GridCell(col, row)
 
 
+def snap_to_pitch(p: Point | None) -> Point | None:
+    """Clamp a position into the unit square (off-pitch points keep their
+    raw value everywhere else; only cell mapping needs in-range input)."""
+    if p is None:
+        return None
+    return Point(min(max(p.x, 0.0), 1.0), min(max(p.y, 0.0), 1.0))
+
+
 def cell_label(cell: GridCell) -> str:
     """Human-readable address, e.g. GridCell(3, 2) -> "D3"."""
     return f"{chr(ord('A') + cell.col)}{cell.row + 1}"

@@ -19,6 +19,7 @@ from hypothesis import event, given, settings, strategies as st
 import footocel.ingest as ingest_module
 import footocel.pipeline as pipeline_module
 from footocel.cli import main
+from footocel.errors import shown
 from footocel.ocel import OBJECT_TYPES, IdentityScope, read_ocel_json, write_ocel_json
 from footocel.pipeline import RunConfig, convert_matches
 from footocel.synth import synth_match, write_synth_match
@@ -399,6 +400,31 @@ def test_config_non_finite_and_out_of_range(small_match, tmp_path, capsys, confi
     cfg.write_text(json.dumps(config))  # writes NaN and Infinity tokens
     assert convert_small(small_match, tmp_path, "--config", str(cfg)) == rc
     assert capsys.readouterr().err == err.format(cfg=cfg) + "\n"
+
+
+# the config file is checked whole before the flags: a flag for the same key
+# does not hide its wrong type (exit 1) or its value out of range (exit 2)
+@pytest.mark.parametrize("config, flag, rc, err", [
+    ({"grid": 5}, ["--grid-rows", "3"], 1, "error: {cfg}: grid must be a JSON object"),
+    ({"grid": 5}, ["--grid-cols", "3"], 1, "error: {cfg}: grid must be a JSON object"),
+    ({"min_dwell_s": "x"}, ["--min-dwell", "1"], 1,
+     "error: {cfg}: min_dwell_s must be a number, got 'x'"),
+    ({"grid": {"rows": "3"}}, ["--grid-rows", "3"], 1,
+     "error: {cfg}: grid.rows must be an integer, got '3'"),
+    ({"min_dwell_s": -1}, ["--min-dwell", "1"], 2, "error: min_dwell_s must be >= 0, got -1.0"),
+    ({"grid": {"cols": 27}}, ["--grid-cols", "5"], 2,
+     "error: at most 26 grid columns supported, got 27"),
+    ({"scope": "both"}, ["--scope", "global"], 2,
+     "error: scope must be 'global' or 'per-match', got 'both'"),
+], ids=["grid-rows", "grid-cols", "min-dwell-type", "grid-key-type", "min-dwell-range",
+        "grid-cols-range", "scope"])
+def test_a_flag_does_not_hide_a_faulty_config_key(small_match, tmp_path, capsys,
+                                                  config, flag, rc, err):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert convert_small(small_match, tmp_path, "--config", str(cfg), *flag) == rc
+    assert capsys.readouterr().err == err.format(cfg=cfg) + "\n"
+    assert not (tmp_path / "x.json").exists()
 
 
 # an input value too long to echo in full, where it goes and the exit code
@@ -958,49 +984,94 @@ def _activity_map(data):
     return mapping
 
 
-def _run(argv) -> tuple[int, str]:
+def _run(argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         rc = main(argv)
     assert rc in (0, 1, 2), err.getvalue()
-    return rc, out.getvalue()
+    return rc, out.getvalue(), err.getvalue()
+
+
+# config files convert must refuse: an unknown key, a wrong JSON type, a grid
+# that is not an object, a value out of range
+_ODD_CONFIGS = [
+    {"sample_rate": 25}, {"grid": {"size": 6}},
+    {"min_dwell_s": "x"}, {"grid": {"cols": "6"}}, {"grid": {"rows": 2.5}},
+    {"normalize_direction": "no"}, {"scope": 1}, {"unknown_events": None},
+    {"control_types": "PASS"}, [],
+    {"grid": 5}, {"grid": []}, {"grid": None},
+    {"min_dwell_s": -1}, {"grid": {"cols": 27}}, {"grid": {"rows": 0}},
+    {"grid": {"pitch_width_m": 0}}, {"scope": "both"}, {"unknown_events": "drop"},
+    {"control_types": []},
+]
+
+# a recovery 90,000 s in: the match runs past the next match's kickoff a day later
+_LATE_ROW = "Home,RECOVERY,,2,2250000,90000.0,2250000,90000.0,Player1,,0.5,0.5,,\n"
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_whatever_convert_writes_the_reader_accepts(data):
-    settings_argv = [
-        "--grid-cols", str(data.draw(st.integers(1, 26))),
-        "--grid-rows", str(data.draw(st.integers(1, 100))),
-        f"--min-dwell={data.draw(st.floats(0, 3))}",
-        "--scope", data.draw(st.sampled_from(["global", "per-match"])),
-        "--unknown-events", data.draw(st.sampled_from(["reject", "pass"])),
-    ]
+    flags = {
+        "--grid-cols": data.draw(st.integers(1, 26)),
+        "--grid-rows": data.draw(st.integers(1, 100)),
+        "--min-dwell": data.draw(st.floats(0, 3)),
+        "--scope": data.draw(st.sampled_from(["global", "per-match"])),
+        "--unknown-events": data.draw(st.sampled_from(["reject", "pass"])),
+    }
+    # each value flag in most draws, so a config file's key is sometimes
+    # overridden by its flag and sometimes not
+    settings_argv = [f"{flag}={value}" for flag, value in flags.items()
+                     if data.draw(st.integers(0, 3))]
     if data.draw(st.booleans()):
         settings_argv.append("--normalize-direction")
-    n_matches = data.draw(st.integers(1, 2))
+    # an odd config file, or two overlapping matches, each in a fifth of the draws
+    kind = data.draw(st.sampled_from(["edited", "odd config", "edited", "overlap", "edited"]))
+    config = data.draw(st.sampled_from(_ODD_CONFIGS)) if kind == "odd config" else None
+    overlap = kind == "overlap"
+    n_matches = 2 if overlap else data.draw(st.integers(1, 2))
     ids = [data.draw(_MATCH_IDS) for _ in range(n_matches)]
-    mutated_match = data.draw(st.integers(0, n_matches - 1))
-    mapping = _activity_map(data)
+    if overlap:  # ids no other object has
+        ids = [f"g{k}{match_id}" for k, match_id in enumerate(ids)]
+    # only "edited" draws edit a file: elsewhere a fault the check misses converts
+    edited = kind == "edited"
+    mutated_match = data.draw(st.integers(0, n_matches - 1)) if edited else None
+    mapping = _activity_map(data) if edited else None
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["convert"]
+        if config is not None:
+            argv += ["--config", os.path.join(tmp, "config.json")]
+            Path(argv[-1]).write_text(json.dumps(config), encoding="utf-8")
         if mapping is not None:
             argv += ["--activity-map", os.path.join(tmp, "map.json")]
             Path(argv[-1]).write_text(json.dumps(mapping), encoding="utf-8")
         for k in range(n_matches):
-            texts = synth_match(seed=data.draw(st.integers(0, 2 ** 32)),
-                                period_s=data.draw(st.integers(20, 40)),
-                                players_per_side=data.draw(st.integers(1, 3)))
+            texts = list(synth_match(seed=data.draw(st.integers(0, 2 ** 32)),
+                                     period_s=data.draw(st.integers(20, 40)),
+                                     players_per_side=data.draw(st.integers(1, 3))))
             if k == mutated_match:
                 which = data.draw(st.integers(0, 2))
                 texts = [_mutated(t, data) if i == which else t for i, t in enumerate(texts)]
+            if overlap and k == 0:
+                texts[2] += _LATE_ROW
             paths = [os.path.join(tmp, f"m{k}_{name}.csv") for name in ("home", "away", "events")]
             for path, text in zip(paths, texts):
                 Path(path).write_text(text, encoding="utf-8")
             argv += ["--match", *paths]
         out = os.path.join(tmp, "log.json")
-        rc, printed = _run([*argv, f"--match-ids={','.join(ids)}", *settings_argv, "--out", out])
-        event(f"convert exits {rc}")
+        rc, printed, err = _run(
+            [*argv, f"--match-ids={','.join(ids)}", *settings_argv, "--out", out])
+        event(f"{kind}: convert exits {rc}")
+        if config is not None:  # read before any match, whatever the flags
+            assert rc != 0, f"{config} {settings_argv}"
+            return
+        if overlap:
+            first, second = (shown(match_id.strip()) for match_id in ids)
+            assert rc == 2, err
+            assert err.startswith(f"error: match {second}: "), err
+            assert err.endswith(f" of match {first}; matches lie a day apart, so each must end "
+                                "before the next begins\n"), err
+            return
         if rc != 0:
             return
         log = read_ocel_json(out)
@@ -1008,4 +1079,4 @@ def test_whatever_convert_writes_the_reader_accepts(data):
         write_ocel_json(log, again)
         assert Path(again).read_bytes() == Path(out).read_bytes()
         # convert printed the stats of the log it held in memory
-        assert _run(["stats", "--ocel", out]) == (0, printed.removesuffix(f"wrote {out}\n"))
+        assert _run(["stats", "--ocel", out]) == (0, printed.removesuffix(f"wrote {out}\n"), "")

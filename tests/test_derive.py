@@ -20,14 +20,13 @@ from footocel.derive import (
     detect_movement_events,
     enrich,
     load_activity_mapping,
-    snap_to_pitch,
 )
 from footocel.errors import ConsistencyError, ParseError
 from footocel.ingest import RawEventRecord, Tracking, TrackingFrame, normalize_direction
-from footocel.ocel import EPOCH_BASE, IdentityScope, build_objects, concat_logs, events_to_ocel
+from footocel.ocel import IdentityScope, build_objects, concat_logs, events_to_ocel
 from footocel.pipeline import RunConfig, convert_matches
 from footocel.possession import segment_possessions
-from footocel.spatial import GridSpec, Point, cell_label, cell_of, metric_distance
+from footocel.spatial import GridSpec, Point, cell_label, cell_of, metric_distance, snap_to_pitch
 from oracles import path_length
 
 SPEC = GridSpec()
@@ -471,10 +470,9 @@ def test_merge_orders_and_numbers_events():
     assert [e.activity for e in merged] == [
         "Pass", "Pass received", MOVEMENT_ACTIVITY,
     ]
-    wired = events_to_ocel(merged, "m1", EPOCH_BASE, IdentityScope.GLOBAL,
-                           first=0, total=len(merged))
-    log = concat_logs(build_objects([("m1", {"Home": ("HomePlayer1", "HomePlayer2")})],
-                                    {}, SPEC), [wired])
+    wired = events_to_ocel([("m1", merged)], IdentityScope.GLOBAL)
+    log = concat_logs(build_objects([("m1", {"Home": ("HomePlayer1", "HomePlayer2")}, ())],
+                                    SPEC), wired)
     assert [e.etype for e in log.events] == [e.activity for e in merged]
     assert [e.eid for e in log.events] == ["e000001", "e000002", "e000003"]
 

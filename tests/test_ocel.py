@@ -111,8 +111,7 @@ def test_conflicting_object_definitions_are_rejected():
     rosters = {"Home": ("HomePlayer1",), "Away": ()}
     with pytest.raises(ConsistencyError, match="conflicting definitions"):
         build_objects(
-            [("m1", rosters), ("m2", rosters)],
-            {"m1": [span], "m2": [span]},  # same span id claimed by both
+            [("m1", rosters, [span]), ("m2", rosters, [span])],  # same span id claimed by both
             GridSpec(),
         )
 
@@ -121,17 +120,16 @@ def test_a_long_match_id_is_echoed_cut():
     long = "M" * 5000
     cut = repr(long)[:80] + "..."
     with pytest.raises(ConsistencyError) as err:
-        build_objects([(long, {"Home": (long,), "Away": ()})], {}, GridSpec())
+        build_objects([(long, {"Home": (long,), "Away": ()}, ())], GridSpec())
     assert str(err.value) == f"match id {cut} is also the id of a player object"
     with pytest.raises(ConsistencyError) as err:
-        build_objects([("m1", {"Home": (long,), "Away": (long,)})], {}, GridSpec())
+        build_objects([("m1", {"Home": (long,), "Away": (long,)}, ())], GridSpec())
     assert str(err.value) == f"conflicting definitions for object {cut}"
 
     def shot(time_s):
         return ActivityEvent("Shot", BALL, time_s, 1, None, (), (), {})
     with pytest.raises(ConsistencyError) as err:
-        events_to_ocel([shot(2.0), shot(1.0)], long, match_epoch(0), IdentityScope.GLOBAL,
-                       first=0, total=2)
+        events_to_ocel([(long, [shot(2.0), shot(1.0)])], IdentityScope.GLOBAL)
     assert str(err.value).startswith(
         f"match {cut}: period 1 time 1.0 s comes before period 1 time 2.0 s")
 
@@ -160,8 +158,7 @@ def test_long_ids_and_attribute_names_are_echoed_cut(tmp_path):
 
 def test_per_match_scope_prefixes_shared_objects():
     rosters = {"Home": ("HomePlayer1",), "Away": ("AwayPlayer21",)}
-    objects = build_objects([("m1", rosters)], {}, GridSpec(),
-                            IdentityScope.PER_MATCH)
+    objects = build_objects([("m1", rosters, ())], GridSpec(), IdentityScope.PER_MATCH)
     ids = {o.oid for o in objects}
     assert "m1:Home" in ids and "m1:ball" in ids and "m1:A1" in ids
     assert "m1:HomePlayer1" in ids
@@ -780,24 +777,50 @@ def test_validate_log_violations():
 
 
 def test_concat_logs_renumbers_globally():
-    """Ids are one sequence across groups, padded to the log's total; concat only joins."""
+    """Ids are one sequence across matches, padded to the log's total; concat only joins."""
     def shot(time_s):
         return ActivityEvent("Shot", BALL, time_s, 1, None, (), (), {})
 
+    class Million:
+        """A million events by count and one by iteration: the id width, unwired."""
+
+        def __len__(self):
+            return 1_000_000
+
+        def __iter__(self):
+            return iter([shot(1.0)])
+
     objects = [OcelObject("m1", "match", {}), OcelObject("m2", "match", {}),
                OcelObject("ball", "ball", {})]
-    group1 = events_to_ocel([shot(1.0), shot(2.0)], "m1", match_epoch(0),
-                            IdentityScope.GLOBAL, first=0, total=3)
-    group2 = events_to_ocel([shot(1.0)], "m2", match_epoch(1),
-                            IdentityScope.GLOBAL, first=2, total=3)
-    log = concat_logs(objects, [group1, group2])
+    events = events_to_ocel([("m1", [shot(1.0), shot(2.0)]), ("m2", [shot(1.0)])],
+                            IdentityScope.GLOBAL)
+    log = concat_logs(objects, events)
     assert [e.eid for e in log.events] == ["e000001", "e000002", "e000003"]
-    assert log.events == tuple(group1 + group2)
-    wide = events_to_ocel([shot(1.0)], "m1", match_epoch(0), IdentityScope.GLOBAL,
-                          first=0, total=1_000_000)
-    assert [e.eid for e in wide] == ["e0000001"]
+    assert log.events == tuple(events)
+    second = timedelta(seconds=1)
+    assert [e.time for e in events] == [match_epoch(0) + second, match_epoch(0) + 2 * second,
+                                        match_epoch(1) + second]
+    wide = events_to_ocel([("m1", [shot(1.0)]), ("m2", Million())], IdentityScope.GLOBAL)
+    assert [e.eid for e in wide] == ["e0000001", "e0000002"]
     with pytest.raises(ConsistencyError, match="duplicate event id"):
-        concat_logs(objects, [group1, group1])
+        concat_logs(objects, events + events)
+
+
+def test_an_overlap_is_reported_before_a_later_fault_of_the_next_match():
+    def shot(time_s, event_class=BALL):
+        return ActivityEvent("Shot", event_class, time_s, 1, None, (), (), {})
+
+    late, early = [shot(200000.0)], [shot(1.0), shot(2.0, "bogus")]
+    with pytest.raises(ConsistencyError) as err:
+        events_to_ocel([("g1", late), ("g2", early)], IdentityScope.GLOBAL)
+    assert str(err.value) == (
+        "match 'g2': period 1 time 1.0 s comes before period 1 time 200000.0 s of match 'g1'; "
+        "matches lie a day apart, so each must end before the next begins")
+    # an empty match in between: the last wired event is still g1's
+    with pytest.raises(ConsistencyError, match="of match 'g1'; matches lie a day apart"):
+        events_to_ocel([("g1", late), ("g0", []), ("g2", early)], IdentityScope.GLOBAL)
+    with pytest.raises(ConsistencyError, match="unknown event class 'bogus'"):
+        events_to_ocel([("g2", early)], IdentityScope.GLOBAL)
 
 
 def test_log_fields_cannot_be_assigned():
