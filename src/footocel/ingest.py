@@ -104,9 +104,9 @@ class RawEventRecord:
 
 @dataclass
 class MatchBundle:
-    """Everything known about one match after loading and merging."""
+    """Everything read from one match's three files, merged; the match id
+    travels apart, in pipeline.MatchPaths."""
 
-    match_id: str
     frames: Tracking
     events: list[RawEventRecord]
     rosters: dict[str, tuple[str, ...]]
@@ -361,8 +361,8 @@ def _read_csv(path, parse, *args):
         ) from None
 
 
-def load_match(home_tracking_path, away_tracking_path, events_path, match_id: str) -> MatchBundle:
-    """Load and merge one match's three files.
+def load_match(home_tracking_path, away_tracking_path, events_path) -> MatchBundle:
+    """Load and merge one match's three files, given by path.
 
     Rosters start from the tracking column titles and are extended by any
     player label an event references (tolerates event-only data slices).
@@ -381,7 +381,6 @@ def load_match(home_tracking_path, away_tracking_path, events_path, match_id: st
             if token is not None:
                 rosters[record.team].add(qualify_player(record.team, token))
     return MatchBundle(
-        match_id=match_id,
         frames=frames,
         events=events,
         rosters={side: tuple(sorted(labels)) for side, labels in rosters.items()},

@@ -10,7 +10,7 @@ events of every match in one sequence, and the two make one log.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 from . import ingest
@@ -88,8 +88,9 @@ _JSON_FORMS = {
 }
 
 
-def _checked(cls, data, source: str, prefix: str = ""):
-    """An instance of cls (RunConfig or GridSpec) from data, its fields by name."""
+def _checked(cls, data, source: Optional[str], prefix: str = "", base=None):
+    """An instance of cls (RunConfig or GridSpec) from data, its fields by name;
+    given a base instance, a copy of it with those fields replaced."""
     if not isinstance(data, dict):
         raise ParseError(f"{prefix.rstrip('.') or 'config'} must be a JSON object", source=source)
     annotations = {f.name: f.type for f in fields(cls)}
@@ -98,46 +99,40 @@ def _checked(cls, data, source: str, prefix: str = ""):
         if key not in annotations:
             raise ParseError(f"unknown config key {shown(prefix + key)}", source=source)
         if annotations[key] == "GridSpec":
-            values[key] = _checked(GridSpec, value, source, f"{key}.")
+            values[key] = _checked(GridSpec, value, source, f"{key}.",
+                                   None if base is None else base.grid)
             continue
         what, fits, convert = _JSON_FORMS[annotations[key]]
         if not fits(value):
             raise ParseError(f"{prefix}{key} must be {what}, got {shown(value)}", source=source)
         values[key] = convert(value)
-    return cls(**values)
+    return cls(**values) if base is None else replace(base, **values)
 
 
 def config_from_dict(data, source: str = "<config>", overrides: Optional[dict] = None) -> RunConfig:
     """A RunConfig from a parsed config file; overrides (e.g. flags, same keys)
-    replace its values, grid's key by key.  The file is checked whole before
-    any override, so a flag never hides a fault of the file.  A wrong key or
-    JSON type raises ParseError naming the key and source, an out-of-range
-    value ValueError."""
-    config = _checked(RunConfig, data, source)
-    if not overrides:
-        return config
-    merged = {**data, **overrides}
-    if "grid" in data and "grid" in overrides:
-        merged["grid"] = {**data["grid"], **overrides["grid"]}
-    return _checked(RunConfig, merged, source)
-
-
-@dataclass
-class MatchArtifacts:
-    """Per-match conversion products, pre-concatenation."""
-
-    match_id: str
-    rosters: dict[str, tuple[str, ...]]
-    spans: list[PossessionSpan]
-    events: list[ActivityEvent]  # enriched, not yet wired
+    then replace its values, grid's key by key.  The file is checked alone
+    first, so a flag never hides a fault of the file.  A wrong key or JSON
+    type raises ParseError naming the key and source, an out-of-range value
+    ValueError; either names the source when the fault is the file's, and
+    neither does when it is an override's."""
+    try:
+        config = _checked(RunConfig, data, source)
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+    return _checked(RunConfig, overrides or {}, None, base=config)
 
 
 def convert_one(
-    paths: MatchPaths, match_index: int, config: RunConfig, mapping: dict[str, MappingEntry]
-) -> MatchArtifacts:
-    bundle = ingest.load_match(
-        paths.home_tracking, paths.away_tracking, paths.events, match_id=paths.match_id,
-    )
+    paths: MatchPaths, match_index: int, config: RunConfig,
+    mapping: dict[str, MappingEntry], goals: set[str],
+) -> tuple[tuple[str, dict[str, tuple[str, ...]], list[PossessionSpan]],
+           tuple[str, list[ActivityEvent]]]:
+    """One match's (match_id, rosters, spans) for ocel.build_objects and its
+    (match_id, enriched events) for ocel.events_to_ocel."""
+    bundle = ingest.load_match(paths.home_tracking, paths.away_tracking, paths.events)
     frames, events = bundle.frames, bundle.events
     if config.normalize_direction:
         frames, events = ingest.normalize_direction(frames, events)
@@ -147,17 +142,18 @@ def convert_one(
     )
     game_stream = decompose_events(events, config.grid, mapping, config.unknown_events)
     movement_stream = detect_movement_events(frames, config.grid, config.min_dwell_s)
-    goals = {m.goal_end_activity for m in mapping.values() if m.goal_end_activity is not None}
     enriched = enrich(game_stream, movement_stream, spans, goals)
-    return MatchArtifacts(paths.match_id, dict(bundle.rosters), spans, enriched)
+    return (paths.match_id, bundle.rosters, spans), (paths.match_id, enriched)
 
 
 def convert_matches(
     matches: Sequence[MatchPaths], config: Optional[RunConfig] = None
 ) -> OcelLog:
-    """Convert a set of matches into one object-centric log.  Each match lies
-    a day after the one before it, so it must begin after that one ends;
-    ocel.events_to_ocel checks this as it wires the events."""
+    """Convert a set of matches into one object-centric log: convert_one's
+    two products of every match go to ocel.build_objects and
+    ocel.events_to_ocel.  Each match lies a day after the one before it, so
+    it must begin after that one ends; events_to_ocel checks this as it
+    wires the events."""
     config = config or RunConfig()
     if not matches:
         raise ValueError("at least one match is required")
@@ -167,14 +163,14 @@ def convert_matches(
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate match ids: {shown(ids)}")
 
-    # one activity map for every match, read before any match file
+    # one activity map and its goal activities for every match, read before
+    # any match file
     mapping = (
         default_activity_mapping() if config.activity_map_path is None
         else load_activity_mapping(config.activity_map_path)
     )
-    artifacts = [convert_one(m, i, config, mapping) for i, m in enumerate(matches)]
-
-    objects = build_objects(
-        [(a.match_id, a.rosters, a.spans) for a in artifacts], config.grid, config.scope)
-    return concat_logs(
-        objects, events_to_ocel([(a.match_id, a.events) for a in artifacts], config.scope))
+    goals = {m.goal_end_activity for m in mapping.values() if m.goal_end_activity is not None}
+    rosters_and_spans, events = zip(
+        *(convert_one(m, i, config, mapping, goals) for i, m in enumerate(matches)))
+    objects = build_objects(rosters_and_spans, config.grid, config.scope)
+    return concat_logs(objects, events_to_ocel(events, config.scope))

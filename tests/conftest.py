@@ -17,12 +17,7 @@ def synth_paths(tmp_path_factory) -> MatchPaths:
 
 @pytest.fixture(scope="session")
 def bundle(synth_paths):
-    return load_match(
-        synth_paths.home_tracking,
-        synth_paths.away_tracking,
-        synth_paths.events,
-        match_id=synth_paths.match_id,
-    )
+    return load_match(synth_paths.home_tracking, synth_paths.away_tracking, synth_paths.events)
 
 
 @pytest.fixture(scope="session")

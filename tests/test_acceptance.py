@@ -423,6 +423,5 @@ def test_criterion_8_movement_chain_property(bundle):
     movement_checks(bundle.frames, GridSpec())
     games = optional_reference_matches()
     if games is not None:
-        real = load_match(games[0].home_tracking, games[0].away_tracking,
-                          games[0].events, match_id="game1")
+        real = load_match(games[0].home_tracking, games[0].away_tracking, games[0].events)
         movement_checks(real.frames, GridSpec())

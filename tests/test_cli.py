@@ -380,7 +380,9 @@ def test_setting_out_of_range_exit_2(small_match, tmp_path, capsys, extra, messa
     assert not (tmp_path / "x.json").exists()
 
 
-# a token JSON does not have is unreadable input (exit 1); a value out of range exits 2
+# a token JSON does not have is unreadable input (exit 1); a value out of range
+# exits 2.  Both name the file; the exit-2 rows give the range message alone,
+# as the row ids are built from it
 @pytest.mark.parametrize("config, rc, err", [
     ({"min_dwell_s": float("inf")}, 1, "error: {cfg}: $: Infinity is not a JSON number"),
     ({"min_dwell_s": float("nan")}, 1, "error: {cfg}: $: NaN is not a JSON number"),
@@ -399,11 +401,14 @@ def test_config_non_finite_and_out_of_range(small_match, tmp_path, capsys, confi
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))  # writes NaN and Infinity tokens
     assert convert_small(small_match, tmp_path, "--config", str(cfg)) == rc
+    if rc == 2:
+        err = "error: {cfg}: " + err.removeprefix("error: ")
     assert capsys.readouterr().err == err.format(cfg=cfg) + "\n"
 
 
-# the config file is checked whole before the flags: a flag for the same key
-# does not hide its wrong type (exit 1) or its value out of range (exit 2)
+# the config file is checked alone before the flags: a flag for the same key
+# does not hide its wrong type (exit 1) or its value out of range (exit 2),
+# and either names the file; a flag's own value out of range does not
 @pytest.mark.parametrize("config, flag, rc, err", [
     ({"grid": 5}, ["--grid-rows", "3"], 1, "error: {cfg}: grid must be a JSON object"),
     ({"grid": 5}, ["--grid-cols", "3"], 1, "error: {cfg}: grid must be a JSON object"),
@@ -411,13 +416,15 @@ def test_config_non_finite_and_out_of_range(small_match, tmp_path, capsys, confi
      "error: {cfg}: min_dwell_s must be a number, got 'x'"),
     ({"grid": {"rows": "3"}}, ["--grid-rows", "3"], 1,
      "error: {cfg}: grid.rows must be an integer, got '3'"),
-    ({"min_dwell_s": -1}, ["--min-dwell", "1"], 2, "error: min_dwell_s must be >= 0, got -1.0"),
+    ({"min_dwell_s": -1}, ["--min-dwell", "1"], 2,
+     "error: {cfg}: min_dwell_s must be >= 0, got -1.0"),
     ({"grid": {"cols": 27}}, ["--grid-cols", "5"], 2,
-     "error: at most 26 grid columns supported, got 27"),
+     "error: {cfg}: at most 26 grid columns supported, got 27"),
     ({"scope": "both"}, ["--scope", "global"], 2,
-     "error: scope must be 'global' or 'per-match', got 'both'"),
+     "error: {cfg}: scope must be 'global' or 'per-match', got 'both'"),
+    ({"min_dwell_s": 1}, ["--min-dwell", "-1"], 2, "error: min_dwell_s must be >= 0, got -1.0"),
 ], ids=["grid-rows", "grid-cols", "min-dwell-type", "grid-key-type", "min-dwell-range",
-        "grid-cols-range", "scope"])
+        "grid-cols-range", "scope", "flag-range"])
 def test_a_flag_does_not_hide_a_faulty_config_key(small_match, tmp_path, capsys,
                                                   config, flag, rc, err):
     cfg = tmp_path / "cfg.json"

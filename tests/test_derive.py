@@ -4,6 +4,7 @@ import json
 import math
 import random
 from array import array
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -504,17 +505,21 @@ def test_enrich_scores_count_goals_strictly_before():
     assert kickoff_after.attrs["score_away"] == 0
 
 
-def test_renamed_goal_activity_keeps_the_score(synth_paths, log, tmp_path):
-    """The score counts the map's goal_end_activity, whatever its name."""
+def test_renamed_goal_activity_keeps_the_score(synth_paths, tmp_path):
+    """The score counts the map's goal_end_activity, whatever its name, in
+    every match of a run."""
     packaged = resources.files("footocel").joinpath("data/activity_map.json")
     table = json.loads(packaged.read_text(encoding="utf-8"))
     table["SHOT"]["goal_end_activity"] = "Tor"
     map_path = tmp_path / "map.json"
     map_path.write_text(json.dumps(table), encoding="utf-8")
-    renamed = convert_matches([synth_paths], RunConfig(activity_map_path=str(map_path)))
+    matches = [synth_paths, replace(synth_paths, match_id="game2")]
+    renamed = convert_matches(matches, RunConfig(activity_map_path=str(map_path)))
+    log = convert_matches(matches)
 
     assert any(e.etype == "Tor" for e in renamed.events)
-    assert log.events[-1].attrs["score_home"] + log.events[-1].attrs["score_away"] > 0
+    last = log.events[-1]  # game2's, so its score counts that match's goals too
+    assert last.attrs["score_home"] + last.attrs["score_away"] > 0
     assert len(renamed.events) == len(log.events)
     for got, want in zip(renamed.events, log.events):
         assert (got.attrs["score_home"], got.attrs["score_away"]) == (

@@ -459,7 +459,7 @@ def test_load_match_builds_rosters(tmp_path):
     events.write_text("".join(events_lines([
         "Home,PASS,,1,1,0.04,2,0.08,Player1,Player9,0.3,0.4,0.5,0.6",
     ])))
-    bundle = load_match(home, away, events, match_id="m1")
+    bundle = load_match(home, away, events)
     # Player9 only appears in the event file yet still joins the roster
     assert bundle.rosters["Home"] == ("HomePlayer1", "HomePlayer9")
     assert bundle.rosters["Away"] == ("AwayPlayer21",)
