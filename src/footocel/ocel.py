@@ -9,8 +9,10 @@ reproduces the in-memory value exactly.
 Logs are read and written as UTF-8.  The writer formats the indent-2 text
 itself, the bytes json.dump(indent=2, ensure_ascii=False) would give, and
 streams it one object or event at a time rather than building a tree of the
-whole log.  Every check of a write runs before the file is opened, so a log
-that cannot be written leaves an existing file as it was.
+whole log.  It formats each repeated fragment once per call: a relationship,
+a non-float attribute, and a float attribute's text up to its value.  Nothing
+is kept between calls.  Every check of a write runs before the file is opened,
+so a log that cannot be written leaves an existing file as it was.
 
 The reader holds the file text and the log it builds, but no JSON tree: it
 decodes the three small sections whole, then reads the events one at a time,
@@ -165,9 +167,12 @@ def event_time(epoch: datetime, time_s: float) -> datetime:
 
 
 def format_time(dt: datetime) -> str:
-    if dt.tzinfo is None or dt.utcoffset() != timedelta(0):
+    # isoformat writes a zero offset as "+00:00" and no offset for a naive
+    # time or a None offset, so the suffix is the UTC check
+    text = dt.isoformat(timespec="milliseconds")
+    if not text.endswith("+00:00"):
         raise ConsistencyError(f"event times must be UTC, got {shown(dt)}")
-    return f"{dt.year:04d}-{dt:%m-%dT%H:%M:%S}.{dt.microsecond // 1000:03d}Z"
+    return text[:-6] + "Z"
 
 
 def parse_time(text: str) -> datetime:
@@ -391,14 +396,25 @@ def _json_type(name: str, value) -> str:
     raise ConsistencyError(f"attribute {shown(name)} has unsupported value {shown(value)}")
 
 
+# each JSON type -> the exact Python type of a value that keeps it, unchecked
+_BUCKET_TYPES = {"boolean": bool, "integer": int, "float": float, "string": str}
+
+
 def _attr_schema(rows: Sequence[tuple[str, dict]]) -> dict[str, dict[str, str]]:
-    """Per type: attribute name -> JSON type, ints promoting to float on mix."""
+    """Per type: attribute name -> JSON type, ints promoting to float on mix.
+
+    A value whose exact type is that of its name's bucket so far (a float one
+    also finite) keeps the bucket as it is; every other goes through _json_type.
+    """
     schema: dict[str, dict[str, str]] = {}
     for type_name, attrs in rows:
         bucket = schema.setdefault(type_name, {})
         for name, value in attrs.items():
-            jt = _json_type(name, value)
             prev = bucket.get(name)
+            kind = type(value)
+            if kind is _BUCKET_TYPES.get(prev) and (kind is not float or math.isfinite(value)):
+                continue
+            jt = _json_type(name, value)
             if prev is None or prev == jt:
                 bucket[name] = jt
             elif {prev, jt} == {"integer", "float"}:
@@ -421,28 +437,19 @@ _encode_str = json.encoder.encode_basestring  # the C escaper ensure_ascii=False
 
 
 def _value_text(value) -> str:
-    """A checked attribute value (see _json_type) as json.dumps writes it."""
+    """A checked non-float attribute value (see _json_type) as json.dumps writes it."""
     if isinstance(value, str):
         return _encode_str(value)
     if value is True:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    return float.__repr__(value)
+    return int.__repr__(value)
 
 
 def _array_text(items: list[str]) -> str:
     """An entry's array of formatted objects; [] when empty, as json.dumps."""
     return "[" + ",".join(items) + "\n      ]" if items else "[]"
-
-
-def _attrs_text(attrs: dict) -> str:
-    return _array_text([
-        f'{_PAIR}"name": {_encode_str(k)}{_PAIR_KEY}"value": {_value_text(v)}{_PAIR_END}'
-        for k, v in sorted(attrs.items())
-    ])
 
 
 def _type_entries(schema: dict[str, dict[str, str]]):
@@ -477,23 +484,57 @@ def write_ocel_json(log: OcelLog, path) -> None:
     attribute schema with its refusal of NaN, infinities and unsupported
     values, and each event time's UTC check), so a log that cannot be
     written leaves path untouched.
+
+    Each repeated fragment is formatted once per call: the text of each
+    relationship, of each non-float attribute, and the head of each float
+    attribute up to its value.  Nothing is kept between calls.
     """
     object_schema = _attr_schema([(o.otype, o.attrs) for o in log.objects])
     event_schema = _attr_schema([(e.etype, e.attrs) for e in log.events])
     times = [format_time(e.time) for e in log.events]
+    # the type is in the key: True == 1 and hashes alike, but is written true
+    pair_texts: dict[tuple, str] = {}  # (name, value, type) -> attribute text
+    float_heads: dict[str, str] = {}  # name -> a float attribute's text before its value
+    relation_texts: dict[tuple[str, str], str] = {}  # (object id, qualifier) -> its text
+
+    def attrs_text(attrs: dict) -> str:
+        items = []
+        for name, value in sorted(attrs.items()):
+            if isinstance(value, float):
+                head = float_heads.get(name)
+                if head is None:
+                    head = float_heads[name] = (f'{_PAIR}"name": {_encode_str(name)}{_PAIR_KEY}'
+                                                '"value": ')
+                items.append(head + float.__repr__(value) + _PAIR_END)
+                continue
+            key = (name, value, type(value))
+            text = pair_texts.get(key)
+            if text is None:
+                text = pair_texts[key] = (f'{_PAIR}"name": {_encode_str(name)}{_PAIR_KEY}'
+                                          f'"value": {_value_text(value)}{_PAIR_END}')
+            items.append(text)
+        return _array_text(items)
+
+    def relations_text(relations: tuple[tuple[str, str], ...]) -> str:
+        items = []
+        for rel in relations:
+            text = relation_texts.get(rel)
+            if text is None:
+                oid, qualifier = rel
+                text = relation_texts[rel] = (f'{_PAIR}"objectId": {_encode_str(oid)}{_PAIR_KEY}'
+                                              f'"qualifier": {_encode_str(qualifier)}{_PAIR_END}')
+            items.append(text)
+        return _array_text(items)
+
     objects = (
         f'{_ENTRY}"id": {_encode_str(o.oid)},\n      "type": {_encode_str(o.otype)},'
-        f'\n      "attributes": {_attrs_text(o.attrs)}\n    }}'
+        f'\n      "attributes": {attrs_text(o.attrs)}\n    }}'
         for o in log.objects
     )
     events = (
         f'{_ENTRY}"id": {_encode_str(e.eid)},\n      "type": {_encode_str(e.etype)},'
-        f'\n      "time": "{time}",\n      "attributes": {_attrs_text(e.attrs)},'
-        '\n      "relationships": ' + _array_text([
-            f'{_PAIR}"objectId": {_encode_str(oid)}{_PAIR_KEY}"qualifier": {_encode_str(q)}'
-            f'{_PAIR_END}'
-            for oid, q in e.relations
-        ]) + "\n    }"
+        f'\n      "time": "{time}",\n      "attributes": {attrs_text(e.attrs)},'
+        f'\n      "relationships": {relations_text(e.relations)}\n    }}'
         for e, time in zip(log.events, times)
     )
     sections = {

@@ -15,10 +15,10 @@ from typing import Callable, Optional, Sequence
 
 from .ingest import RawEventRecord
 
-# Event types that establish control of the ball.  Everything else
-# (challenges, cards, fouls suffered, ball-out/lost markers) never opens a
-# span on its own.
-CONTROL_TYPES = frozenset({"SET PIECE", "RECOVERY", "PASS", "SHOT", "CARRY"})
+# Event types that establish control of the ball, each a type of the packaged
+# activity map.  Everything else (challenges, cards, fouls suffered,
+# ball-out/lost markers) never opens a span on its own.
+CONTROL_TYPES = frozenset({"SET PIECE", "RECOVERY", "PASS", "SHOT"})
 
 BALL_OUT_TYPE = "BALL OUT"
 SHOT_TYPE = "SHOT"

@@ -1,16 +1,15 @@
 """Reference helpers that tests compare the library against."""
 
-from typing import Iterable, Optional
+from datetime import datetime, timedelta
+from typing import Iterable, Optional, Sequence
 
-from footocel.errors import ConsistencyError, ParseError, read_json
+from footocel.errors import ConsistencyError, ParseError, read_json, shown
 from footocel.ocel import (
     QUALIFIERS,
     OcelEvent,
     OcelLog,
     OcelObject,
-    _attr_schema,
     _json_type,
-    format_time,
     parse_time,
 )
 from footocel.spatial import GridSpec, Point, metric_distance
@@ -34,14 +33,40 @@ def path_length(points: Iterable[Optional[Point]], spec: GridSpec) -> float:
     return total
 
 
+def reference_format_time(dt: datetime) -> str:
+    """format_time as a UTC check on utcoffset and a field-by-field format."""
+    if dt.tzinfo is None or dt.utcoffset() != timedelta(0):
+        raise ConsistencyError(f"event times must be UTC, got {shown(dt)}")
+    return f"{dt.year:04d}-{dt:%m-%dT%H:%M:%S}.{dt.microsecond // 1000:03d}Z"
+
+
+def reference_attr_schema(rows: Sequence[tuple[str, dict]]) -> dict[str, dict[str, str]]:
+    """The writer's attribute schema with every value typed through _json_type."""
+    schema: dict[str, dict[str, str]] = {}
+    for type_name, attrs in rows:
+        bucket = schema.setdefault(type_name, {})
+        for name, value in attrs.items():
+            jt = _json_type(name, value)
+            prev = bucket.get(name)
+            if prev is None or prev == jt:
+                bucket[name] = jt
+            elif {prev, jt} == {"integer", "float"}:
+                bucket[name] = "float"
+            else:
+                raise ConsistencyError(
+                    f"attribute {shown(name)} of {shown(type_name)} mixes {prev} and {jt} values"
+                )
+    return schema
+
+
 def ocel_to_dict(log: OcelLog) -> dict:
     """The log as the JSON tree write_ocel_json lays out (everything sorted).
 
     json.dumps(ocel_to_dict(log), indent=2, ensure_ascii=False) + "\\n" is
     the writer's text, byte for byte.
     """
-    object_schema = _attr_schema([(o.otype, o.attrs) for o in log.objects])
-    event_schema = _attr_schema([(e.etype, e.attrs) for e in log.events])
+    object_schema = reference_attr_schema([(o.otype, o.attrs) for o in log.objects])
+    event_schema = reference_attr_schema([(e.etype, e.attrs) for e in log.events])
 
     def type_entries(schema: dict[str, dict[str, str]]) -> list[dict]:
         return [
@@ -71,7 +96,7 @@ def ocel_to_dict(log: OcelLog) -> dict:
             {
                 "id": e.eid,
                 "type": e.etype,
-                "time": format_time(e.time),
+                "time": reference_format_time(e.time),
                 "attributes": [
                     {"name": k, "value": v} for k, v in sorted(e.attrs.items())
                 ],

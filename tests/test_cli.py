@@ -88,6 +88,17 @@ def test_convert_empty_match_id_exit_2(synth_paths, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_convert_of_no_match_exit_2(tmp_path, capsys):
+    # the command line refuses it first; convert_matches refuses it too
+    with pytest.raises(SystemExit) as exc:
+        main(["convert", "--out", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    assert "error: at least one --match HOME AWAY EVENTS is required" in capsys.readouterr().err
+    with pytest.raises(ValueError) as err:
+        convert_matches([])
+    assert str(err.value) == "at least one match is required"
+
+
 def test_convert_missing_file_exit_1(synth_paths, tmp_path, capsys):
     rc = main([
         "convert",
@@ -248,6 +259,32 @@ def test_grid_flags_override_config_file(synth_paths, tmp_path):
 @pytest.fixture(scope="module")
 def small_match(tmp_path_factory):
     return write_synth_match(tmp_path_factory.mktemp("small"), period_s=20, players_per_side=3)
+
+
+def test_a_blank_required_time_exit_1(small_match, tmp_path, capsys):
+    home, away, events = small_match
+    lines = Path(events).read_text(encoding="utf-8").splitlines(keepends=True)
+    cells = lines[2].split(",")
+    cells[5] = ""  # the start time of the second event row
+    blank = tmp_path / "events.csv"
+    blank.write_text("".join([*lines[:2], ",".join(cells), *lines[3:]]), encoding="utf-8")
+    rc = main(["convert", "--match", str(home), str(away), str(blank),
+               "--out", str(tmp_path / "x.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {blank}:3: missing start time\n"
+
+
+def test_a_blank_line_in_an_event_file_is_skipped(small_match, tmp_path, capsys):
+    home, away, events = small_match
+    lines = Path(events).read_text(encoding="utf-8").splitlines(keepends=True)
+    spaced = tmp_path / "events.csv"
+    spaced.write_text("".join([*lines[:2], "\n", *lines[2:]]), encoding="utf-8")
+    plain, skipped = tmp_path / "plain.json", tmp_path / "skipped.json"
+    assert main(["convert", "--match", str(home), str(away), str(events), "--out", str(plain)]) == 0
+    assert main(["convert", "--match", str(home), str(away), str(spaced),
+                 "--out", str(skipped)]) == 0
+    assert f"wrote {skipped}" in capsys.readouterr().out
+    assert skipped.read_bytes() == plain.read_bytes()
 
 
 GRID_FILE = {"cols": 8, "rows": 3, "pitch_length_m": 100.0, "pitch_width_m": 64.0}

@@ -51,6 +51,9 @@ ISO_MS = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}\.\d{3}Z$")
 def test_format_time_is_millisecond_utc():
     assert format_time(datetime(2020, 7, 1, 15, 0, 0, tzinfo=UTC)) == "2020-07-01T15:00:00.000Z"
     assert format_time(datetime(2020, 7, 1, 15, 0, 0, 42000, tzinfo=UTC)).endswith(".042Z")
+    # any zero offset is UTC, whatever its name; milliseconds are truncated
+    gmt = timezone(timedelta(0), "GMT")
+    assert format_time(datetime(2020, 7, 1, 15, 0, 0, 42999, tzinfo=gmt)) == "2020-07-01T15:00:00.042Z"
     with pytest.raises(ConsistencyError):
         format_time(datetime(2020, 7, 1, 15, 0, 0))  # naive
 
@@ -441,7 +444,23 @@ def test_non_finite_attribute_is_refused_and_leaves_the_file(tmp_path, value):
     assert path.read_bytes() == before
 
 
-@pytest.mark.parametrize("tzinfo", [None, timezone(timedelta(hours=1))], ids=["naive", "cet"])
+@pytest.mark.parametrize("value, shown_as", [(None, "None"), ([1], "[1]")], ids=["none", "list"])
+def test_unsupported_attribute_is_refused_and_leaves_the_file(tmp_path, value, shown_as):
+    log = tiny_log()
+    path = tmp_path / "log.json"
+    write_ocel_json(log, path)
+    before = path.read_bytes()
+    last = replace(log.events[-1], attrs={"period": 1, "duration_s": value})
+    log = replace(log, events=(*log.events[:-1], last))
+    with pytest.raises(ConsistencyError) as err:
+        write_ocel_json(log, path)
+    assert str(err.value) == f"attribute 'duration_s' has unsupported value {shown_as}"
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("tzinfo", [None, timezone(timedelta(hours=1)),
+                                    timezone(timedelta(seconds=30))],
+                         ids=["naive", "cet", "thirty-seconds"])
 def test_non_utc_time_on_the_last_event_is_refused_and_leaves_the_file(tmp_path, tzinfo):
     log = tiny_log()
     path = tmp_path / "log.json"
@@ -461,7 +480,8 @@ _TRICKY = st.sampled_from(
 _TEXT = st.lists(st.one_of(st.text(max_size=4), _TRICKY), max_size=3).map("".join)
 _VALUES = {
     "string": _TEXT,
-    "integer": st.integers(min_value=-10**20, max_value=10**20),
+    # 0 and 1 equal False and True, and hash alike
+    "integer": st.one_of(st.integers(0, 1), st.integers(min_value=-10**20, max_value=10**20)),
     # ints in a float-declared attribute are written as ints
     "float": st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-99, 99)),
     "boolean": st.booleans(),
@@ -470,22 +490,38 @@ _VALUES = {
 
 @st.composite
 def logs(draw) -> OcelLog:
-    """Logs whose attribute kinds are consistent per name, so every log is writable."""
-    kinds = draw(st.dictionaries(_TEXT, st.sampled_from(sorted(_VALUES)), max_size=4))
+    """Logs whose attribute kinds are consistent per name within each object
+    or event type, so every log is writable.  One name may take another kind
+    on another type (boolean on one, integer on the next), and values and
+    relationships repeat across entries."""
+    names = draw(st.lists(_TEXT, unique=True, max_size=4))
+    # each kind's values: a few drawn once and reused, or fresh ones
+    values = {kind: st.one_of(st.sampled_from(draw(st.lists(strategy, min_size=1, max_size=3))),
+                              strategy)
+              for kind, strategy in _VALUES.items()}
+    kinds: dict[tuple[str, str], dict[str, str]] = {}  # (section, type) -> name -> kind
 
-    def attrs() -> dict:
-        names = draw(st.lists(st.sampled_from(sorted(kinds)), unique=True)) if kinds else []
-        return {name: draw(_VALUES[kinds[name]]) for name in names}
+    def attrs(section: str, type_name: str) -> dict:
+        kind_of = kinds.get((section, type_name))
+        if kind_of is None:
+            kind_of = kinds[section, type_name] = {
+                name: draw(st.sampled_from(sorted(_VALUES))) for name in names}
+        chosen = draw(st.lists(st.sampled_from(names), unique=True)) if names else []
+        return {name: draw(values[kind_of[name]]) for name in chosen}
 
     types = st.one_of(st.sampled_from(["team", "Pass"]), _TEXT)
-    objects = [OcelObject(draw(_TEXT), draw(types), attrs())
-               for _ in range(draw(st.integers(0, 3)))]
+    objects = []
+    for _ in range(draw(st.integers(0, 3))):
+        otype = draw(types)
+        objects.append(OcelObject(draw(_TEXT), otype, attrs("object", otype)))
     times = st.datetimes(min_value=datetime(2000, 1, 1), timezones=st.just(UTC))
-    events = [
-        OcelEvent(draw(_TEXT), draw(types), draw(times), attrs(),
-                  tuple(draw(st.lists(st.tuples(_TEXT, _TEXT), max_size=3))))
-        for _ in range(draw(st.integers(0, 3)))
-    ]
+    relations = st.lists(st.tuples(_TEXT, _TEXT), min_size=1, max_size=3)
+    relation = st.one_of(st.sampled_from(draw(relations)), st.tuples(_TEXT, _TEXT))
+    events = []
+    for _ in range(draw(st.integers(0, 3))):
+        etype = draw(types)
+        events.append(OcelEvent(draw(_TEXT), etype, draw(times), attrs("event", etype),
+                                tuple(draw(st.lists(relation, max_size=3)))))
     return OcelLog(objects, events)
 
 

@@ -4,6 +4,7 @@ implementation cross-check, and the interval-lookup oracle."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from footocel.derive import default_activity_mapping
 from footocel.ingest import RawEventRecord
 from footocel.possession import (
     CONTROL_TYPES,
@@ -80,6 +81,12 @@ def test_events_before_first_control_belong_to_no_span():
 def test_empty_timeline():
     assert segment_possessions([]) == []
     assert possession_lookup([])(1.0, 1) is None
+
+
+def test_every_default_control_type_is_in_the_packaged_activity_map():
+    # a type the map lacks exits 2 under the default --unknown-events reject,
+    # so as a default it would never open a possession
+    assert CONTROL_TYPES <= default_activity_mapping().keys()
 
 
 def test_custom_control_types():

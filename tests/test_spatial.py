@@ -15,6 +15,7 @@ from footocel.spatial import (
     cell_of,
     metric_distance,
     parse_cell_label,
+    snap_to_pitch,
 )
 from oracles import path_length
 
@@ -67,6 +68,11 @@ def test_interior_boundaries_belong_to_the_next_cell():
     assert cell_label(cell_of(Point(1 / 6, 1.0), SPEC)) == "B1"
     assert cell_label(cell_of(Point(0.0, 0.75), SPEC)) == "A2"
     assert cell_label(cell_of(Point(0.0, 0.7501), SPEC)) == "A1"
+
+
+def test_snap_to_pitch_clamps_into_the_unit_square_and_keeps_an_absent_point():
+    assert snap_to_pitch(Point(1.02, -0.3)) == Point(1.0, 0.0)
+    assert snap_to_pitch(None) is None
 
 
 @pytest.mark.parametrize("bad", [Point(-0.01, 0.5), Point(1.01, 0.5),
