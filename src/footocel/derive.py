@@ -29,12 +29,13 @@ import json
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
+from itertools import groupby
 from typing import Collection, Optional, Sequence
 
 from .errors import ConsistencyError, ParseError, read_json, shown
 from .ingest import SIDES, RawEventRecord, Tracking, qualify_player
 from .possession import PossessionSpan, goal_marked, possession_lookup
-from .spatial import GridSpec, cell_label, cell_of, metric_distance, snap_to_pitch
+from .spatial import GridSpec, cell_label, cell_of, cell_ranges, metric_distance, snap_to_pitch
 
 GAME_BASED = "game_based"
 BALL = "ball"
@@ -48,6 +49,9 @@ RECEIVING = "receiving_player"
 
 UNKNOWN_REJECT = "reject"
 UNKNOWN_PASS = "pass"
+
+# cell ranges no point lies in: movement detection's fast path is off
+_NOWHERE = (math.inf, -math.inf, math.inf, -math.inf)
 
 
 @dataclass(frozen=True)
@@ -234,6 +238,9 @@ def detect_movement_events(
     Cells are computed as snap_to_pitch + cell_of would, as the integer
     col * rows + row, and path lengths as metric_distance would, so the
     results equal a per-frame evaluation of those functions bit for bit.
+    A sample inside the confirmed cell's exact ranges (spatial.cell_ranges),
+    right after a tracked sample and with no candidate pending, only adds
+    its step to the path length.
     Output lists players in label order, each one's events in frame order.
     """
     if not min_dwell_s >= 0:
@@ -242,66 +249,78 @@ def detect_movement_events(
     cols, rows = spec.cols, spec.rows
     length_m, width_m = spec.pitch_length_m, spec.pitch_width_m
     cell_labels = [cell_label(cell) for cell in spec.all_cells()]  # by col * rows + row
+    ranges = cell_ranges(spec)  # the same order
     hypot = math.hypot
+    runs = []  # (period, start, stop) of each run of frames of one period
+    start = 0
+    for period, group in groupby(tracking.period):
+        stop = start + sum(1 for _ in group)
+        runs.append((period, start, stop))
+        start = stop
     events: list[ActivityEvent] = []
 
     for label in sorted(tracking.players):
         xs, ys = tracking.players[label]
         team = next((side for side in SIDES if label.startswith(side)), None)
-        confirmed = -1                 # cell index; -1 = none yet this period
         entry_time = 0.0
-        acc = 0.0                      # path length since entering `confirmed`
         last_x = last_y = 0.0
-        prev_present = False
-        last_period = None
-        tentative = -1                 # candidate new cell while debouncing
-        t0 = dist = 0.0                # its first frame time and acc snapshot
+        t0 = dist = 0.0                # a candidate's first frame time and acc snapshot
 
-        for period, time_s, x, y in zip(tracking.period, tracking.time_s, xs, ys):
-            if period != last_period:
-                confirmed = tentative = -1
-                prev_present = False
-                acc = 0.0
-                last_period = period
-            if x != x:  # not tracked
-                prev_present = False
-                continue
-            col = int((0.0 if x < 0.0 else 1.0 if x > 1.0 else x) * cols)
-            row = int((1.0 - (0.0 if y < 0.0 else 1.0 if y > 1.0 else y)) * rows)
-            cell = (col if col < cols else cols - 1) * rows + (row if row < rows else rows - 1)
+        for period, start, stop in runs:
+            confirmed = -1             # cell index; -1 = none yet this period
+            acc = 0.0                  # path length since entering `confirmed`
+            prev_present = False
+            tentative = -1             # candidate new cell while debouncing
+            # the confirmed cell's ranges while the previous sample was
+            # present and no candidate is pending, else ranges nothing lies in
+            xlo, xhi, ylo, yhi = _NOWHERE
 
-            if confirmed < 0 or not (prev_present or cell == confirmed):
-                # first cell of the period, or back after a gap somewhere
-                # else: a new residence starts without an event
-                confirmed, entry_time, acc, tentative = cell, time_s, 0.0, -1
-            else:
-                acc += hypot((x - last_x) * length_m, (y - last_y) * width_m)
-                if cell == confirmed:
-                    tentative = -1
+            for time_s, x, y in zip(tracking.time_s[start:stop], xs[start:stop], ys[start:stop]):
+                if xlo <= x < xhi and ylo <= y < yhi:  # stays in the confirmed cell
+                    acc += hypot((x - last_x) * length_m, (y - last_y) * width_m)
+                    last_x, last_y = x, y
+                    continue
+                if x != x:  # not tracked
+                    prev_present = False
+                    xlo, xhi, ylo, yhi = _NOWHERE
+                    continue
+                col = int((0.0 if x < 0.0 else 1.0 if x > 1.0 else x) * cols)
+                row = int((1.0 - (0.0 if y < 0.0 else 1.0 if y > 1.0 else y)) * rows)
+                cell = (col if col < cols else cols - 1) * rows + (row if row < rows else rows - 1)
+
+                if confirmed < 0 or not (prev_present or cell == confirmed):
+                    # first cell of the period, or back after a gap somewhere
+                    # else: a new residence starts without an event
+                    confirmed, entry_time, acc, tentative = cell, time_s, 0.0, -1
                 else:
-                    if cell != tentative:
-                        tentative, t0, dist = cell, time_s, acc
-                    if time_s - t0 >= min_dwell_s:
-                        events.append(ActivityEvent(
-                            activity=MOVEMENT_ACTIVITY,
-                            event_class=POSITION_BASED,
-                            time_s=t0,
-                            period=period,
-                            team=team,
-                            players=(label,),
-                            roles=(EXECUTING,),
-                            attrs={
-                                "from_cell": cell_labels[confirmed],
-                                "to_cell": cell_labels[tentative],
-                                "duration_s": t0 - entry_time,
-                                "distance_m": dist,
-                            },
-                        ))
-                        confirmed, entry_time = tentative, t0
-                        acc -= dist
+                    acc += hypot((x - last_x) * length_m, (y - last_y) * width_m)
+                    if cell == confirmed:
                         tentative = -1
-            last_x, last_y = x, y
-            prev_present = True
+                    else:
+                        if cell != tentative:
+                            tentative, t0, dist = cell, time_s, acc
+                        if time_s - t0 >= min_dwell_s:
+                            events.append(ActivityEvent(
+                                activity=MOVEMENT_ACTIVITY,
+                                event_class=POSITION_BASED,
+                                time_s=t0,
+                                period=period,
+                                team=team,
+                                players=(label,),
+                                roles=(EXECUTING,),
+                                attrs={
+                                    "from_cell": cell_labels[confirmed],
+                                    "to_cell": cell_labels[tentative],
+                                    "duration_s": t0 - entry_time,
+                                    "distance_m": dist,
+                                },
+                            ))
+                            confirmed, entry_time = tentative, t0
+                            acc -= dist
+                            tentative = -1
+                last_x, last_y = x, y
+                prev_present = True
+                xlo, xhi, ylo, yhi = _NOWHERE if tentative >= 0 else ranges[confirmed]
     return events
 
 

@@ -18,7 +18,8 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass, replace
-from itertools import groupby, islice
+from itertools import chain, groupby, islice, repeat
+from operator import itemgetter, lt, sub, truediv
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import ConsistencyError, ParseError, shown
@@ -165,15 +166,31 @@ def parse_tracking(lines: Iterable[str], side: str, source: str = "<tracking>") 
     header is validated structurally and every data row is checked for
     field count, numeric sanity, strictly increasing frame numbers and
     time = frame / SAMPLE_RATE_HZ.  Errors, the csv module's own too, name
-    source and the reader's line.
+    source and the line of the row at fault (the reader's line for the
+    header and for the csv module's errors).
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {shown(side)}")
     reader = csv.reader(lines)
     try:
         return _tracking_rows(reader, side)
+    except _RowFault as fault:
+        message, line = fault.args
+        raise ParseError(message, source=source, line=line) from None
     except (ParseError, csv.Error) as exc:  # an empty file has read no line: its header is line 1
         raise ParseError(str(exc), source=source, line=reader.line_num or 1) from None
+
+
+class _RowFault(Exception):
+    """A data row's fault, raised as _RowFault(message, line the row ended on)."""
+
+
+# data rows read and checked at a time; a chunk that fails a bulk check is
+# checked again row by row
+CHUNK_ROWS = 128
+
+# the columns of one chunk: periods, frames, times and the row-major coordinates
+_Chunk = tuple[array, array, array, array]
 
 
 def _tracking_rows(reader, side: str) -> SideTracking:
@@ -198,58 +215,107 @@ def _tracking_rows(reader, side: str) -> SideTracking:
             raise ParseError(f"repeated player column {shown(token)}")
     labels = [qualify_player(side, token) for token in pair_tokens[:-1]]
 
-    periods, frames, times = array("q"), array("q"), array("d")
-    coords = array("d")  # row-major: x, y of each player, then of the ball
     width = len(titles)
+    n = width - 3
+    periods, frames, times = array("q"), array("q"), array("d")
+    columns = [array("d") for _ in range(n)]  # x, y of each player, then of the ball
+    prev_frame = -math.inf  # below every frame: none read yet
+    while True:
+        chunk: list[list[str]] = []
+        lines: list[int] = []
+        fault = None
+        try:
+            for row in islice(reader, CHUNK_ROWS):
+                chunk.append(row)
+                lines.append(reader.line_num)
+        except csv.Error as exc:  # raised once the rows read before it have passed
+            fault = exc
+        checked = None if fault is not None else _bulk_rows(chunk, width, prev_frame)
+        if checked is None:
+            checked = _checked_rows(chunk, lines, width, labels, prev_frame)
+        chunk_periods, chunk_frames, chunk_times, values = checked
+        periods += chunk_periods
+        frames += chunk_frames
+        times += chunk_times
+        for k, column in enumerate(columns):
+            column += values[k::n]
+        if chunk_frames:
+            prev_frame = chunk_frames[-1]
+        if fault is not None:
+            raise fault
+        if len(chunk) < CHUNK_ROWS:
+            break
+    players = {label: (columns[2 * k], columns[2 * k + 1]) for k, label in enumerate(labels)}
+    return Tracking(periods, frames, times, players), (columns[n - 2], columns[n - 1])
+
+
+def _bulk_rows(chunk: list[list[str]], width: int, prev_frame) -> Optional[_Chunk]:
+    """The chunk's columns if every row would pass _checked_rows, else None.
+
+    Each check runs over the whole chunk at once and accepts exactly what
+    the row checks accept, with the same values; a blank line has too few
+    fields, so it fails the first.  Blank and NaN coordinate tokens both
+    read as NaN.
+    """
+    if any(map(width.__ne__, map(len, chunk))):
+        return None
+    try:
+        periods = array("q", map(int, map(itemgetter(0), chunk)))
+        frames = array("q", map(int, map(itemgetter(1), chunk)))
+        times = array("d", map(float, map(itemgetter(2), chunk)))
+        values = [float(token or "nan") for row in chunk for token in row[3:]]
+    except (ValueError, OverflowError):  # not a number, or beyond a 64-bit frame column
+        return None
+    if not (all(map((1).__le__, periods))
+            and all(map(lt, chain((prev_frame,), frames), frames))
+            # >= is False for a NaN time, which the row checks call missing
+            and all(map(FLOAT_TOLERANCE.__ge__, map(abs, map(
+                sub, times, map(truediv, frames, repeat(SAMPLE_RATE_HZ))))))):
+        return None
+    if math.inf in values or -math.inf in values:
+        return None
+    absent = bytes(map(math.isnan, values))
+    if absent[0::2] != absent[1::2]:  # a half-present pair
+        return None
+    return periods, frames, times, array("d", values)
+
+
+def _checked_rows(chunk: list[list[str]], lines: list[int], width: int, labels: list[str],
+                  prev_frame) -> _Chunk:
+    """The chunk's columns, each row checked in turn; the first fault raises
+    a _RowFault with the row's line.  Blank lines are skipped."""
+    periods, frames, times, values = array("q"), array("q"), array("d"), array("d")
     rate = SAMPLE_RATE_HZ
-    prev_frame: Optional[int] = None
-    for row in reader:
+    for row, line in zip(chunk, lines):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue  # stray blank line
-        if len(row) != width:
-            raise ParseError(f"expected {width} fields, got {len(row)}")
-        period = _req_int(row[0], "period")
-        if period < 1:
-            raise ParseError(f"period must be >= 1, got {shown(period)}")
-        frame = _req_int(row[1], "frame")
-        time_s = _req_float(row[2], "time")
-        if prev_frame is not None and frame <= prev_frame:
-            raise ParseError(f"frame {shown(frame)} not greater than previous frame {prev_frame}")
-        prev_frame = frame
         try:
-            periods.append(period)
-            frames.append(frame)
-        except OverflowError:  # beyond 64 bits; frame / rate may not even be a float
-            raise ParseError(
-                f"period {shown(period)} or frame {shown(frame)} out of range") from None
-        if abs(time_s - frame / rate) > FLOAT_TOLERANCE:
-            raise ParseError(f"time {time_s} inconsistent with frame {frame} at {rate} Hz")
-        # blank and NaN tokens both read as NaN; a row that holds any other
-        # non-number, an infinity or a half-present pair is converted again
-        # pair by pair, which raises the error for its first bad pair
-        try:
-            values = [float(token or "nan") for token in row[3:]]
-        except ValueError:
-            values = None
-        if (values is None or math.inf in values or -math.inf in values
-                or list(map(math.isnan, values[0::2])) != list(map(math.isnan, values[1::2]))):
-            values = _checked_coords(row, labels)
+            if len(row) != width:
+                raise ParseError(f"expected {width} fields, got {len(row)}")
+            period = _req_int(row[0], "period")
+            if period < 1:
+                raise ParseError(f"period must be >= 1, got {shown(period)}")
+            frame = _req_int(row[1], "frame")
+            time_s = _req_float(row[2], "time")
+            if frame <= prev_frame:
+                raise ParseError(
+                    f"frame {shown(frame)} not greater than previous frame {prev_frame}")
+            prev_frame = frame
+            try:
+                periods.append(period)
+                frames.append(frame)
+            except OverflowError:  # beyond 64 bits; frame / rate may not even be a float
+                raise ParseError(
+                    f"period {shown(period)} or frame {shown(frame)} out of range") from None
+            if abs(time_s - frame / rate) > FLOAT_TOLERANCE:
+                raise ParseError(f"time {time_s} inconsistent with frame {frame} at {rate} Hz")
+            for k, what in enumerate([*labels, "ball"]):
+                p = _opt_pair(row[3 + 2 * k], row[4 + 2 * k], what)
+                values.extend((math.nan, math.nan) if p is None else p)
+        except ParseError as exc:
+            raise _RowFault(str(exc), line) from None
         times.append(time_s)
-        coords.extend(values)
-    n = width - 3
-    players = {
-        label: (coords[2 * k::n], coords[2 * k + 1::n]) for k, label in enumerate(labels)
-    }
-    return Tracking(periods, frames, times, players), (coords[n - 2::n], coords[n - 1::n])
-
-
-def _checked_coords(row: list[str], labels: list[str]) -> list[float]:
-    """One row's coordinates, validated pair by pair; NaN marks an absent pair."""
-    values: list[float] = []
-    for k, what in enumerate([*labels, "ball"]):
-        p = _opt_pair(row[3 + 2 * k], row[4 + 2 * k], what)
-        values += (math.nan, math.nan) if p is None else p
-    return values
+    return periods, frames, times, values
 
 
 def _check_alignment(home_side: SideTracking, away_side: SideTracking) -> None:
@@ -272,6 +338,12 @@ def _check_alignment(home_side: SideTracking, away_side: SideTracking) -> None:
             raise ConsistencyError(f"ball position disagreement at frame {frame}")
 
 
+def _balls_agree(home: array, away: array) -> bool:
+    """Whether no frame's ball coordinates differ by more than FLOAT_TOLERANCE.
+    A NaN fails the comparison, so a ball absent from one file never disagrees."""
+    return not any(map(FLOAT_TOLERANCE.__lt__, map(abs, map(sub, home, away))))
+
+
 def merge_tracking(home_side: SideTracking, away_side: SideTracking) -> Tracking:
     """Join the two sides' fragments into one Tracking of every player.
 
@@ -287,7 +359,8 @@ def merge_tracking(home_side: SideTracking, away_side: SideTracking) -> Tracking
         raise ConsistencyError(f"duplicate player labels across sides: {sorted(overlap)}")
     if not (home.frame == away.frame and home.period == away.period
             and home.time_s.tobytes() == away.time_s.tobytes()
-            and hx.tobytes() == ax.tobytes() and hy.tobytes() == ay.tobytes()):
+            and (hx.tobytes() == ax.tobytes() and hy.tobytes() == ay.tobytes()
+                 or _balls_agree(hx, ax) and _balls_agree(hy, ay))):
         _check_alignment(home_side, away_side)
     return Tracking(home.period, home.frame, home.time_s, {**home.players, **away.players})
 

@@ -14,6 +14,7 @@ last cell so the grid partitions the whole closed unit square.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -83,6 +84,47 @@ def cell_of(point: Point, spec: GridSpec) -> GridCell:
     col = min(int(x * spec.cols), spec.cols - 1)
     row = min(int((1.0 - y) * spec.rows), spec.rows - 1)
     return GridCell(col, row)
+
+
+def cell_ranges(spec: GridSpec) -> list[tuple[float, float, float, float]]:
+    """Each cell's exact float ranges (xlo, xhi, ylo, yhi), indexed col * rows + row.
+
+    A finite (x, y) has xlo <= x < xhi and ylo <= y < yhi exactly when
+    cell_of(snap_to_pitch((x, y))) is that cell: each inner edge is the
+    least float in [0, 1] that cell_of puts past it, found by bisecting the
+    bit patterns of the floats there (they order as the values do).  The
+    outer edges are -inf and inf, so off-pitch points stay in the edge cells.
+    """
+    top = _float_bits(1.0)
+
+    def edges(index, n: int) -> list[float]:
+        """-inf, then the least v in [0, 1] with index(v) >= k for k = 1..n-1, then inf."""
+        out = [-math.inf]
+        for k in range(1, n):
+            lo, hi = 0, top  # index(0.0) = 0 < k <= n - 1 = index(1.0)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if index(_bits_float(mid)) >= k:
+                    hi = mid
+                else:
+                    lo = mid
+            out.append(_bits_float(hi))
+        return out + [math.inf]
+
+    cols, rows = spec.cols, spec.rows
+    xs = edges(lambda x: cell_of(Point(x, 0.5), spec).col, cols)
+    # rows count up as y falls: index them top row first
+    ys = edges(lambda y: rows - 1 - cell_of(Point(0.5, y), spec).row, rows)
+    return [(xs[c], xs[c + 1], ys[rows - 1 - r], ys[rows - r])
+            for c in range(cols) for r in range(rows)]
+
+
+def _float_bits(v: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", v))[0]
+
+
+def _bits_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
 def snap_to_pitch(p: Point | None) -> Point | None:

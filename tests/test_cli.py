@@ -17,6 +17,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import footocel.ingest as ingest_module
+import footocel.ocel as ocel_module
 import footocel.pipeline as pipeline_module
 from footocel.cli import main
 from footocel.errors import shown
@@ -943,6 +944,42 @@ def test_dfg_where_on_an_integer_beyond_the_float_range(log_file, tmp_path, caps
     assert main(["dfg", "--ocel", str(bad), "--types", "possession",
                  "--where", f"possession.period={10**400}"]) == 0
     assert "possession:" in capsys.readouterr().out
+
+
+def test_dfg_where_a_word_against_a_number_matches_nothing(log_file, capsys):
+    # period is an integer attribute: a value that is no number matches no
+    # possession, so the graph has no node and the run still succeeds
+    capsys.readouterr()
+    assert main(["dfg", "--ocel", str(log_file), "--types", "possession",
+                 "--where", "possession.period=abc"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("digraph ocdfg {") and "possession:" not in out and err == ""
+
+
+def _no_comma_between_events(text):
+    """The log with the comma after its first event removed."""
+    at = text.index("},\n    {", text.index('"events": ['))
+    return text[:at + 1] + text[at + 2:]
+
+
+@pytest.mark.parametrize("make", [
+    lambda text: '{"objectTypes" []}',   # a key with no colon after it
+    _no_comma_between_events,            # the events array's separator is missing
+    lambda text: "[]",                   # no object at the top
+], ids=["key-without-colon", "events-without-comma", "top-level-array"])
+def test_a_log_the_streamed_reader_leaves_is_refused_whole(log_file, tmp_path, capsys, make):
+    bad = tmp_path / "bad.json"
+    bad.write_text(make(log_file.read_text(encoding="utf-8")), encoding="utf-8")
+    assert ocel_module._streamed_log(bad) is None
+    try:
+        json.loads(bad.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        expected = f"error: {bad}: $: invalid JSON: {exc}\n"
+    else:
+        expected = f"error: {bad}: $: expected a top-level object\n"
+    capsys.readouterr()
+    assert main(["stats", "--ocel", str(bad)]) == 1
+    assert capsys.readouterr().err == expected
 
 
 def test_spatial_names_the_event_of_an_integer_x_beyond_the_float_range(

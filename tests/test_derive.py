@@ -281,6 +281,36 @@ def test_dwell_switching_cells_restarts_the_clock():
     assert events[0].time_s == pytest.approx(3 / 25)
 
 
+A3, B3 = Point(0.1, 0.5), Point(0.2, 0.5)
+
+
+def test_an_abandoned_candidate_does_not_date_the_later_move():
+    # B3 for 0.2 s, back to A3, then B3 to stay: the 0.5 s dwell is met by
+    # the second stay, so the event carries the second entry's time; a
+    # detector that kept the first candidate while back in A3 would date
+    # the move at the first entry
+    pts = [A3] * 3 + [B3] * 5 + [A3] * 3 + [B3] * 20
+    frames = frames_from_walk(pts)
+    event, = detect_movement_events(frames, SPEC, min_dwell_s=0.5)
+    assert (event.attrs["from_cell"], event.attrs["to_cell"]) == ("A3", "B3")
+    assert event.time_s == 12 / 25
+    assert event.attrs["duration_s"] == 12 / 25 - 1 / 25
+    assert [event] == reference_movement_events(list(frames), SPEC, 0.5)
+
+
+@pytest.mark.parametrize("min_dwell_s", [0.0, 0.5])
+def test_a_move_after_a_gap_and_a_return_emits(min_dwell_s):
+    # a gap, a sample back in the confirmed cell, then another cell: the
+    # return continues the residence, so the move is a crossing, not a
+    # silent restart after the gap
+    pts = [A3, A3, None, Point(0.12, 0.5), Point(0.13, 0.5)] + [B3] * 15
+    frames = frames_from_walk(pts)
+    event, = detect_movement_events(frames, SPEC, min_dwell_s)
+    assert (event.attrs["from_cell"], event.attrs["to_cell"]) == ("A3", "B3")
+    assert event.time_s == 6 / 25
+    assert [event] == reference_movement_events(list(frames), SPEC, min_dwell_s)
+
+
 def reference_movement_nogaps(points, spec, rate=25.0):
     """Dwell-free reference for a single uninterrupted walk."""
     cells = [cell_of(snap_to_pitch(p), spec) for p in points]

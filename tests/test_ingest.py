@@ -7,8 +7,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import footocel.ingest as ingest_module
 from footocel.errors import ConsistencyError, ParseError
 from footocel.ingest import (
+    CHUNK_ROWS,
     EVENTS_HEADER,
     FLOAT_TOLERANCE,
     SIDES,
@@ -240,22 +242,48 @@ _absent = st.sampled_from(["", "  ", "nan", "NaN"])
 _clean_pair = st.tuples(_number, _number) | st.tuples(_absent, _absent)
 _any_token = _number | _absent | st.sampled_from(["inf", "-inf", "1e999", "x"])
 _any_pair = st.tuples(_any_token, _any_token) | st.tuples(_number, _absent)
+# pairs a whole chunk of can pass the parser's bulk checks: no blank-looking
+# token holds spaces
+_bulk_pair = st.tuples(_number, _number) | st.tuples(*[st.sampled_from(["", "nan", "NaN"])] * 2)
+
+
+_row_fault = st.sampled_from(["pair", "spaced", "blank", "frame", "period", "time"])
 
 
 @st.composite
 def _tracking_rows(draw):
     """Rows for tracking_lines' two players plus the ball: present and absent
     pairs in every spelling, and in some rows one pair that may be
-    half-present, non-finite or not a number."""
+    half-present, non-finite or not a number.  Some draws run past one or
+    two parse chunks: their rows repeat three drawn ones that the bulk
+    checks pass, and up to two rows anywhere are blank, spell an absent
+    pair with spaces or hold a fault of the pairs, the frame order, the
+    period or the time."""
+    n = draw(st.integers(0, 6) | st.integers(CHUNK_ROWS - 2, 2 * CHUNK_ROWS + 2))
+    long = n > 6
+    clean = [[draw(_bulk_pair) for _ in range(3)] for _ in range(3 if long else 0)]
+    faults = {draw(st.integers(0, n - 1)): draw(_row_fault)
+              for _ in range(draw(st.integers(0, 2)) if long else 0)}
+    switch = draw(st.integers(1, 3 * n + 3))  # the first frame of period 2
     rows = []
     frame = 0
-    for _ in range(draw(st.integers(0, 6))):
-        frame += draw(st.integers(1, 3))
-        period = 1 if frame < 8 else 2
-        pairs = [draw(_clean_pair) for _ in range(3)]
-        if draw(st.integers(0, 3)) == 0:
-            pairs[draw(st.integers(0, 2))] = draw(_any_pair)
-        rows.append(",".join([str(period), str(frame), repr(frame / 25.0),
+    for i in range(n):
+        fault = faults.get(i)
+        if fault == "blank":
+            rows.append("")
+            continue
+        frame += 0 if fault == "frame" else draw(st.integers(1, 3))
+        period = 0 if fault == "period" else 1 if frame < switch else 2
+        time_s = frame / 25.0 + (0.01 if fault == "time" else 0.0)
+        if long:
+            pairs = list(clean[i % 3])
+            if fault in ("pair", "spaced"):
+                pairs[draw(st.integers(0, 2))] = draw(_any_pair) if fault == "pair" else ("  ", "")
+        else:
+            pairs = [draw(_clean_pair) for _ in range(3)]
+            if draw(st.integers(0, 3)) == 0:
+                pairs[draw(st.integers(0, 2))] = draw(_any_pair)
+        rows.append(",".join([str(period), str(frame), repr(time_s),
                               *(token for pair in pairs for token in pair)]))
     return rows
 
@@ -273,6 +301,50 @@ def _outcome(parse, rows):
 @given(_tracking_rows())
 def test_parse_tracking_equals_row_reference(rows):
     assert _outcome(parse_tracking, rows) == _outcome(reference_parse_tracking, rows)
+
+
+def _good_rows(n, first_frame=1):
+    return [f"1,{f},{f / 25.0!r},0.4,0.5,,,0.5,0.5" for f in range(first_frame, first_frame + n)]
+
+
+def test_a_fault_past_the_first_chunk_names_its_own_line():
+    rows = _good_rows(250)
+    rows[199] = rows[199].replace(",0.4,", ",bad,")
+    with pytest.raises(ParseError) as err:
+        parse_tracking(tracking_lines(rows=rows), "Home", source="h.csv")
+    assert str(err.value) == "h.csv:203: non-numeric HomePlayer1 x 'bad'"
+    assert CHUNK_ROWS < 200 <= 2 * CHUNK_ROWS  # the row lies in the second chunk
+
+
+def test_a_csv_error_in_a_chunk_loses_to_an_earlier_faulty_row():
+    oversize = "1,150,6.0," + "9" * (csv.field_size_limit() + 1) + ",0.5,,,0.5,0.5"
+    rows = _good_rows(149) + [oversize] + _good_rows(5, 151)
+    with pytest.raises(ParseError) as err:
+        parse_tracking(tracking_lines(rows=rows), "Home", source="h.csv")
+    assert str(err.value) == f"h.csv:153: field larger than field limit ({csv.field_size_limit()})"
+    rows[139] = rows[139].replace("1,140,", "0,140,")
+    with pytest.raises(ParseError) as err:
+        parse_tracking(tracking_lines(rows=rows), "Home", source="h.csv")
+    assert str(err.value) == "h.csv:143: period must be >= 1, got 0"
+
+
+def _columns(tracking_and_ball):
+    tracking, ball = tracking_and_ball
+    return ([tracking.period, tracking.frame, tracking.time_s],
+            {label: [x.tobytes(), y.tobytes()] for label, (x, y) in tracking.players.items()},
+            [column.tobytes() for column in ball])
+
+
+def test_blank_lines_and_crlf_across_chunks_give_the_same_columns():
+    rows = [f"{1 + f // 200},{f},{f / 25.0!r},{f / 400},0.5,,,0.5,{f / 400}"
+            for f in range(1, 400)]
+    expected = _columns(parse_tracking(tracking_lines(rows=rows), "Home"))
+    spaced = list(rows)
+    for at in (300, 256, 129, 128, 127, 0):  # around and inside the chunk edges
+        spaced.insert(at, "")
+    crlf = [line.replace("\n", "\r\n") for line in tracking_lines(rows=spaced)]
+    assert _columns(parse_tracking(crlf, "Home")) == expected
+    assert _columns(parse_tracking(tracking_lines(rows=spaced), "Home")) == expected
 
 
 def _side_frames(side, rows, tokens=("Player1",)):
@@ -321,6 +393,32 @@ _AGREED = ["1,1,0.04,0.4,0.5,0.5,0.5", "1,2,0.08,0.4,0.5,0.5,0.5"]
 def test_merge_tracking_mismatches(home_rows, away_rows, message):
     with pytest.raises(ConsistencyError, match=message):
         merge_tracking(_side_frames("Home", home_rows), _side_frames("Away", away_rows))
+
+
+def test_merge_tracking_checks_the_balls_in_bulk(monkeypatch):
+    # a ball absent from one file, or off by less than the tolerance, passes
+    # without the per-frame check, and the merged players are the same
+    rows = [f"1,{f},{f / 25.0!r},0.4,{f / 400},{f / 400},0.5" for f in range(1, 300)]
+    home = _side_frames("Home", rows)
+    blanked = [row.rsplit(",", 2)[0] + ",," for row in rows]
+    nudged = [row[:-3] + "0.5000001" for row in rows]
+    expected = merge_tracking(home, _side_frames("Away", rows))
+
+    def per_frame(*sides):
+        raise AssertionError("took the per-frame check")
+    monkeypatch.setattr(ingest_module, "_check_alignment", per_frame)
+    for away_rows in (blanked, nudged, blanked[:100] + nudged[100:]):
+        merged = merge_tracking(home, _side_frames("Away", away_rows))
+        assert merged.frame == expected.frame and merged.time_s == expected.time_s
+        assert {label: (x.tobytes(), y.tobytes()) for label, (x, y) in merged.players.items()} \
+            == {label: (x.tobytes(), y.tobytes()) for label, (x, y) in expected.players.items()}
+    monkeypatch.undo()
+    # a disagreement still goes to the per-frame check, which names its frame
+    for k in (1, 150, 299):
+        moved = list(blanked)
+        moved[k - 1] = moved[k - 1][:-2] + f",{k / 400},0.6"
+        with pytest.raises(ConsistencyError, match=f"^ball position disagreement at frame {k}$"):
+            merge_tracking(home, _side_frames("Away", moved))
 
 
 def test_merge_tracking_rejects_duplicate_labels():

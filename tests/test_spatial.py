@@ -4,15 +4,17 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from footocel.spatial import (
+    MAX_GRID_ROWS,
     GridCell,
     GridSpec,
     Point,
     cell_center,
     cell_label,
     cell_of,
+    cell_ranges,
     metric_distance,
     parse_cell_label,
     snap_to_pitch,
@@ -102,6 +104,48 @@ def test_claimed_cell_rectangle_contains_the_point(x, y):
     y_hi = 1.0 - row / SPEC.rows
     y_lo = 1.0 - (row + 1) / SPEC.rows
     assert y_lo <= y <= y_hi
+
+
+RANGE_GRIDS = [GridSpec(1, 1), GridSpec(6, 4), GridSpec(7, 3), GridSpec(26, MAX_GRID_ROWS)]
+RANGES = {spec: cell_ranges(spec) for spec in RANGE_GRIDS}
+
+
+def _cells_holding(ranges, x, y):
+    return [i for i, (xlo, xhi, ylo, yhi) in enumerate(ranges)
+            if xlo <= x < xhi and ylo <= y < yhi]
+
+
+def _cell_index(point, spec):
+    col, row = cell_of(snap_to_pitch(point), spec)
+    return col * spec.rows + row
+
+
+@pytest.mark.parametrize("spec", RANGE_GRIDS, ids=lambda s: f"{s.cols}x{s.rows}")
+def test_cell_ranges_hold_exactly_the_points_of_their_cell(spec):
+    ranges = RANGES[spec]
+    assert len(ranges) == spec.cols * spec.rows
+    ends = {v for r in ranges for v in r if math.isfinite(v)}
+    near = {w for v in ends for w in (math.nextafter(v, -math.inf), v,
+                                      math.nextafter(v, math.inf))}
+    special = {-0.0, 0.0, 1.0, math.nextafter(1.0, 2.0), -1e-300, 1e-300,
+               -0.3, 1.02, -1e308, 1e308, 0.5}
+    # each edge value on one axis, with values that keep the other axis
+    # off every edge
+    others = sorted(special)
+    for v in sorted(near | special):
+        for w in others:
+            for x, y in ((v, w), (w, v)):
+                assert _cells_holding(ranges, x, y) == [_cell_index(Point(x, y), spec)], (x, y)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False) | st.floats(-0.1, 1.1)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(RANGE_GRIDS), _finite, _finite)
+def test_cell_ranges_agree_with_cell_of_on_any_finite_point(spec, x, y):
+    ranges = RANGES[spec]
+    assert _cells_holding(ranges, x, y) == [_cell_index(Point(x, y), spec)]
 
 
 def test_labels_round_trip():
