@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from itertools import groupby
 from typing import Collection, Optional, Sequence
@@ -366,7 +366,8 @@ def enrich(
         span = span_at(e.time_s, e.period)
         if span is not None:
             attrs["possession_id"] = span.span_id
-        out.append(replace(e, attrs=attrs))
+        out.append(ActivityEvent(
+            e.activity, e.event_class, e.time_s, e.period, e.team, e.players, e.roles, attrs))
         if e.activity in goal_activities and e.team in score:
             score[e.team] += 1
     return out

@@ -20,7 +20,7 @@ from array import array
 from dataclasses import dataclass, replace
 from itertools import chain, groupby, islice, repeat
 from operator import itemgetter, lt, sub, truediv
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ConsistencyError, ParseError, shown
 from .spatial import Point
@@ -168,12 +168,20 @@ def parse_tracking(lines: Iterable[str], side: str, source: str = "<tracking>") 
     time = frame / SAMPLE_RATE_HZ.  Errors, the csv module's own too, name
     source and the line of the row at fault (the reader's line for the
     header and for the csv module's errors).
+
+    The header is read with csv.reader and the data lines CHUNK_ROWS at a
+    time.  A chunk with no double quote, carriage return or NUL, whose
+    lines each end in one newline and none is longer than
+    csv.field_size_limit(), is split with str.split, which gives the csv
+    module's fields.  The first other chunk hands itself and the rest of
+    the file to csv.reader, since a quoted field may span lines.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {shown(side)}")
+    lines = iter(lines)  # the header's reader and the data chunks pull from one iterator
     reader = csv.reader(lines)
     try:
-        return _tracking_rows(reader, side)
+        return _tracking_rows(lines, reader, side)
     except _RowFault as fault:
         message, line = fault.args
         raise ParseError(message, source=source, line=line) from None
@@ -192,8 +200,12 @@ CHUNK_ROWS = 128
 # the columns of one chunk: periods, frames, times and the row-major coordinates
 _Chunk = tuple[array, array, array, array]
 
+# one chunk of data rows, the line each row ends on, and the (message, line)
+# of a csv error that cut the chunk short
+_RowChunk = tuple[list[list[str]], Sequence[int], Optional[tuple[str, int]]]
 
-def _tracking_rows(reader, side: str) -> SideTracking:
+
+def _tracking_rows(lines: Iterator[str], reader, side: str) -> SideTracking:
     header = list(islice(reader, 3))
     if len(header) < 3:
         raise ParseError("truncated header: expected 3 header lines")
@@ -220,19 +232,10 @@ def _tracking_rows(reader, side: str) -> SideTracking:
     periods, frames, times = array("q"), array("q"), array("d")
     columns = [array("d") for _ in range(n)]  # x, y of each player, then of the ball
     prev_frame = -math.inf  # below every frame: none read yet
-    while True:
-        chunk: list[list[str]] = []
-        lines: list[int] = []
-        fault = None
-        try:
-            for row in islice(reader, CHUNK_ROWS):
-                chunk.append(row)
-                lines.append(reader.line_num)
-        except csv.Error as exc:  # raised once the rows read before it have passed
-            fault = exc
+    for chunk, ends, fault in _data_chunks(lines, reader.line_num):
         checked = None if fault is not None else _bulk_rows(chunk, width, prev_frame)
         if checked is None:
-            checked = _checked_rows(chunk, lines, width, labels, prev_frame)
+            checked = _checked_rows(chunk, ends, width, labels, prev_frame)
         chunk_periods, chunk_frames, chunk_times, values = checked
         periods += chunk_periods
         frames += chunk_frames
@@ -242,11 +245,52 @@ def _tracking_rows(reader, side: str) -> SideTracking:
         if chunk_frames:
             prev_frame = chunk_frames[-1]
         if fault is not None:
-            raise fault
-        if len(chunk) < CHUNK_ROWS:
-            break
+            raise _RowFault(*fault)
     players = {label: (columns[2 * k], columns[2 * k + 1]) for k, label in enumerate(labels)}
     return Tracking(periods, frames, times, players), (columns[n - 2], columns[n - 1])
+
+
+def _data_chunks(lines: Iterator[str], base: int) -> Iterator[_RowChunk]:
+    """The data rows after the header's base lines, CHUNK_ROWS at a time.
+
+    Each chunk comes with the line each row ends on and, when a csv error
+    cut it short, that error's (message, line); such a chunk is the last.
+    """
+    limit = csv.field_size_limit()
+    while True:
+        chunk = list(islice(lines, CHUNK_ROWS))
+        if not chunk:
+            return
+        text = "".join(chunk)
+        # what str.split would read otherwise than the csv module: quotes, line
+        # ends, NUL (which Python 3.10's refuses) and over-long fields
+        if ('"' in text or "\r" in text or "\0" in text
+                or not all(map(str.endswith, chunk, repeat("\n")))
+                or len(text) > limit and max(map(len, chunk)) > limit):
+            break
+        plain = text[:-1].split("\n")
+        if len(plain) != len(chunk):  # a line held a newline before its end
+            break
+        # a blank line splits into [""] where csv.reader gives []; both are skipped
+        rows = list(map(str.split, plain, repeat(",")))
+        yield rows, range(base + 1, base + 1 + len(rows)), None
+        base += len(rows)
+        if len(rows) < CHUNK_ROWS:
+            return
+    reader = csv.reader(chain(chunk, lines))
+    while True:
+        rows: list[list[str]] = []
+        ends: list[int] = []
+        try:
+            for row in islice(reader, CHUNK_ROWS):
+                rows.append(row)
+                ends.append(base + reader.line_num)
+        except csv.Error as exc:  # raised once the rows read before it have passed
+            yield rows, ends, (str(exc), base + reader.line_num)
+            return
+        yield rows, ends, None
+        if len(rows) < CHUNK_ROWS:
+            return
 
 
 def _bulk_rows(chunk: list[list[str]], width: int, prev_frame) -> Optional[_Chunk]:
@@ -344,6 +388,12 @@ def _balls_agree(home: array, away: array) -> bool:
     return not any(map(FLOAT_TOLERANCE.__lt__, map(abs, map(sub, home, away))))
 
 
+def _same_bits(a: array, b: array) -> bool:
+    """Whether two float columns hold the same bit patterns, so NaN equals NaN.
+    They are compared in place as 64-bit words, which copies nothing."""
+    return memoryview(a).cast("B").cast("Q") == memoryview(b).cast("B").cast("Q")
+
+
 def merge_tracking(home_side: SideTracking, away_side: SideTracking) -> Tracking:
     """Join the two sides' fragments into one Tracking of every player.
 
@@ -358,8 +408,8 @@ def merge_tracking(home_side: SideTracking, away_side: SideTracking) -> Tracking
     if overlap:
         raise ConsistencyError(f"duplicate player labels across sides: {sorted(overlap)}")
     if not (home.frame == away.frame and home.period == away.period
-            and home.time_s.tobytes() == away.time_s.tobytes()
-            and (hx.tobytes() == ax.tobytes() and hy.tobytes() == ay.tobytes()
+            and _same_bits(home.time_s, away.time_s)
+            and (_same_bits(hx, ax) and _same_bits(hy, ay)
                  or _balls_agree(hx, ax) and _balls_agree(hy, ay))):
         _check_alignment(home_side, away_side)
     return Tracking(home.period, home.frame, home.time_s, {**home.players, **away.players})

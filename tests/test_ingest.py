@@ -247,7 +247,8 @@ _any_pair = st.tuples(_any_token, _any_token) | st.tuples(_number, _absent)
 _bulk_pair = st.tuples(_number, _number) | st.tuples(*[st.sampled_from(["", "nan", "NaN"])] * 2)
 
 
-_row_fault = st.sampled_from(["pair", "spaced", "blank", "frame", "period", "time"])
+_row_fault = st.sampled_from(["pair", "spaced", "inf", "blank", "frame", "period", "time"])
+_infinite = st.sampled_from(["inf", "-Infinity", "1e999"])
 
 
 @st.composite
@@ -257,8 +258,8 @@ def _tracking_rows(draw):
     half-present, non-finite or not a number.  Some draws run past one or
     two parse chunks: their rows repeat three drawn ones that the bulk
     checks pass, and up to two rows anywhere are blank, spell an absent
-    pair with spaces or hold a fault of the pairs, the frame order, the
-    period or the time."""
+    pair with spaces, hold an infinite x beside a finite y or hold a fault
+    of the pairs, the frame order, the period or the time."""
     n = draw(st.integers(0, 6) | st.integers(CHUNK_ROWS - 2, 2 * CHUNK_ROWS + 2))
     long = n > 6
     clean = [[draw(_bulk_pair) for _ in range(3)] for _ in range(3 if long else 0)]
@@ -277,8 +278,10 @@ def _tracking_rows(draw):
         time_s = frame / 25.0 + (0.01 if fault == "time" else 0.0)
         if long:
             pairs = list(clean[i % 3])
-            if fault in ("pair", "spaced"):
-                pairs[draw(st.integers(0, 2))] = draw(_any_pair) if fault == "pair" else ("  ", "")
+            if fault in ("pair", "spaced", "inf"):
+                pairs[draw(st.integers(0, 2))] = (
+                    draw(_any_pair) if fault == "pair" else ("  ", "") if fault == "spaced"
+                    else (draw(_infinite), "0.5"))
         else:
             pairs = [draw(_clean_pair) for _ in range(3)]
             if draw(st.integers(0, 3)) == 0:
@@ -290,8 +293,12 @@ def _tracking_rows(draw):
 
 def _outcome(parse, rows):
     """The rows and ball positions parse reads, or its error message."""
+    return _lines_outcome(parse, tracking_lines(rows=rows))
+
+
+def _lines_outcome(parse, lines):
     try:
-        frames, ball = parse(tracking_lines(rows=rows), "Home", source="h.csv")
+        frames, ball = parse(lines, "Home", source="h.csv")
     except ParseError as exc:
         return str(exc)
     return list(frames), [None if x != x else Point(x, y) for x, y in zip(*ball)]
@@ -345,6 +352,56 @@ def test_blank_lines_and_crlf_across_chunks_give_the_same_columns():
     crlf = [line.replace("\n", "\r\n") for line in tracking_lines(rows=spaced)]
     assert _columns(parse_tracking(crlf, "Home")) == expected
     assert _columns(parse_tracking(tracking_lines(rows=spaced), "Home")) == expected
+
+
+def _quoted(lines):
+    """lines written again with every field quoted."""
+    out = io.StringIO()
+    csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(csv.reader(lines))
+    return out.getvalue().splitlines(keepends=True)
+
+
+def test_split_chunks_and_the_hand_over_read_as_the_csv_reader():
+    rows = [f"{1 + f // 200},{f},{f / 25.0!r},{f / 400},0.5,,,0.5,{f / 400}"
+            for f in range(1, 400)]
+    lines = tracking_lines(rows=rows)
+    expected = _columns(parse_tracking(lines, "Home"))
+    late = 3 + 300  # row 301, in the third chunk
+    quoted_late = list(lines)
+    quoted_late[late] = quoted_late[late].replace(",0.5,", ',"0.5",', 1)
+    spanning = list(lines)  # a quoted field ends on the line after the one it starts on
+    spanning[late] = spanning[late].replace(",0.5,", ',"0.5\n",', 1)
+    unended = "".join(lines)[:-1]
+    for text in ("".join(_quoted(lines)), "".join(quoted_late), "".join(spanning), unended):
+        assert _columns(parse_tracking(io.StringIO(text, newline=""), "Home")) == expected
+    # a file read line by line and a list of lines alike
+    for same in (_quoted(lines), quoted_late, spanning, lines[:-1] + [lines[-1][:-1]]):
+        assert _columns(parse_tracking(same, "Home")) == expected
+
+    # past the quoted field that spans two lines every row ends a line later
+    faulty = list(spanning)
+    faulty[late + 40] = faulty[late + 40].replace(",0.5,", ",bad,", 1)
+    faulty = io.StringIO("".join(faulty), newline="").readlines()
+    message = f"h.csv:{late + 42}: non-numeric HomePlayer1 y 'bad'"
+    assert _lines_outcome(parse_tracking, faulty) == message
+    assert _lines_outcome(reference_parse_tracking, faulty) == message
+    # a NUL: the csv module of Python 3.10 refuses it, later ones keep it
+    nul = list(lines)
+    nul[late] = nul[late].replace(",0.5,", ",0.5\0,", 1)
+    with pytest.raises(ParseError) as err:
+        parse_tracking(nul, "Home", source="h.csv")
+    assert str(err.value) in (f"h.csv:{late + 1}: line contains NUL",
+                              f"h.csv:{late + 1}: non-numeric HomePlayer1 y '0.5\\x00'")
+    # a carriage return inside a line, and one item holding two lines: the
+    # csv module refuses them
+    cr = list(lines)
+    cr[late] = cr[late].replace(",0.5,", ",0.5\r,", 1)
+    joined = lines[:late] + [lines[late] + lines[late + 1]] + lines[late + 2:]
+    unterminated = lines[:late] + [lines[late] + lines[late + 1][:-1]] + lines[late + 2:]
+    for merged in (cr, joined, unterminated):
+        with pytest.raises(ParseError) as err:
+            parse_tracking(merged, "Home", source="h.csv")
+        assert str(err.value).startswith(f"h.csv:{late + 1}: new-line character seen")
 
 
 def _side_frames(side, rows, tokens=("Player1",)):
