@@ -19,7 +19,8 @@ import math
 from array import array
 from dataclasses import dataclass, replace
 from itertools import chain, groupby, islice, repeat
-from operator import itemgetter, lt, sub, truediv
+from operator import lt, sub, truediv
+from struct import pack
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ConsistencyError, ParseError, shown
@@ -170,11 +171,12 @@ def parse_tracking(lines: Iterable[str], side: str, source: str = "<tracking>") 
     header and for the csv module's errors).
 
     The header is read with csv.reader and the data lines CHUNK_ROWS at a
-    time.  A chunk with no double quote, carriage return or NUL, whose
-    lines each end in one newline and none is longer than
-    csv.field_size_limit(), is split with str.split, which gives the csv
-    module's fields.  The first other chunk hands itself and the rest of
-    the file to csv.reader, since a quoted field may span lines.
+    time, plain chunks with str.split and the rest with csv.reader
+    (_data_chunks).  A chunk whose rows all hold the header's width of
+    fields comes as one flat list of them; every field is read as a float
+    in one pass and each check runs over the whole chunk (_bulk_rows).  A
+    chunk that fails a bulk check is checked again row by row, so an error
+    names its own row's line.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {shown(side)}")
@@ -197,12 +199,16 @@ class _RowFault(Exception):
 # checked again row by row
 CHUNK_ROWS = 128
 
-# the columns of one chunk: periods, frames, times and the row-major coordinates
-_Chunk = tuple[array, array, array, array]
+# the columns of one chunk: periods, frames, and every field of each row as
+# a float, row-major (the times and coordinates are sliced from it)
+_Chunk = tuple[array, array, array]
 
-# one chunk of data rows, the line each row ends on, and the (message, line)
-# of a csv error that cut the chunk short
-_RowChunk = tuple[list[list[str]], Sequence[int], Optional[tuple[str, int]]]
+# one chunk of data rows: its fields row-major when every row holds the
+# header's width of them, else the rows themselves (exactly one of the two
+# is None), the line each row ends on, and the (message, line) of a csv
+# error that cut the chunk short
+_RowChunk = tuple[Optional[list[str]], Optional[list[list[str]]], Sequence[int],
+                  Optional[tuple[str, int]]]
 
 
 def _tracking_rows(lines: Iterator[str], reader, side: str) -> SideTracking:
@@ -228,54 +234,66 @@ def _tracking_rows(lines: Iterator[str], reader, side: str) -> SideTracking:
     labels = [qualify_player(side, token) for token in pair_tokens[:-1]]
 
     width = len(titles)
-    n = width - 3
     periods, frames, times = array("q"), array("q"), array("d")
-    columns = [array("d") for _ in range(n)]  # x, y of each player, then of the ball
+    columns = [array("d") for _ in range(width - 3)]  # x, y of each player, then of the ball
     prev_frame = -math.inf  # below every frame: none read yet
-    for chunk, ends, fault in _data_chunks(lines, reader.line_num):
-        checked = None if fault is not None else _bulk_rows(chunk, width, prev_frame)
-        if checked is None:
-            checked = _checked_rows(chunk, ends, width, labels, prev_frame)
-        chunk_periods, chunk_frames, chunk_times, values = checked
+    for flat, rows, ends, fault in _data_chunks(lines, reader.line_num, width):
+        checked = None if flat is None else _bulk_rows(flat, width, prev_frame)
+        if checked is None:  # fields that failed a bulk check are regrouped into rows
+            checked = _checked_rows(zip(*[iter(flat)] * width) if rows is None else rows,
+                                    ends, width, labels, prev_frame)
+        chunk_periods, chunk_frames, values = checked
         periods += chunk_periods
         frames += chunk_frames
-        times += chunk_times
-        for k, column in enumerate(columns):
-            column += values[k::n]
+        times += values[2::width]
+        for k, column in enumerate(columns, 3):
+            column += values[k::width]
         if chunk_frames:
             prev_frame = chunk_frames[-1]
         if fault is not None:
             raise _RowFault(*fault)
     players = {label: (columns[2 * k], columns[2 * k + 1]) for k, label in enumerate(labels)}
-    return Tracking(periods, frames, times, players), (columns[n - 2], columns[n - 1])
+    return Tracking(periods, frames, times, players), (columns[-2], columns[-1])
 
 
-def _data_chunks(lines: Iterator[str], base: int) -> Iterator[_RowChunk]:
+def _data_chunks(lines: Iterator[str], base: int, width: int) -> Iterator[_RowChunk]:
     """The data rows after the header's base lines, CHUNK_ROWS at a time.
 
-    Each chunk comes with the line each row ends on and, when a csv error
-    cut it short, that error's (message, line); such a chunk is the last.
+    A chunk whose rows all hold width fields comes as one row-major list of
+    them, any other as its rows.  Each comes with the line each row ends
+    on and, when a csv error cut it short, that error's (message, line);
+    such a chunk is the last, and comes as rows.
+
+    A chunk of lines with no double quote, carriage return or NUL, each
+    ending in one newline and none longer than csv.field_size_limit(), is
+    split with str.split, which gives the csv module's fields; when each of
+    its lines holds width - 1 commas, the whole chunk is split at once.  The
+    first other chunk hands itself and the rest of the file to csv.reader,
+    since a quoted field may span lines.
     """
     limit = csv.field_size_limit()
+    commas = width - 1
     while True:
         chunk = list(islice(lines, CHUNK_ROWS))
         if not chunk:
             return
         text = "".join(chunk)
         # what str.split would read otherwise than the csv module: quotes, line
-        # ends, NUL (which Python 3.10's refuses) and over-long fields
+        # ends, NUL (which Python 3.10's refuses), a newline before a line's
+        # end and over-long fields
         if ('"' in text or "\r" in text or "\0" in text
                 or not all(map(str.endswith, chunk, repeat("\n")))
+                or text.count("\n") != len(chunk)
                 or len(text) > limit and max(map(len, chunk)) > limit):
             break
-        plain = text[:-1].split("\n")
-        if len(plain) != len(chunk):  # a line held a newline before its end
-            break
-        # a blank line splits into [""] where csv.reader gives []; both are skipped
-        rows = list(map(str.split, plain, repeat(",")))
-        yield rows, range(base + 1, base + 1 + len(rows)), None
-        base += len(rows)
-        if len(rows) < CHUNK_ROWS:
+        body = text[:-1]
+        ends = range(base + 1, base + 1 + len(chunk))
+        if all(map(commas.__eq__, map(str.count, chunk, repeat(",")))):
+            yield body.replace("\n", ",").split(","), None, ends, None
+        else:  # a blank line splits into [""] where csv.reader gives []; both are skipped
+            yield None, list(map(str.split, body.split("\n"), repeat(","))), ends, None
+        base += len(chunk)
+        if len(chunk) < CHUNK_ROWS:
             return
     reader = csv.reader(chain(chunk, lines))
     while True:
@@ -286,49 +304,55 @@ def _data_chunks(lines: Iterator[str], base: int) -> Iterator[_RowChunk]:
                 rows.append(row)
                 ends.append(base + reader.line_num)
         except csv.Error as exc:  # raised once the rows read before it have passed
-            yield rows, ends, (str(exc), base + reader.line_num)
+            yield None, rows, ends, (str(exc), base + reader.line_num)
             return
-        yield rows, ends, None
+        if all(map(width.__eq__, map(len, rows))):
+            yield list(chain.from_iterable(rows)), None, ends, None
+        else:
+            yield None, rows, ends, None
         if len(rows) < CHUNK_ROWS:
             return
 
 
-def _bulk_rows(chunk: list[list[str]], width: int, prev_frame) -> Optional[_Chunk]:
+def _bulk_rows(flat: list[str], width: int, prev_frame) -> Optional[_Chunk]:
     """The chunk's columns if every row would pass _checked_rows, else None.
 
-    Each check runs over the whole chunk at once and accepts exactly what
-    the row checks accept, with the same values; a blank line has too few
-    fields, so it fails the first.  Blank and NaN coordinate tokens both
-    read as NaN.
+    flat holds the rows' fields row-major, width to a row.  One pass reads
+    each field as a float, blank and NaN tokens as NaN; each check then runs
+    over the whole chunk at once and accepts exactly what the row checks
+    accept, with the same values.  A coordinate pair whose two sums over
+    the chunk add up to a finite number holds no NaN and no infinity (one
+    leaves sum() non-finite, the compensated sum of Python 3.12 and later
+    too), so only a pair with an absent sample, or whose sum overflows, is
+    scanned for infinities and half-present samples.
     """
-    if any(map(width.__ne__, map(len, chunk))):
-        return None
     try:
-        periods = array("q", map(int, map(itemgetter(0), chunk)))
-        frames = array("q", map(int, map(itemgetter(1), chunk)))
-        times = array("d", map(float, map(itemgetter(2), chunk)))
-        values = [float(token or "nan") for row in chunk for token in row[3:]]
+        values = [float(token or "nan") for token in flat]
+        periods = array("q", map(int, flat[0::width]))
+        frames = array("q", map(int, flat[1::width]))
     except (ValueError, OverflowError):  # not a number, or beyond a 64-bit frame column
         return None
     if not (all(map((1).__le__, periods))
             and all(map(lt, chain((prev_frame,), frames), frames))
             # >= is False for a NaN time, which the row checks call missing
             and all(map(FLOAT_TOLERANCE.__ge__, map(abs, map(
-                sub, times, map(truediv, frames, repeat(SAMPLE_RATE_HZ))))))):
+                sub, values[2::width], map(truediv, frames, repeat(SAMPLE_RATE_HZ))))))):
         return None
-    if math.inf in values or -math.inf in values:
-        return None
-    absent = bytes(map(math.isnan, values))
-    if absent[0::2] != absent[1::2]:  # a half-present pair
-        return None
-    return periods, frames, times, array("d", values)
+    for k in range(3, width, 2):
+        x, y = values[k::width], values[k + 1::width]
+        if not math.isfinite(sum(x) + sum(y)) and (
+                math.inf in x or -math.inf in x or math.inf in y or -math.inf in y
+                or bytes(map(math.isnan, x)) != bytes(map(math.isnan, y))):  # half-present
+            return None
+    # packed first: the array constructor converts a list item by item, at twice the cost
+    return periods, frames, array("d", pack(f"{len(values)}d", *values))
 
 
-def _checked_rows(chunk: list[list[str]], lines: list[int], width: int, labels: list[str],
-                  prev_frame) -> _Chunk:
+def _checked_rows(chunk: Iterable[Sequence[str]], lines: Sequence[int], width: int,
+                  labels: list[str], prev_frame) -> _Chunk:
     """The chunk's columns, each row checked in turn; the first fault raises
     a _RowFault with the row's line.  Blank lines are skipped."""
-    periods, frames, times, values = array("q"), array("q"), array("d"), array("d")
+    periods, frames, values = array("q"), array("q"), array("d")
     rate = SAMPLE_RATE_HZ
     for row, line in zip(chunk, lines):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -353,13 +377,13 @@ def _checked_rows(chunk: list[list[str]], lines: list[int], width: int, labels: 
                     f"period {shown(period)} or frame {shown(frame)} out of range") from None
             if abs(time_s - frame / rate) > FLOAT_TOLERANCE:
                 raise ParseError(f"time {time_s} inconsistent with frame {frame} at {rate} Hz")
+            values.extend((period, frame, time_s))
             for k, what in enumerate([*labels, "ball"]):
                 p = _opt_pair(row[3 + 2 * k], row[4 + 2 * k], what)
                 values.extend((math.nan, math.nan) if p is None else p)
         except ParseError as exc:
             raise _RowFault(str(exc), line) from None
-        times.append(time_s)
-    return periods, frames, times, values
+    return periods, frames, values
 
 
 def _check_alignment(home_side: SideTracking, away_side: SideTracking) -> None:

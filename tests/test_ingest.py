@@ -29,6 +29,7 @@ from footocel.ingest import (
     qualify_player,
 )
 from footocel.spatial import Point
+from footocel.synth import write_synth_match
 
 
 def tracking_lines(side="Home", tokens=("Player1", "Player2"), rows=()):
@@ -237,7 +238,9 @@ def reference_parse_tracking(lines, side, sample_rate=25.0, source="<tracking>")
     return frames, (ball_x, ball_y)
 
 
-_number = st.floats(-2, 3, allow_nan=False).map(repr) | st.just(" 0.5 ")
+# huge magnitudes overflow a chunk's sum of a pair while every value is finite
+_number = (st.floats(-2, 3, allow_nan=False).map(repr) | st.just(" 0.5 ")
+           | st.sampled_from(["1.7e308", "-1.7976931348623157e+308"]))
 _absent = st.sampled_from(["", "  ", "nan", "NaN"])
 _clean_pair = st.tuples(_number, _number) | st.tuples(_absent, _absent)
 _any_token = _number | _absent | st.sampled_from(["inf", "-inf", "1e999", "x"])
@@ -402,6 +405,87 @@ def test_split_chunks_and_the_hand_over_read_as_the_csv_reader():
         with pytest.raises(ParseError) as err:
             parse_tracking(merged, "Home", source="h.csv")
         assert str(err.value).startswith(f"h.csv:{late + 1}: new-line character seen")
+
+
+def _row_checks_refused(*args):
+    raise AssertionError("a chunk failed the bulk check")
+
+
+def test_a_generated_match_reads_in_bulk(tmp_path, monkeypatch):
+    # the substitute's pair is blank in every row of the first half, and one
+    # player's in a dropout; plain, CRLF and quoted copies alike pass the
+    # bulk check in every chunk, the short last one too
+    home, _, _ = write_synth_match(tmp_path, prefix="m", period_s=20)
+    text = home.read_text(encoding="utf-8")
+    assert (text.count("\n") - 3) % CHUNK_ROWS != 0
+    lines = io.StringIO(text, newline="").readlines()
+    parsed = parse_tracking(lines, "Home")
+    assert any(map(math.isnan, parsed[0].players["HomePlayer5"][0]))
+    expected = _columns(parsed)
+    monkeypatch.setattr(ingest_module, "_checked_rows", _row_checks_refused)
+    crlf = [line.replace("\n", "\r\n") for line in lines]
+    for same in (lines, crlf, _quoted(lines)):
+        assert _columns(parse_tracking(same, "Home")) == expected
+
+
+@pytest.mark.parametrize("pair", [
+    ("inf", "inf"), ("-Infinity", "1e999"), ("inf", "nan"), ("nan", "-inf"),
+    ("0.4", "nan"), ("", "0.5"),
+])
+def test_a_non_finite_or_half_present_pair_in_a_clean_chunk_names_its_row(pair):
+    rows = _good_rows(250)
+    rows[149] = rows[149].replace(",0.4,0.5,", f",{pair[0]},{pair[1]},", 1)
+    lines = tracking_lines(rows=rows)
+    message = _lines_outcome(reference_parse_tracking, lines)
+    assert message.startswith("h.csv:153: ")
+    assert _lines_outcome(parse_tracking, lines) == message
+
+
+def test_finite_pairs_whose_chunk_sum_overflows_read_in_bulk(monkeypatch):
+    rows = [f"1,{f},{f / 25.0!r},1.7e308,-1.7e308,,,-1.7e308,{f / 400}" for f in range(1, 300)]
+    monkeypatch.setattr(ingest_module, "_checked_rows", _row_checks_refused)
+    tracking, (ball_x, ball_y) = parse_tracking(tracking_lines(rows=rows), "Home")
+    x, y = tracking.players["HomePlayer1"]
+    assert list(x) == [1.7e308] * 299 and list(y) == [-1.7e308] * 299
+    assert list(ball_x) == [-1.7e308] * 299 and list(ball_y) == [f / 400 for f in range(1, 300)]
+
+
+def test_absent_pairs_in_every_spelling_read_in_bulk_as_nan(monkeypatch):
+    spellings = [("", ""), ("nan", "nan"), ("NaN", "nan"), ("", "NaN"), ("0.3", "0.7")]
+    rows = []
+    for f in range(1, 300):
+        x, y = spellings[f % len(spellings)]
+        rows.append(f"1,{f},{f / 25.0!r},{x},{y},{y},{x},0.5,0.5")
+    monkeypatch.setattr(ingest_module, "_checked_rows", _row_checks_refused)
+    tracking, _ = parse_tracking(tracking_lines(rows=rows), "Home")
+    for label in ("HomePlayer1", "HomePlayer2"):
+        for f, x, y in zip(range(1, 300), *tracking.players[label]):
+            if f % len(spellings) == 4:
+                assert {x, y} == {0.3, 0.7}
+            else:
+                assert math.isnan(x) and math.isnan(y)
+
+
+def test_chunk_size_does_not_change_what_is_read(monkeypatch):
+    rows = [f"{1 + f // 200},{f},{f / 25.0!r},{f / 400},0.5,,,0.5,{f / 400}"
+            for f in range(1, 401)]
+    for at in (300, 256, 129, 128, 127, 0):  # blank lines around and inside 128's chunk edges
+        rows.insert(at, "")
+    lines = tracking_lines(rows=rows)
+    lines[3 + 380] = lines[3 + 380].replace(",0.5,", ',"0.5",', 1)  # the csv path from here
+    assert '"' in lines[3 + 380]
+    faulty = {}
+    for at in (200, 395):  # one row read by str.split, one by the csv reader
+        faulty[at] = list(lines)
+        faulty[at][3 + at] = faulty[at][3 + at].replace(",0.5,", ",bad,", 1)
+    expected = _columns(parse_tracking(lines, "Home"))
+    messages = {at: _lines_outcome(parse_tracking, faulty[at]) for at in faulty}
+    assert messages == {200: "h.csv:204: non-numeric HomePlayer1 y 'bad'",
+                        395: "h.csv:399: non-numeric HomePlayer1 y 'bad'"}
+    for size in (1, 2, 127, 128, 1000):
+        monkeypatch.setattr(ingest_module, "CHUNK_ROWS", size)
+        assert _columns(parse_tracking(lines, "Home")) == expected
+        assert {at: _lines_outcome(parse_tracking, faulty[at]) for at in faulty} == messages
 
 
 def _side_frames(side, rows, tokens=("Player1",)):
