@@ -27,15 +27,17 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from importlib import resources
-from itertools import groupby
 from typing import Collection, Optional, Sequence
 
 from .errors import ConsistencyError, ParseError, read_json, shown
-from .ingest import SIDES, RawEventRecord, Tracking, qualify_player
+from .ingest import SIDES, RawEventRecord, Tracking, period_runs, qualify_player
 from .possession import PossessionSpan, goal_marked, possession_lookup
-from .spatial import GridSpec, cell_label, cell_of, cell_ranges, metric_distance, snap_to_pitch
+from .spatial import (
+    GridSpec, cell_edges, cell_label, cell_of, cell_ranges, metric_distance, snap_to_pitch
+)
 
 GAME_BASED = "game_based"
 BALL = "ball"
@@ -235,9 +237,11 @@ def detect_movement_events(
     the player has stayed out of the old cell, inside one new cell, for at
     least that long; the event keeps the first-frame-in-new-cell timestamp.
 
-    Cells are computed as snap_to_pitch + cell_of would, as the integer
-    col * rows + row, and path lengths as metric_distance would, so the
-    results equal a per-frame evaluation of those functions bit for bit.
+    A sample's cell is the integer col * rows + row of the column and row
+    whose exact edges (spatial.cell_edges) hold it, which is the cell
+    snap_to_pitch + cell_of give, and path lengths are computed as
+    metric_distance would, so the results equal a per-frame evaluation of
+    those functions bit for bit.
     A sample inside the confirmed cell's exact ranges (spatial.cell_ranges),
     right after a tracked sample and with no candidate pending, only adds
     its step to the path length.
@@ -246,17 +250,13 @@ def detect_movement_events(
     if not min_dwell_s >= 0:
         raise ValueError(f"min_dwell_s must be >= 0, got {shown(min_dwell_s)}")
 
-    cols, rows = spec.cols, spec.rows
+    rows = spec.rows
     length_m, width_m = spec.pitch_length_m, spec.pitch_width_m
     cell_labels = [cell_label(cell) for cell in spec.all_cells()]  # by col * rows + row
-    ranges = cell_ranges(spec)  # the same order
+    x_edges, y_edges = cell_edges(spec)
+    ranges = cell_ranges(x_edges, y_edges)  # the same order
     hypot = math.hypot
-    runs = []  # (period, start, stop) of each run of frames of one period
-    start = 0
-    for period, group in groupby(tracking.period):
-        stop = start + sum(1 for _ in group)
-        runs.append((period, start, stop))
-        start = stop
+    runs = period_runs(tracking)
     events: list[ActivityEvent] = []
 
     for label in sorted(tracking.players):
@@ -284,9 +284,7 @@ def detect_movement_events(
                     prev_present = False
                     xlo, xhi, ylo, yhi = _NOWHERE
                     continue
-                col = int((0.0 if x < 0.0 else 1.0 if x > 1.0 else x) * cols)
-                row = int((1.0 - (0.0 if y < 0.0 else 1.0 if y > 1.0 else y)) * rows)
-                cell = (col if col < cols else cols - 1) * rows + (row if row < rows else rows - 1)
+                cell = (bisect_right(x_edges, x) - 1) * rows + rows - bisect_right(y_edges, y)
 
                 if confirmed < 0 or not (prev_present or cell == confirmed):
                     # first cell of the period, or back after a gap somewhere

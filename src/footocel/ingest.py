@@ -170,13 +170,13 @@ def parse_tracking(lines: Iterable[str], side: str, source: str = "<tracking>") 
     source and the line of the row at fault (the reader's line for the
     header and for the csv module's errors).
 
-    The header is read with csv.reader and the data lines CHUNK_ROWS at a
-    time, plain chunks with str.split and the rest with csv.reader
-    (_data_chunks).  A chunk whose rows all hold the header's width of
-    fields comes as one flat list of them; every field is read as a float
-    in one pass and each check runs over the whole chunk (_bulk_rows).  A
-    chunk that fails a bulk check is checked again row by row, so an error
-    names its own row's line.
+    The header is read with csv.reader and the data rows CHUNK_ROWS at a
+    time, each chunk as one flat list of its fields (_data_chunks).  Every
+    field is read as a float in one pass and each check runs over the
+    whole chunk (_bulk_rows).  A chunk that fails a bulk check is checked
+    again row by row, so an error names its own row's line, and an earlier
+    faulty row beats the row of another width or the csv error that cut its
+    chunk short.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {shown(side)}")
@@ -203,12 +203,9 @@ CHUNK_ROWS = 128
 # a float, row-major (the times and coordinates are sliced from it)
 _Chunk = tuple[array, array, array]
 
-# one chunk of data rows: its fields row-major when every row holds the
-# header's width of them, else the rows themselves (exactly one of the two
-# is None), the line each row ends on, and the (message, line) of a csv
-# error that cut the chunk short
-_RowChunk = tuple[Optional[list[str]], Optional[list[list[str]]], Sequence[int],
-                  Optional[tuple[str, int]]]
+# one chunk of data rows: their fields row-major, the line each row ends on,
+# and the (message, line) of a fault that cut the chunk short, or None
+_RowChunk = tuple[list[str], Sequence[int], Optional[tuple[str, int]]]
 
 
 def _tracking_rows(lines: Iterator[str], reader, side: str) -> SideTracking:
@@ -237,12 +234,10 @@ def _tracking_rows(lines: Iterator[str], reader, side: str) -> SideTracking:
     periods, frames, times = array("q"), array("q"), array("d")
     columns = [array("d") for _ in range(width - 3)]  # x, y of each player, then of the ball
     prev_frame = -math.inf  # below every frame: none read yet
-    for flat, rows, ends, fault in _data_chunks(lines, reader.line_num, width):
-        checked = None if flat is None else _bulk_rows(flat, width, prev_frame)
-        if checked is None:  # fields that failed a bulk check are regrouped into rows
-            checked = _checked_rows(zip(*[iter(flat)] * width) if rows is None else rows,
-                                    ends, width, labels, prev_frame)
-        chunk_periods, chunk_frames, values = checked
+    for flat, ends, fault in _data_chunks(lines, reader.line_num, width):
+        chunk_periods, chunk_frames, values = (
+            _bulk_rows(flat, width, prev_frame)
+            or _checked_rows(flat, ends, width, labels, prev_frame))
         periods += chunk_periods
         frames += chunk_frames
         times += values[2::width]
@@ -259,20 +254,18 @@ def _tracking_rows(lines: Iterator[str], reader, side: str) -> SideTracking:
 def _data_chunks(lines: Iterator[str], base: int, width: int) -> Iterator[_RowChunk]:
     """The data rows after the header's base lines, CHUNK_ROWS at a time.
 
-    A chunk whose rows all hold width fields comes as one row-major list of
-    them, any other as its rows.  Each comes with the line each row ends
-    on and, when a csv error cut it short, that error's (message, line);
-    such a chunk is the last, and comes as rows.
+    Each comes as its fields row-major, width to a row, with the line each
+    row ends on and, when a fault cut it short, that fault's (message,
+    line); such a chunk is the last.
 
-    A chunk of lines with no double quote, carriage return or NUL, each
-    ending in one newline and none longer than csv.field_size_limit(), is
-    split with str.split, which gives the csv module's fields; when each of
-    its lines holds width - 1 commas, the whole chunk is split at once.  The
-    first other chunk hands itself and the rest of the file to csv.reader,
-    since a quoted field may span lines.
+    A clean chunk is split with str.split, which gives the csv module's
+    fields: its lines hold no double quote, carriage return or NUL, each
+    ends in one newline and holds width - 1 commas, and none is longer than
+    csv.field_size_limit().  The first other chunk hands itself and the
+    rest of the file to csv.reader (a quoted field may span lines), which
+    skips blank lines and cuts a chunk at a csv error or a row of another width.
     """
     limit = csv.field_size_limit()
-    commas = width - 1
     while True:
         chunk = list(islice(lines, CHUNK_ROWS))
         if not chunk:
@@ -280,37 +273,36 @@ def _data_chunks(lines: Iterator[str], base: int, width: int) -> Iterator[_RowCh
         text = "".join(chunk)
         # what str.split would read otherwise than the csv module: quotes, line
         # ends, NUL (which Python 3.10's refuses), a newline before a line's
-        # end and over-long fields
+        # end and over-long fields; and any blank line or row of another width
         if ('"' in text or "\r" in text or "\0" in text
                 or not all(map(str.endswith, chunk, repeat("\n")))
                 or text.count("\n") != len(chunk)
-                or len(text) > limit and max(map(len, chunk)) > limit):
+                or len(text) > limit and max(map(len, chunk)) > limit
+                or not all(map((width - 1).__eq__, map(str.count, chunk, repeat(","))))):
             break
-        body = text[:-1]
-        ends = range(base + 1, base + 1 + len(chunk))
-        if all(map(commas.__eq__, map(str.count, chunk, repeat(",")))):
-            yield body.replace("\n", ",").split(","), None, ends, None
-        else:  # a blank line splits into [""] where csv.reader gives []; both are skipped
-            yield None, list(map(str.split, body.split("\n"), repeat(","))), ends, None
+        yield text[:-1].replace("\n", ",").split(","), range(base + 1, base + 1 + len(chunk)), None
         base += len(chunk)
         if len(chunk) < CHUNK_ROWS:
             return
     reader = csv.reader(chain(chunk, lines))
     while True:
-        rows: list[list[str]] = []
+        flat: list[str] = []
         ends: list[int] = []
+        fault = None
         try:
-            for row in islice(reader, CHUNK_ROWS):
-                rows.append(row)
-                ends.append(base + reader.line_num)
+            for row in reader:
+                if len(row) == width:
+                    flat += row
+                    ends.append(base + reader.line_num)
+                    if len(ends) == CHUNK_ROWS:
+                        break
+                elif row and (len(row) > 1 or row[0].strip()):  # not a blank line
+                    fault = (f"expected {width} fields, got {len(row)}", base + reader.line_num)
+                    break
         except csv.Error as exc:  # raised once the rows read before it have passed
-            yield None, rows, ends, (str(exc), base + reader.line_num)
-            return
-        if all(map(width.__eq__, map(len, rows))):
-            yield list(chain.from_iterable(rows)), None, ends, None
-        else:
-            yield None, rows, ends, None
-        if len(rows) < CHUNK_ROWS:
+            fault = (str(exc), base + reader.line_num)
+        yield flat, ends, fault
+        if len(ends) < CHUNK_ROWS:  # the file's end, or a fault
             return
 
 
@@ -348,18 +340,14 @@ def _bulk_rows(flat: list[str], width: int, prev_frame) -> Optional[_Chunk]:
     return periods, frames, array("d", pack(f"{len(values)}d", *values))
 
 
-def _checked_rows(chunk: Iterable[Sequence[str]], lines: Sequence[int], width: int,
+def _checked_rows(flat: list[str], lines: Sequence[int], width: int,
                   labels: list[str], prev_frame) -> _Chunk:
-    """The chunk's columns, each row checked in turn; the first fault raises
-    a _RowFault with the row's line.  Blank lines are skipped."""
+    """The chunk's columns, each row of flat (width fields to a row) checked
+    in turn; the first fault raises a _RowFault with the row's line."""
     periods, frames, values = array("q"), array("q"), array("d")
     rate = SAMPLE_RATE_HZ
-    for row, line in zip(chunk, lines):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # stray blank line
+    for row, line in zip(zip(*[iter(flat)] * width), lines):
         try:
-            if len(row) != width:
-                raise ParseError(f"expected {width} fields, got {len(row)}")
             period = _req_int(row[0], "period")
             if period < 1:
                 raise ParseError(f"period must be >= 1, got {shown(period)}")
@@ -534,6 +522,17 @@ def load_match(home_tracking_path, away_tracking_path, events_path) -> MatchBund
     )
 
 
+def period_runs(tracking: Tracking) -> list[tuple[int, int, int]]:
+    """(period, start, stop) of each run of consecutive frames of one period."""
+    runs = []
+    start = 0
+    for period, group in groupby(tracking.period):
+        stop = start + sum(1 for _ in group)
+        runs.append((period, start, stop))
+        start = stop
+    return runs
+
+
 def normalize_direction(
     tracking: Tracking, events: list[RawEventRecord]
 ) -> tuple[Tracking, list[RawEventRecord]]:
@@ -545,13 +544,7 @@ def normalize_direction(
     Player columns come back as copies with the slices of period 2 and
     every later period flipped; frame columns are shared.
     """
-    runs: list[tuple[int, int]] = []
-    start = 0
-    for second_half, group in groupby(tracking.period, key=(2).__le__):
-        stop = start + sum(1 for _ in group)
-        if second_half:
-            runs.append((start, stop))
-        start = stop
+    runs = [(start, stop) for period, start, stop in period_runs(tracking) if period >= 2]
 
     def flip_column(column: array) -> array:
         out = array("d", column)

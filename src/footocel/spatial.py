@@ -86,14 +86,15 @@ def cell_of(point: Point, spec: GridSpec) -> GridCell:
     return GridCell(col, row)
 
 
-def cell_ranges(spec: GridSpec) -> list[tuple[float, float, float, float]]:
-    """Each cell's exact float ranges (xlo, xhi, ylo, yhi), indexed col * rows + row.
+def cell_edges(spec: GridSpec) -> tuple[list[float], list[float]]:
+    """The exact float edges (xs, ys) of the columns and of the rows, top row first.
 
-    A finite (x, y) has xlo <= x < xhi and ylo <= y < yhi exactly when
-    cell_of(snap_to_pitch((x, y))) is that cell: each inner edge is the
-    least float in [0, 1] that cell_of puts past it, found by bisecting the
-    bit patterns of the floats there (they order as the values do).  The
-    outer edges are -inf and inf, so off-pitch points stay in the edge cells.
+    cell_of(snap_to_pitch((x, y))) puts a finite x in column c exactly when
+    xs[c] <= x < xs[c + 1], and y in the k-th row from the top exactly when
+    ys[k] <= y < ys[k + 1]: each inner edge is the least float in [0, 1]
+    that cell_of puts past it, found by bisecting the bit patterns of the
+    floats there (they order as the values do).  The outer edges are -inf
+    and inf, so off-pitch points stay in the edge cells.
     """
     top = _float_bits(1.0)
 
@@ -111,12 +112,18 @@ def cell_ranges(spec: GridSpec) -> list[tuple[float, float, float, float]]:
             out.append(_bits_float(hi))
         return out + [math.inf]
 
-    cols, rows = spec.cols, spec.rows
-    xs = edges(lambda x: cell_of(Point(x, 0.5), spec).col, cols)
+    rows = spec.rows
     # rows count up as y falls: index them top row first
-    ys = edges(lambda y: rows - 1 - cell_of(Point(0.5, y), spec).row, rows)
+    return (edges(lambda x: cell_of(Point(x, 0.5), spec).col, spec.cols),
+            edges(lambda y: rows - 1 - cell_of(Point(0.5, y), spec).row, rows))
+
+
+def cell_ranges(xs: list[float], ys: list[float]) -> list[tuple[float, float, float, float]]:
+    """Each cell's exact float ranges (xlo, xhi, ylo, yhi) from the edges
+    cell_edges gives, indexed col * rows + row."""
+    rows = len(ys) - 1
     return [(xs[c], xs[c + 1], ys[rows - 1 - r], ys[rows - r])
-            for c in range(cols) for r in range(rows)]
+            for c in range(len(xs) - 1) for r in range(rows)]
 
 
 def _float_bits(v: float) -> int:

@@ -414,7 +414,8 @@ def _row_checks_refused(*args):
 def test_a_generated_match_reads_in_bulk(tmp_path, monkeypatch):
     # the substitute's pair is blank in every row of the first half, and one
     # player's in a dropout; plain, CRLF and quoted copies alike pass the
-    # bulk check in every chunk, the short last one too
+    # bulk check in every chunk, the short last one too, and so do copies
+    # with blank or whitespace-only lines, which the csv reader drops
     home, _, _ = write_synth_match(tmp_path, prefix="m", period_s=20)
     text = home.read_text(encoding="utf-8")
     assert (text.count("\n") - 3) % CHUNK_ROWS != 0
@@ -422,10 +423,39 @@ def test_a_generated_match_reads_in_bulk(tmp_path, monkeypatch):
     parsed = parse_tracking(lines, "Home")
     assert any(map(math.isnan, parsed[0].players["HomePlayer5"][0]))
     expected = _columns(parsed)
+    half = CHUNK_ROWS // 2
+
+    def spaced(blanks):  # one of blanks after every half chunk of data rows
+        out = lines[:3]
+        for i, line in enumerate(lines[3:]):
+            out.append(line)
+            if i % half == half - 1:
+                out.append(blanks[i // half % len(blanks)])
+        return out
+
     monkeypatch.setattr(ingest_module, "_checked_rows", _row_checks_refused)
     crlf = [line.replace("\n", "\r\n") for line in lines]
-    for same in (lines, crlf, _quoted(lines)):
+    for same in (lines, crlf, _quoted(lines), spaced(["\n"]), spaced([" \n", "\t\n"]),
+                 lines + ["\n"]):
         assert _columns(parse_tracking(same, "Home")) == expected
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({150: "1,150,6.0,0.4,0.5"}, "h.csv:153: expected 9 fields, got 5"),
+    # the earlier faulty row is named, not the short row that cuts its chunk
+    ({150: "1,150,6.0,bad,0.5,,,0.5,0.5", 151: "1,151,6.04,0.4,0.5"},
+     "h.csv:153: non-numeric HomePlayer1 x 'bad'"),
+])
+def test_a_short_row_in_a_chunk_names_its_line_unless_an_earlier_row_is_faulty(edits, message):
+    rows = _good_rows(250)
+    for frame, row in edits.items():
+        rows[frame - 1] = row
+    lines = tracking_lines(rows=rows)
+    cr = list(lines)  # a carriage return later in the chunk, which csv.reader refuses
+    cr[3 + 160] = cr[3 + 160].replace(",0.5,", ",0.5\r,", 1)
+    for same in (lines, _quoted(lines), cr):
+        assert _lines_outcome(parse_tracking, same) == message
+        assert _lines_outcome(reference_parse_tracking, same) == message
 
 
 @pytest.mark.parametrize("pair", [

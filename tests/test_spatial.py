@@ -2,6 +2,7 @@
 
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from footocel.spatial import (
     GridSpec,
     Point,
     cell_center,
+    cell_edges,
     cell_label,
     cell_of,
     cell_ranges,
@@ -107,7 +109,8 @@ def test_claimed_cell_rectangle_contains_the_point(x, y):
 
 
 RANGE_GRIDS = [GridSpec(1, 1), GridSpec(6, 4), GridSpec(7, 3), GridSpec(26, MAX_GRID_ROWS)]
-RANGES = {spec: cell_ranges(spec) for spec in RANGE_GRIDS}
+EDGES = {spec: cell_edges(spec) for spec in RANGE_GRIDS}
+RANGES = {spec: cell_ranges(*EDGES[spec]) for spec in RANGE_GRIDS}
 
 
 def _cells_holding(ranges, x, y):
@@ -118,6 +121,12 @@ def _cells_holding(ranges, x, y):
 def _cell_index(point, spec):
     col, row = cell_of(snap_to_pitch(point), spec)
     return col * spec.rows + row
+
+
+def _edge_index(spec, x, y):
+    """The cell index movement detection reads from the edges: rows count up as y falls."""
+    xs, ys = EDGES[spec]
+    return (bisect_right(xs, x) - 1) * spec.rows + spec.rows - bisect_right(ys, y)
 
 
 @pytest.mark.parametrize("spec", RANGE_GRIDS, ids=lambda s: f"{s.cols}x{s.rows}")
@@ -136,6 +145,7 @@ def test_cell_ranges_hold_exactly_the_points_of_their_cell(spec):
         for w in others:
             for x, y in ((v, w), (w, v)):
                 assert _cells_holding(ranges, x, y) == [_cell_index(Point(x, y), spec)], (x, y)
+                assert _edge_index(spec, x, y) == _cell_index(Point(x, y), spec), (x, y)
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False) | st.floats(-0.1, 1.1)
@@ -146,6 +156,7 @@ _finite = st.floats(allow_nan=False, allow_infinity=False) | st.floats(-0.1, 1.1
 def test_cell_ranges_agree_with_cell_of_on_any_finite_point(spec, x, y):
     ranges = RANGES[spec]
     assert _cells_holding(ranges, x, y) == [_cell_index(Point(x, y), spec)]
+    assert _edge_index(spec, x, y) == _cell_index(Point(x, y), spec)
 
 
 def test_labels_round_trip():
