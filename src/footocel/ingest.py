@@ -10,18 +10,27 @@ positions.
 Player identity: tracking column titles and event From/To fields use bare
 tokens like "Player9" that are only unique within a side, so every label is
 qualified with its side ("HomePlayer9") as soon as it leaves the raw record.
+
+load_match parses a match's two tracking files at once: the away file in
+a child made with os.fork, the home file in the caller.  A child that
+fails in any way only makes the caller parse the away file itself, and a
+process without os.fork, whose fork fails or that runs more than one
+thread parses it in process, so the errors are always those of the
+sequential parse.
 """
 
 from __future__ import annotations
 
 import csv
+import marshal
 import math
+import os
 from array import array
 from dataclasses import dataclass, replace
 from itertools import chain, groupby, islice, repeat
 from operator import lt, sub, truediv
 from struct import pack
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ConsistencyError, ParseError, shown
 from .spatial import Point
@@ -496,14 +505,90 @@ def _read_csv(path, parse, *args):
         ) from None
 
 
+def _fork_away(path) -> Optional[tuple[int, BinaryIO]]:
+    """Start a child that parses the away tracking file at path: its pid and
+    the read end of the pipe it writes to, or None where this process has
+    no os.fork, its fork fails, or it runs more than one thread (forking
+    it may deadlock).
+
+    The child writes a marshal header, (labels, frame count), then the raw
+    bytes of the period, frame and time columns, of each player's x and y
+    and of the ball's x and y; a child that fails stops writing, and what
+    it wrote is short.  It leaves through os._exit, never returning into
+    the caller's stack or flushing its stdio.
+    """
+    import threading  # here, not at module level: importing footocel costs what it did
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return None
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the caller parses the file itself
+        os.close(r)
+        os.close(w)
+        return None
+    if pid:
+        os.close(w)
+        return pid, open(r, "rb")
+    try:
+        os.close(r)
+        with open(w, "wb") as pipe:
+            tracking, ball = _read_csv(path, parse_tracking, "Away")
+            pipe.write(marshal.dumps((list(tracking.players), len(tracking))))
+            pipe.writelines([tracking.period, tracking.frame, tracking.time_s,
+                             *chain.from_iterable(tracking.players.values()), *ball])
+    finally:  # raised or not, the child ends here
+        os._exit(0)
+
+
+def _received(pipe: BinaryIO) -> Optional[SideTracking]:
+    """The away side a _fork_away child wrote down pipe, read straight into
+    columns of the right length; None if it failed, died or wrote short."""
+    try:
+        labels, n = marshal.load(pipe)
+    except (EOFError, ValueError):  # the child wrote no whole header
+        return None
+    period, frame, time_s, *coordinates = columns = [
+        array("q", [0]) * n, array("q", [0]) * n,
+        *(array("d", [0.0]) * n for _ in range(2 * len(labels) + 3))]
+    for column in columns:
+        if pipe.readinto(memoryview(column).cast("B")) != 8 * n:
+            return None
+    players = {label: (coordinates[2 * k], coordinates[2 * k + 1])
+               for k, label in enumerate(labels)}
+    return Tracking(period, frame, time_s, players), (coordinates[-2], coordinates[-1])
+
+
 def load_match(home_tracking_path, away_tracking_path, events_path) -> MatchBundle:
     """Load and merge one match's three files, given by path.
+
+    The two tracking files are parsed at once: a forked child parses the
+    away file (_fork_away) while this process parses the home file, then
+    reads the child's columns.  If the child fails in any way, this process
+    parses the away file itself, which raises what the child met; where
+    there is no os.fork, a fork fails or more than one thread runs, it
+    parses the away file after the home file.  Either way the errors and
+    their precedence are those of parsing home, then away, then aligning
+    them, then the event file.  A home fault kills the child; every path
+    reaps it.
 
     Rosters start from the tracking column titles and are extended by any
     player label an event references (tolerates event-only data slices).
     """
-    home = _read_csv(home_tracking_path, parse_tracking, "Home")
-    away = _read_csv(away_tracking_path, parse_tracking, "Away")
+    child = _fork_away(away_tracking_path)
+    try:
+        home = _read_csv(home_tracking_path, parse_tracking, "Home")
+        away = (child and _received(child[1])
+                or _read_csv(away_tracking_path, parse_tracking, "Away"))
+    except BaseException:
+        if child:
+            import signal
+            os.kill(child[0], signal.SIGKILL)
+        raise
+    finally:
+        if child:
+            child[1].close()
+            os.waitpid(child[0], 0)
     frames = merge_tracking(home, away)
     events = _read_csv(events_path, parse_events)
 

@@ -14,7 +14,6 @@ last cell so the grid partitions the whole closed unit square.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -92,24 +91,33 @@ def cell_edges(spec: GridSpec) -> tuple[list[float], list[float]]:
     cell_of(snap_to_pitch((x, y))) puts a finite x in column c exactly when
     xs[c] <= x < xs[c + 1], and y in the k-th row from the top exactly when
     ys[k] <= y < ys[k + 1]: each inner edge is the least float in [0, 1]
-    that cell_of puts past it, found by bisecting the bit patterns of the
-    floats there (they order as the values do).  The outer edges are -inf
-    and inf, so off-pitch points stay in the edge cells.
+    that cell_of puts past it.  It lies within a few ulps of k / n, but
+    several floats near a small y give the same 1.0 - y, so the search
+    widens a bracket around k / n until it holds the edge, then bisects it.
+    The outer edges are -inf and inf, so off-pitch points stay in the edge
+    cells.
     """
-    top = _float_bits(1.0)
-
     def edges(index, n: int) -> list[float]:
         """-inf, then the least v in [0, 1] with index(v) >= k for k = 1..n-1, then inf."""
         out = [-math.inf]
         for k in range(1, n):
-            lo, hi = 0, top  # index(0.0) = 0 < k <= n - 1 = index(1.0)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if index(_bits_float(mid)) >= k:
+            # widen lo < hi until index(lo) < k <= index(hi); index(0.0) = 0 and
+            # index(1.0) = n - 1 bound it
+            lo = hi = k / n
+            width = math.ulp(lo)
+            while index(lo) >= k:
+                lo, width = max(lo - width, 0.0), 2 * width
+            while index(hi) < k:
+                hi, width = min(hi + width, 1.0), 2 * width
+            while (above := math.nextafter(lo, hi)) != hi:  # a float lies between them
+                mid = (lo + hi) / 2
+                if not lo < mid < hi:
+                    mid = above
+                if index(mid) >= k:
                     hi = mid
                 else:
                     lo = mid
-            out.append(_bits_float(hi))
+            out.append(hi)
         return out + [math.inf]
 
     rows = spec.rows
@@ -124,14 +132,6 @@ def cell_ranges(xs: list[float], ys: list[float]) -> list[tuple[float, float, fl
     rows = len(ys) - 1
     return [(xs[c], xs[c + 1], ys[rows - 1 - r], ys[rows - r])
             for c in range(len(xs) - 1) for r in range(rows)]
-
-
-def _float_bits(v: float) -> int:
-    return struct.unpack("<q", struct.pack("<d", v))[0]
-
-
-def _bits_float(bits: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
 def snap_to_pitch(p: Point | None) -> Point | None:

@@ -1,5 +1,7 @@
 """Reference helpers that tests compare the library against."""
 
+import math
+import struct
 from datetime import datetime, timedelta
 from typing import Iterable, Optional, Sequence
 
@@ -12,7 +14,7 @@ from footocel.ocel import (
     _json_type,
     parse_time,
 )
-from footocel.spatial import GridSpec, Point, metric_distance
+from footocel.spatial import GridSpec, Point, cell_of, metric_distance
 
 
 def path_length(points: Iterable[Optional[Point]], spec: GridSpec) -> float:
@@ -31,6 +33,34 @@ def path_length(points: Iterable[Optional[Point]], spec: GridSpec) -> float:
             total += metric_distance(prev, p, spec)
         prev = p
     return total
+
+
+def bisected_cell_edges(spec: GridSpec) -> tuple[list[float], list[float]]:
+    """spatial.cell_edges by bisecting the bit patterns of the floats in
+    [0, 1] (they order as the values do) for each inner edge: the least
+    float that cell_of puts past it."""
+    def bits(v: float) -> int:
+        return struct.unpack("<q", struct.pack("<d", v))[0]
+
+    def value(b: int) -> float:
+        return struct.unpack("<d", struct.pack("<q", b))[0]
+
+    def edges(index, n: int) -> list[float]:
+        out = [-math.inf]
+        for k in range(1, n):
+            lo, hi = 0, bits(1.0)  # index(0.0) = 0 < k <= n - 1 = index(1.0)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if index(value(mid)) >= k:
+                    hi = mid
+                else:
+                    lo = mid
+            out.append(value(hi))
+        return out + [math.inf]
+
+    rows = spec.rows
+    return (edges(lambda x: cell_of(Point(x, 0.5), spec).col, spec.cols),
+            edges(lambda y: rows - 1 - cell_of(Point(0.5, y), spec).row, rows))
 
 
 def reference_format_time(dt: datetime) -> str:

@@ -1,8 +1,13 @@
 """Raw CSV readers: tracking headers, event rows, merging and round-trips."""
 
 import csv
+import errno
 import io
 import math
+import os
+import tempfile
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -732,6 +737,147 @@ def test_load_match_builds_rosters(tmp_path):
     # Player9 only appears in the event file yet still joins the roster
     assert bundle.rosters["Home"] == ("HomePlayer1", "HomePlayer9")
     assert bundle.rosters["Away"] == ("AwayPlayer21",)
+
+
+def _write_match(directory, home_rows, away_rows):
+    """The paths of a match whose two tracking files hold the given rows."""
+    paths = [directory / name for name in ("h.csv", "a.csv", "e.csv")]
+    for path, lines in zip(paths, (
+            tracking_lines("Home", rows=home_rows), tracking_lines("Away", rows=away_rows),
+            events_lines(["Home,PASS,,1,1,0.04,2,0.08,Player1,Player2,0.3,0.4,0.5,0.6"]))):
+        path.write_text("".join(lines), encoding="utf-8")
+    return paths
+
+
+def _match_outcome(paths):
+    """What load_match reads from paths, or its error's type and message."""
+    try:
+        bundle = load_match(*paths)
+    except (ParseError, ConsistencyError) as exc:
+        return type(exc), str(exc)
+    return _columns((bundle.frames, ())), bundle.rosters, bundle.events
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _counted_forks(monkeypatch):
+    """A list that gains one item per os.fork call from here on."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tracking_rows(), st.none() | _tracking_rows())
+def test_the_forked_away_parse_reads_what_the_in_process_one_reads(home_rows, away_rows):
+    # None: the away file holds the home file's rows, so they align
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        paths = _write_match(Path(tmp), home_rows, home_rows if away_rows is None else away_rows)
+        forks = _counted_forks(mp)
+        forked = _match_outcome(paths)
+        assert forks == [1]
+        mp.delattr(os, "fork")
+        assert _match_outcome(paths) == forked
+    _assert_no_child_left()
+
+
+def test_a_home_fault_beats_an_away_fault_and_an_away_fault_names_its_line(tmp_path, monkeypatch):
+    forks = _counted_forks(monkeypatch)
+    rows = _good_rows(300)
+    bad_home, bad_away = list(rows), rows[:200]  # the away file is short too
+    bad_home[250] = bad_home[250].replace(",0.4,", ",bad,")
+    bad_away[10] = bad_away[10].replace(",0.4,", ",worse,")
+    with pytest.raises(ParseError, match=r"h\.csv:254: non-numeric HomePlayer1 x 'bad'$"):
+        load_match(*_write_match(tmp_path, bad_home, bad_away))
+    with pytest.raises(ParseError, match=r"a\.csv:14: non-numeric AwayPlayer1 x 'worse'$"):
+        load_match(*_write_match(tmp_path, rows, bad_away))
+    with pytest.raises(ConsistencyError, match="frame 201 missing from away tracking"):
+        load_match(*_write_match(tmp_path, rows, rows[:200]))
+    assert forks == [1, 1, 1]
+    _assert_no_child_left()
+
+
+def _interrupted_home(lines, side, source):
+    if side == "Home":
+        raise KeyboardInterrupt
+    return parse_tracking(lines, side, source)
+
+
+@pytest.mark.parametrize("home_fault", ["empty-file", "interrupt"])
+def test_a_home_fault_kills_and_reaps_a_child_still_parsing(tmp_path, monkeypatch, home_fault):
+    paths = _write_match(tmp_path, _good_rows(1), _good_rows(30000))
+    if home_fault == "empty-file":
+        paths[0].write_text("", encoding="utf-8")
+        expected = ParseError
+    else:
+        monkeypatch.setattr(ingest_module, "parse_tracking", _interrupted_home)
+        expected = KeyboardInterrupt
+    forks = _counted_forks(monkeypatch)
+    with pytest.raises(expected):
+        load_match(*paths)
+    assert forks == [1]
+    _assert_no_child_left()
+
+
+class _LongTracking(Tracking):
+    """A Tracking that claims one frame more than it holds."""
+
+    def __len__(self):
+        return super().__len__() + 1
+
+
+@pytest.mark.parametrize("child_fault", ["exits", "writes-short"])
+def test_a_child_that_fails_to_deliver_makes_the_parent_parse_the_away_file(
+        tmp_path, monkeypatch, child_fault):
+    paths = _write_match(tmp_path, _good_rows(300), _good_rows(300))
+    expected = _match_outcome(paths)
+    parent, parsed_here = os.getpid(), []
+
+    def faulty_in_child(lines, side, source):
+        tracking, ball = parse_tracking(lines, side, source)
+        if os.getpid() == parent:
+            parsed_here.append(side)
+        elif child_fault == "exits":
+            os._exit(1)
+        else:
+            tracking = _LongTracking(tracking.period, tracking.frame, tracking.time_s,
+                                     tracking.players)
+        return tracking, ball
+
+    monkeypatch.setattr(ingest_module, "parse_tracking", faulty_in_child)
+    forks = _counted_forks(monkeypatch)
+    assert _match_outcome(paths) == expected
+    assert forks == [1] and parsed_here == ["Home", "Away"]
+    _assert_no_child_left()
+
+
+def test_a_fork_that_fails_leaves_the_away_file_to_this_process(tmp_path, monkeypatch):
+    paths = _write_match(tmp_path, _good_rows(300), _good_rows(300))
+    expected = _match_outcome(paths)
+
+    def no_process():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    assert _match_outcome(paths) == expected
+
+
+def test_with_another_thread_running_load_match_does_not_fork(tmp_path, monkeypatch):
+    paths = _write_match(tmp_path, _good_rows(300), _good_rows(300))
+    expected = _match_outcome(paths)
+    forks = _counted_forks(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert _match_outcome(paths) == expected
+    finally:
+        release.set()
+        thread.join()
+    assert forks == []
 
 
 def test_qualify_player():

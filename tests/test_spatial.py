@@ -21,7 +21,7 @@ from footocel.spatial import (
     parse_cell_label,
     snap_to_pitch,
 )
-from oracles import path_length
+from oracles import bisected_cell_edges, path_length
 
 SPEC = GridSpec()
 
@@ -111,6 +111,14 @@ def test_claimed_cell_rectangle_contains_the_point(x, y):
 RANGE_GRIDS = [GridSpec(1, 1), GridSpec(6, 4), GridSpec(7, 3), GridSpec(26, MAX_GRID_ROWS)]
 EDGES = {spec: cell_edges(spec) for spec in RANGE_GRIDS}
 RANGES = {spec: cell_ranges(*EDGES[spec]) for spec in RANGE_GRIDS}
+
+
+def test_cell_edges_equal_the_bisected_edges_on_every_grid():
+    # x edges depend on cols alone and y edges on rows alone; hex compares bits
+    for spec, axis in [*((GridSpec(cols, 1), 0) for cols in range(1, 27)),
+                       *((GridSpec(1, rows), 1) for rows in range(1, MAX_GRID_ROWS + 1))]:
+        assert (list(map(float.hex, cell_edges(spec)[axis]))
+                == list(map(float.hex, bisected_cell_edges(spec)[axis]))), spec
 
 
 def _cells_holding(ranges, x, y):
