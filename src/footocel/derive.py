@@ -76,12 +76,13 @@ class MappingEntry:
 class ActivityEvent:
     """One event of the unified stream (before or after enrichment).
 
-    attrs holds the attributes the log stores for the event, bar its period
-    and class.  A game_based or ball event has "duration_s", a "subtype" and a
+    attrs is the event's own dict, shared with no other, and becomes the log
+    event's.  A game_based or ball event has "duration_s", a "subtype" and a
     "distance_m" when its record gives them and, when it has a position, its
     raw "x" and "y" and the label of the grid "cell" that position snaps into.
     A position_based event has "from_cell", "to_cell", "duration_s" and
-    "distance_m".  enrich adds "score_home", "score_away" and "possession_id".
+    "distance_m".  enrich adds "score_home", "score_away" and "possession_id",
+    then ocel.events_to_ocel "period" and "event_class", each in place.
     team is set at creation and never changes; it is None only for a tracked
     label of neither side.
     """
@@ -326,17 +327,19 @@ def merge_streams(
     game_stream: Sequence[ActivityEvent], movement_stream: Sequence[ActivityEvent]
 ) -> list[ActivityEvent]:
     """Merge the decomposed and movement streams into one time-ordered stream
-    (the only sort of either).
+    (the only sort of either): one new list, sorted in place.
 
     Order: (period, time); ties put game/ball events before position-based
     ones, then sort by first player label, then keep input (record) order.
     """
-    return sorted([*game_stream, *movement_stream], key=lambda e: (
+    merged = [*game_stream, *movement_stream]
+    merged.sort(key=lambda e: (
         e.period,
         e.time_s,
         1 if e.event_class == POSITION_BASED else 0,
         e.players[0] if e.players else "",
     ))
+    return merged
 
 
 def enrich(
@@ -346,7 +349,8 @@ def enrich(
     goal_activities: Collection[str],
 ) -> list[ActivityEvent]:
     """Merge the two streams (merge_streams) and, in one pass over the
-    result, add the running score and the possession id to each event's attrs.
+    result, add the running score and the possession id to each event's own
+    attrs in place: the events returned are the ones passed in, merged.
 
     The score attributes count goals strictly before each event, so a goal
     event itself still carries the pre-goal score.  A goal is an event whose
@@ -356,16 +360,13 @@ def enrich(
     """
     span_at = possession_lookup(spans)
     score = dict.fromkeys(SIDES, 0)
-    out: list[ActivityEvent] = []
-    for e in merge_streams(game_stream, movement_stream):
-        attrs = dict(e.attrs)
-        attrs["score_home"] = score["Home"]
-        attrs["score_away"] = score["Away"]
+    merged = merge_streams(game_stream, movement_stream)
+    for e in merged:
+        e.attrs["score_home"] = score["Home"]
+        e.attrs["score_away"] = score["Away"]
         span = span_at(e.time_s, e.period)
         if span is not None:
-            attrs["possession_id"] = span.span_id
-        out.append(ActivityEvent(
-            e.activity, e.event_class, e.time_s, e.period, e.team, e.players, e.roles, attrs))
+            e.attrs["possession_id"] = span.span_id
         if e.activity in goal_activities and e.team in score:
             score[e.team] += 1
-    return out
+    return merged

@@ -71,6 +71,7 @@ class Tracking:
     "not tracked" (a pair is never half-present).  The ball is not held:
     no output reads its track, so the files' ball columns are only checked.
     Indexing and iteration yield TrackingFrame rows built on demand.
+    normalize_direction flips the player columns in place, not a copy.
     """
 
     period: array
@@ -626,26 +627,18 @@ def normalize_direction(
     Sides swap ends at half time while raw coordinates stay absolute; the
     flip applies to every player and every event position at once so each
     team attacks a constant direction and relative geometry is preserved.
-    Player columns come back as copies with the slices of period 2 and
-    every later period flipped; frame columns are shared.
+    Each player column's slices of period 2 and every later period are
+    flipped in place, and the same Tracking comes back, not a copy.
     """
     runs = [(start, stop) for period, start, stop in period_runs(tracking) if period >= 2]
-
-    def flip_column(column: array) -> array:
-        out = array("d", column)
+    for column in chain.from_iterable(tracking.players.values()):
         for start, stop in runs:
-            out[start:stop] = array("d", [1.0 - v for v in column[start:stop]])
-        return out
+            column[start:stop] = array("d", [1.0 - v for v in column[start:stop]])
 
     def flip(p: Optional[Point]) -> Optional[Point]:
         return None if p is None else Point(1.0 - p.x, 1.0 - p.y)
 
-    out_tracking = Tracking(
-        tracking.period, tracking.frame, tracking.time_s,
-        {label: (flip_column(x), flip_column(y)) for label, (x, y) in tracking.players.items()},
-    )
-    out_events = [
+    return tracking, [
         e if e.period < 2 else replace(e, start_pos=flip(e.start_pos), end_pos=flip(e.end_pos))
         for e in events
     ]
-    return out_tracking, out_events

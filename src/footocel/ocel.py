@@ -280,6 +280,8 @@ def events_to_ocel(
     object.  The events keep their input order.  This is the one place
     events are named: the log's events form one sequence, zero-padded to the
     width of their total; reruns over identical input produce identical ids.
+    Once an event passes its checks, "period" and "event_class" go into its
+    own attrs dict, which its OcelEvent takes: a refused event is unchanged.
 
     Each event is checked in turn, and the first failure raises
     ConsistencyError: an unknown event class; a time out of the calendar's
@@ -311,7 +313,6 @@ def events_to_ocel(
             if e.event_class == BALL:
                 rels.append((scoped_id(scope, match_id, "ball"), "ball"))
 
-            attrs = {**e.attrs, "period": e.period, "event_class": e.event_class}
             try:
                 time = event_time(epoch, e.time_s)
             except OverflowError:
@@ -334,11 +335,13 @@ def events_to_ocel(
                 raise ConsistencyError(
                     f"match {shown(match_id)}: period {e.period} time {e.time_s} s comes before "
                     f"period {last.period} time {last.time_s} s{where}; {rule}")
+            e.attrs["period"] = e.period
+            e.attrs["event_class"] = e.event_class
             out.append(OcelEvent(
                 eid=f"e{len(out) + 1:0{width}d}",
                 etype=e.activity,
                 time=time,
-                attrs=attrs,
+                attrs=e.attrs,
                 relations=tuple(rels),
             ))
             last_index, last = index, e  # the match and source of out[-1]

@@ -21,13 +21,16 @@ from footocel.derive import (
     detect_movement_events,
     enrich,
     load_activity_mapping,
+    merge_streams,
 )
 from footocel.errors import ConsistencyError, ParseError
 from footocel.ingest import RawEventRecord, Tracking, TrackingFrame, normalize_direction
 from footocel.ocel import IdentityScope, build_objects, concat_logs, events_to_ocel
 from footocel.pipeline import RunConfig, convert_matches
 from footocel.possession import segment_possessions
-from footocel.spatial import GridSpec, Point, cell_label, cell_of, metric_distance, snap_to_pitch
+from footocel.spatial import (
+    GridCell, GridSpec, Point, cell_label, cell_of, metric_distance, parse_cell_label, snap_to_pitch
+)
 from oracles import path_length
 
 SPEC = GridSpec()
@@ -455,10 +458,34 @@ def test_movement_equals_row_reference_on_walks(rows, min_dwell_s):
     assert got == reference_movement_events(rows, SPEC, min_dwell_s)
 
 
+@settings(max_examples=100, deadline=None)
+@given(multi_player_walks(), st.integers(1, 13), st.integers(1, 50))
+def test_every_movement_event_has_a_twin_on_the_refined_grid(rows, cols, grid_rows):
+    """Grid refinement: each movement event on C x R has a twin on 2C x 2R at
+    the same (player, period, time) whose from and to cells are halves of
+    the coarse ones.  x * 2C is exactly twice x * C, so the fine floors nest
+    in the coarse ones.  min_dwell_s is 0 because a debounce breaks this: a
+    short stay in a fine cell restarts the dwell of a coarse crossing."""
+    coarse, fine = GridSpec(cols, grid_rows), GridSpec(2 * cols, 2 * grid_rows)
+    tracking = tracking_of(rows)
+    twins = {(e.players, e.period, e.time_s): e
+             for e in detect_movement_events(tracking, fine, 0.0)}
+    for e in detect_movement_events(tracking, coarse, 0.0):
+        twin = twins[(e.players, e.period, e.time_s)]
+        for key in ("from_cell", "to_cell"):
+            col, row = parse_cell_label(twin.attrs[key], fine)
+            assert cell_label(GridCell(col // 2, row // 2)) == e.attrs[key]
+
+
 @pytest.mark.parametrize("min_dwell_s", [0.0, 0.5, 1.0])
 def test_movement_equals_row_reference_on_synthetic_match(bundle, min_dwell_s):
-    tracking, _ = normalize_direction(bundle.frames, [])
-    for t in (bundle.frames, tracking):
+    # normalize_direction flips in place: flip a copy, not the session's bundle
+    frames = bundle.frames
+    tracking, _ = normalize_direction(Tracking(
+        frames.period, frames.frame, frames.time_s,
+        {label: (array("d", x), array("d", y)) for label, (x, y) in frames.players.items()},
+    ), [])
+    for t in (frames, tracking):
         got = detect_movement_events(t, SPEC, min_dwell_s)
         assert got and got == reference_movement_events(list(t), SPEC, min_dwell_s)
 
@@ -570,3 +597,40 @@ def test_enrich_attaches_possessions_and_movement_teams():
         assert e.attrs["possession_id"] == spans[0].span_id
     mover = [e for e in enriched if e.activity == MOVEMENT_ACTIVITY][0]
     assert mover.team == "Away"
+
+
+def test_every_event_owns_its_attrs_and_enrich_hands_the_events_on():
+    """enrich and events_to_ocel write into each event's attrs in place, so
+    no two events may share a dict: a pass and its receipt, a shot and its
+    goal, or two moves of one player."""
+    records = [
+        raw(etype="PASS", start=1.0, end=2.0, to_player="Player2",
+            start_pos=Point(0.2, 0.5), end_pos=Point(0.4, 0.5)),
+        raw(etype="SHOT", subtype="ON TARGET-GOAL", start=3.0, end=4.0,
+            start_pos=Point(0.8, 0.5), end_pos=Point(1.0, 0.5)),
+        raw(etype="RECOVERY", start=5.0, end=5.0),
+    ]
+    game = decompose_events(records, SPEC)
+    assert [e.activity for e in game] == ["Pass", "Pass received", "Shot", "Goal", "Recovery"]
+    movement = detect_movement_events(
+        frames_from_walk([Point(0.1, 0.5), Point(0.3, 0.5), Point(0.5, 0.5)]), SPEC)
+    assert len(movement) == 2
+    events = game + movement
+    assert len({id(e.attrs) for e in events}) == len(events)
+
+    order = [id(e) for e in merge_streams(game, movement)]
+    enriched = enrich(game, movement, [], {"Goal"})
+    assert [id(e) for e in enriched] == order
+    assert sorted(order) == sorted(map(id, events))
+    assert all("score_home" in e.attrs for e in events)
+
+
+def test_events_to_ocel_adds_to_the_attrs_of_accepted_events_only():
+    good = ActivityEvent("Shot", BALL, 1.0, 1, None, (), (), {"duration_s": 0.5})
+    wired, = events_to_ocel([("m1", [good])], IdentityScope.GLOBAL)
+    assert wired.attrs is good.attrs
+    assert wired.attrs == {"duration_s": 0.5, "period": 1, "event_class": BALL}
+    bad = ActivityEvent("Shot", BALL, 1.0, 1, None, (), (), {"duration_s": math.inf})
+    with pytest.raises(ConsistencyError, match="non-finite"):
+        events_to_ocel([("m1", [bad])], IdentityScope.GLOBAL)
+    assert bad.attrs == {"duration_s": math.inf}

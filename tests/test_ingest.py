@@ -884,6 +884,13 @@ def test_qualify_player():
     assert qualify_player("Home", "Player9") == "HomePlayer9"
 
 
+def _period_one_bits(tracking):
+    """The bytes of every player column over the leading period-1 frames."""
+    n = list(tracking.period).index(2)
+    return {label: (x[:n].tobytes(), y[:n].tobytes())
+            for label, (x, y) in tracking.players.items()}
+
+
 def test_normalize_direction_flips_second_period_only():
     frames, _ = parse_tracking(tracking_lines(tokens=("P1",), rows=[
         "1,1,0.04,0.2,0.3,0.1,0.1",
@@ -893,7 +900,10 @@ def test_normalize_direction_flips_second_period_only():
         "Home,PASS,,1,1,0.04,2,0.08,P1,P1,0.2,0.3,0.4,0.5",
         "Home,PASS,,2,3,0.12,4,0.16,P1,P1,0.2,0.3,0.4,0.5",
     ]))
+    period_one = _period_one_bits(frames)
     out_frames, out_events = normalize_direction(frames, events)
+    assert out_frames is frames  # flipped in place, not copied
+    assert _period_one_bits(out_frames) == period_one
     assert out_frames[0].positions["HomeP1"] == Point(0.2, 0.3)
     assert out_frames[1].positions["HomeP1"] == Point(0.8, 0.7)
     assert out_events[0].start_pos == Point(0.2, 0.3)
@@ -911,7 +921,10 @@ def test_normalize_direction_flips_every_period_from_the_second():
         "Home,PASS,,1,1,0.04,2,0.08,P1,P1,0.2,0.3,0.4,0.5",
         "Home,PASS,,3,3,0.12,4,0.16,P1,P1,0.2,0.3,0.4,0.5",
     ]))
+    period_one = _period_one_bits(frames)
     out_frames, out_events = normalize_direction(frames, events)
+    assert out_frames is frames
+    assert _period_one_bits(out_frames) == period_one
     assert out_frames[0].positions["HomeP1"] == Point(0.2, 0.3)
     assert out_frames[1].positions["HomeP1"] == Point(0.8, 0.7)
     assert out_frames[2].positions["HomeP1"] == Point(0.8, 0.7)
